@@ -134,11 +134,6 @@ class GaussAdic:
             raise ValueError("not divisible by 2^a: insufficient valuation")
         return GaussAdic(self.re >> a, self.im >> a, self.prec - a)
 
-    def at_prec(self, prec: int) -> "GaussAdic":
-        if prec > self.prec:
-            raise ValueError("cannot gain precision")
-        return GaussAdic(self.re, self.im, prec)
-
     def valuation(self) -> int:
         """(1+i)-adic valuation, capped at 2*prec when the value is 0 mod 2^prec."""
         if self.re == 0 and self.im == 0:
@@ -249,12 +244,6 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def degree_used(self) -> int:
-        for k in range(self.cap, -1, -1):
-            if self.coeffs[k]:
-                return k
-        return 0
 
     @staticmethod
     def from_poly(poly: UniPoly, cap: int = SERIES_DEGREE) -> "TruncSeries":

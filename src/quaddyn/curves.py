@@ -131,9 +131,9 @@ def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
     q = p**deg
     if q > Q_LIMIT:
         raise ValueError(f"q = {q} exceeds the enumeration limit")
+    field = FiniteField(p, deg)  # rejects a non-prime p before the reduction test
     if not _good_reduction(curve, p):
         raise ValueError(f"{curve!r} has bad reduction at {p}")
-    field = FiniteField(p, deg)
     ring = FFRing(field)
     total = 0
     if p == 2:
@@ -293,10 +293,11 @@ def elliptic_group_structure(curve: WeierstrassCurve, p: int, deg: int = 1) -> t
 def elliptic_count(curve: WeierstrassCurve, p: int, deg: int = 1) -> int:
     from .finitefield import reduce_fraction
 
+    field = FiniteField(p, deg)  # rejects a non-prime p before the reduction test
     disc = curve.discriminant()
     if disc.denominator % p == 0 or reduce_fraction(disc, p) == 0:
         raise ValueError(f"bad reduction at {p}")
-    return len(_ec_points(curve, FiniteField(p, deg)))
+    return len(_ec_points(curve, field))
 
 
 def torsion_bound(curve, primes: list[int], deg: int = 2) -> int:

@@ -4,20 +4,24 @@ The factorization pipeline is classical: content/primitive split, Yun
 squarefree decomposition (with a modular integer-poly gcd underneath),
 factorization modulo a good prime (distinct-degree then equal-degree
 splitting), quadratic Hensel lifting up to a Mignotte-style bound, and
-factor recombination by subset search with degree and trailing-coefficient
-pruning.
+factor recombination by subset search in order of subset size.
 
 Root-finding in K = Q(sqrt(d)) works through the norm polynomial: candidates
 come from the degree-<=2 rational factors of P * conj(P); multiplicities are
 read off by repeated exact division over K.  Only the low-degree factors are
 lifted and recombined on that path, which keeps dynatomic-sized inputs fast.
 
-Internally, polynomials over F_p and Z are plain coefficient lists (constant
-term first); the public API speaks UniPoly.
+Internally, polynomials are plain lists of Python ints (constant term first,
+no trailing zeros) and one kernel serves Z[x], F_p[x] and (Z/p^k)[x]:
+_add, _sub, _mul and _deriv work over Z, and _mod(a, m) reduces where
+arithmetic mod m is meant.  _divmod, _monic, _powmod and _eval take the
+modulus m (a prime p, or p^k while Hensel lifting); _gcd takes a prime.
+The public API speaks UniPoly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,35 +32,35 @@ from .polys import QQ, QuadField, UniPoly
 from .quadfield import QuadElem, fraction_sqrt
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p as int lists (constant term first, no trailing zeros)
+# polynomials as int lists (constant term first, no trailing zeros)
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(a: list) -> list:
+def _trim(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _pnorm(a, p: int) -> list:
-    return _ptrim([c % p for c in a])
+def _mod(a, m: int) -> list:
+    return _trim([c % m for c in a])
 
 
-def _padd(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
-    for k, c in enumerate(b):
-        out[k] = (out[k] + c) % p
-    return _ptrim(out)
-
-
-def _psub(a, b, p):
+def _add(a, b):
     out = list(a) + [0] * max(0, len(b) - len(a))
     for k, c in enumerate(b):
-        out[k] = (out[k] - c) % p
-    return _ptrim(out)
+        out[k] += c
+    return _trim(out)
 
 
-def _pmul(a, b, p):
+def _sub(a, b):
+    out = list(a) + [0] * max(0, len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] -= c
+    return _trim(out)
+
+
+def _mul(a, b):
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -64,57 +68,64 @@ def _pmul(a, b, p):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _ptrim([c % p for c in out])
+    return _trim(out)
 
 
-def _pscale(a, s, p):
-    return _ptrim([c * s % p for c in a])
+def _deriv(a):
+    return _trim([a[k] * k for k in range(1, len(a))])
 
 
-def _pdivmod(a, b, p):
+def _divmod(a, b, m: int):
+    """divmod in (Z/m)[x] for b with unit leading coefficient."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
+    inv = pow(b[-1], -1, m)
+    rem = [c % m for c in a]
     if len(rem) < len(b):
-        return [], _ptrim(rem)
+        return [], _trim(rem)
     quot = [0] * (len(rem) - len(b) + 1)
     for k in range(len(quot) - 1, -1, -1):
-        top = rem[k + len(b) - 1] % p
+        top = rem[k + len(b) - 1]
         if not top:
             continue
-        q = top * inv % p
+        q = top * inv % m
         quot[k] = q
         for j, c in enumerate(b):
-            rem[k + j] = (rem[k + j] - q * c) % p
-    return _ptrim(quot), _ptrim(rem)
+            rem[k + j] = (rem[k + j] - q * c) % m
+    return _trim(quot), _trim(rem)
 
 
-def _pmonic(a, p):
+def _monic(a, m: int):
     if not a or a[-1] == 1:
         return list(a)
-    return _pscale(a, pow(a[-1], -1, p), p)
+    inv = pow(a[-1], -1, m)
+    return _mod([c * inv for c in a], m)
 
 
-def _pgcd(a, b, p):
-    a, b = _pnorm(a, p), _pnorm(b, p)
+def _gcd(a, b, p: int):
+    """Monic gcd in F_p[x]."""
+    a, b = _mod(a, p), _mod(b, p)
     while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    return _pmonic(a, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
 
 
-def _ppowmod(a, e: int, mod, p):
-    out, base = [1], _pdivmod(a, mod, p)[1]
+def _powmod(a, e: int, f, m: int):
+    """a^e mod f in (Z/m)[x]."""
+    out, base = [1], _divmod(a, f, m)[1]
     while e:
         if e & 1:
-            out = _pdivmod(_pmul(out, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
+            out = _divmod(_mul(out, base), f, m)[1]
+        base = _divmod(_mul(base, base), f, m)[1]
         e >>= 1
     return out
 
 
-def _pderiv(a, p):
-    return _ptrim([a[k] * k % p for k in range(1, len(a))])
+def _eval(a, x, m: int) -> int:
+    out = 0
+    for c in reversed(a):
+        out = (out * x + c) % m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +141,12 @@ def _distinct_degree(f, p):
     d = 0
     while len(fstar) - 1 >= 2 * (d + 1):
         d += 1
-        h = _ppowmod(h, p, fstar, p)
-        g = _pgcd(_psub(h, [0, 1], p), fstar, p)
+        h = _powmod(h, p, fstar, p)
+        g = _gcd(_sub(h, [0, 1]), fstar, p)
         if len(g) > 1:
             blocks.append((g, d))
-            fstar = _pdivmod(fstar, g, p)[0]
-            h = _pdivmod(h, fstar, p)[1]
+            fstar = _divmod(fstar, g, p)[0]
+            h = _divmod(h, fstar, p)[1]
     if len(fstar) > 1:
         blocks.append((fstar, len(fstar) - 1))
     return blocks
@@ -148,22 +159,20 @@ def _equal_degree(f, d: int, p, rng: random.Random):
         return [f]
     exponent = (p**d - 1) // 2
     while True:
-        r = [rng.randrange(p) for _ in range(n)]
-        r = _ptrim(r)
+        r = _trim([rng.randrange(p) for _ in range(n)])
         if len(r) < 2:
             continue
-        s = _psub(_ppowmod(r, exponent, f, p), [1], p)
-        g = _pgcd(s, f, p)
+        g = _gcd(_sub(_powmod(r, exponent, f, p), [1]), f, p)
         if 1 < len(g) < len(f):
             left = _equal_degree(g, d, p, rng)
-            right = _equal_degree(_pdivmod(f, g, p)[0], d, p, rng)
+            right = _equal_degree(_divmod(f, g, p)[0], d, p, rng)
             return left + right
 
 
 def factor_mod_p(f, p: int) -> list:
     """Monic irreducible factors of squarefree f over F_p (deterministic seed)."""
     rng = random.Random(0xD15C0 + p + 31 * len(f))
-    fm = _pmonic(_pnorm(f, p), p)
+    fm = _monic(_mod(f, p), p)
     out = []
     for block, d in _distinct_degree(fm, p):
         out.extend(_equal_degree(block, d, p, rng))
@@ -171,57 +180,15 @@ def factor_mod_p(f, p: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Z as int lists
+# polynomials over Z
 # ---------------------------------------------------------------------------
-
-
-def _ztrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zadd(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for k, c in enumerate(b):
-        out[k] += c
-    return _ztrim(out)
-
-
-def _zsub(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for k, c in enumerate(b):
-        out[k] -= c
-    return _ztrim(out)
-
-
-def _zmul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ztrim(out)
-
-
-def _zderiv(a):
-    return _ztrim([a[k] * k for k in range(1, len(a))])
-
-
-def _zcontent(a) -> int:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    return g or 1
 
 
 def _zprimitive(a):
     """(content-with-sign, primitive part with positive lc)."""
     if not a:
         return 1, []
-    g = _zcontent(a)
+    g = math.gcd(*a) or 1
     if a[-1] < 0:
         g = -g
     return g, [c // g for c in a]
@@ -233,7 +200,7 @@ def _zdivexact(a, b):
         raise ZeroDivisionError
     rem = list(a)
     if len(rem) < len(b):
-        return None if _ztrim(rem) else []
+        return None if _trim(rem) else []
     quot = [0] * (len(rem) - len(b) + 1)
     for k in range(len(quot) - 1, -1, -1):
         top = rem[k + len(b) - 1]
@@ -243,7 +210,7 @@ def _zdivexact(a, b):
         quot[k] = q
         for j, c in enumerate(b):
             rem[k + j] -= q * c
-    return _ztrim(quot) if not _ztrim(rem) else None
+    return _trim(quot) if not _trim(rem) else None
 
 
 def _sym(x: int, m: int) -> int:
@@ -259,9 +226,17 @@ def _primes_from(start: int):
         p += 1
 
 
+def _good_primes(f):
+    """Primes p >= 5, in increasing order, with p prime to lc(f) and f squarefree mod p."""
+    df = _deriv(f)
+    for p in _primes_from(5):
+        if f[-1] % p and len(_gcd(f, df, p)) == 1:
+            yield p
+
+
 def z_gcd(a, b):
     """Primitive gcd in Z[x] by the modular method (positive lc)."""
-    a, b = _ztrim(list(a)), _ztrim(list(b))
+    a, b = _trim(list(a)), _trim(list(b))
     if not a:
         return _zprimitive(b)[1]
     if not b:
@@ -275,16 +250,14 @@ def z_gcd(a, b):
     for p in _primes_from(5):
         if a[-1] % p == 0 or b[-1] % p == 0:
             continue
-        gp = _pgcd(_pnorm(a, p), _pnorm(b, p), p)
+        # lc_bound is a unit mod p, so scaling keeps the degree
+        gp = _mod([c * lc_bound for c in _gcd(a, b, p)], p)
         deg = len(gp) - 1
         if deg == 0:
             return [1]
         if best_deg is None or deg < best_deg:
-            best_deg, modulus, acc = deg, p, _pscale(gp, lc_bound, p)
-            acc = acc + [0] * (deg + 1 - len(acc))
+            best_deg, modulus, acc = deg, p, gp
         elif deg == best_deg:
-            gp = _pscale(gp, lc_bound, p)
-            gp = gp + [0] * (deg + 1 - len(gp))
             inv = pow(modulus, -1, p)
             combined = []
             for x, y in zip(acc, gp):
@@ -294,7 +267,7 @@ def z_gcd(a, b):
             acc = combined
         else:
             continue
-        cand = _ztrim([_sym(c, modulus) for c in acc])
+        cand = _trim([_sym(c, modulus) for c in acc])
         cand = _zprimitive(cand)[1]
         if cand and _zdivexact(a, cand) is not None and _zdivexact(b, cand) is not None:
             return cand
@@ -304,10 +277,10 @@ def z_gcd(a, b):
 def z_squarefree_decomposition(f):
     """Yun's algorithm on a primitive f in Z[x]: list of (factor_i, i)."""
     out = []
-    g = z_gcd(f, _zderiv(f))
+    g = z_gcd(f, _deriv(f))
     w = _zdivexact(f, g)
-    y = _zdivexact(_zderiv(f), g)
-    z = _zsub(y, _zderiv(w))
+    y = _zdivexact(_deriv(f), g)
+    z = _sub(y, _deriv(w))
     i = 1
     while len(w) > 1:
         a = z_gcd(w, z)
@@ -315,51 +288,29 @@ def z_squarefree_decomposition(f):
             out.append((a, i))
         w = _zdivexact(w, a)
         y = _zdivexact(z, a)
-        z = _zsub(y, _zderiv(w))
+        z = _sub(y, _deriv(w))
         i += 1
     return out
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting
+# Hensel lifting and recombination
 # ---------------------------------------------------------------------------
 
 
 def _hensel_step(f, g, h, s, t, m: int):
     """One quadratic step: from factorization mod m to mod m*m (h monic)."""
     mm = m * m
-
-    def red(a):
-        return _ztrim([c % mm for c in a])
-
-    e = red(_zsub(f, _zmul(g, h)))
-    q, r = _zp_divmod(_zmul(s, e), h, mm)
-    g1 = red(_zadd(g, _zadd(_zmul(t, e), _zmul(q, g))))
-    h1 = red(_zadd(h, r))
-    b = red(_zsub(_zadd(_zmul(s, g1), _zmul(t, h1)), [1]))
-    c, d = _zp_divmod(_zmul(s, b), h1, mm)
-    s1 = red(_zsub(s, d))
-    t1 = red(_zsub(t, _zadd(_zmul(t, b), _zmul(c, g1))))
-    assert _ztrim([c % mm for c in _zsub(f, _zmul(g1, h1))]) == [], "Hensel step lost exactness"
+    e = _mod(_sub(f, _mul(g, h)), mm)
+    q, r = _divmod(_mul(s, e), h, mm)
+    g1 = _mod(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
+    h1 = _mod(_add(h, r), mm)
+    b = _mod(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), mm)
+    c, d = _divmod(_mul(s, b), h1, mm)
+    s1 = _mod(_sub(s, d), mm)
+    t1 = _mod(_sub(t, _add(_mul(t, b), _mul(c, g1))), mm)
+    assert _mod(_sub(f, _mul(g1, h1)), mm) == [], "Hensel step lost exactness"
     return g1, h1, s1, t1
-
-
-def _zp_divmod(a, b, m: int):
-    """divmod in (Z/m)[x] for b with unit leading coefficient."""
-    inv = pow(b[-1] % m, -1, m)
-    rem = [c % m for c in a]
-    if len(rem) < len(b):
-        return [], _ztrim(rem)
-    quot = [0] * (len(rem) - len(b) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        top = rem[k + len(b) - 1] % m
-        if not top:
-            continue
-        q = top * inv % m
-        quot[k] = q
-        for j, c in enumerate(b):
-            rem[k + j] = (rem[k + j] - q * c) % m
-    return _ztrim(quot), _ztrim(rem)
 
 
 def _hensel_lift(f, factors, p: int, target: int):
@@ -372,51 +323,71 @@ def _hensel_lift(f, factors, p: int, target: int):
 
     def lift_pair(fcur, fac_list):
         if len(fac_list) == 1:
-            # monic image of fcur mod p^target
-            inv = pow(fcur[-1] % modulus, -1, modulus)
-            return [_ztrim([c * inv % modulus for c in fcur])]
+            return [_monic(fcur, modulus)]
         mid = len(fac_list) // 2
         g = [fcur[-1] % p]
         for fac in fac_list[:mid]:
-            g = _pmul(g, fac, p)
+            g = _mod(_mul(g, fac), p)
         h = [1]
         for fac in fac_list[mid:]:
-            h = _pmul(h, fac, p)
+            h = _mod(_mul(h, fac), p)
         s, t = _bezout_mod_p(g, h, p)
         m = p
         gl, hl, sl, tl = g, h, s, t
         while m < modulus:
             gl, hl, sl, tl = _hensel_step(fcur, gl, hl, sl, tl, m)
             m *= m
-        gl = _ztrim([c % modulus for c in gl])
-        hl = _ztrim([c % modulus for c in hl])
+        gl, hl = _mod(gl, modulus), _mod(hl, modulus)
         return lift_pair(gl, fac_list[:mid]) + lift_pair(hl, fac_list[mid:])
 
-    lifted = lift_pair(_ztrim([c % modulus for c in f]), factors)
+    lifted = lift_pair(_mod(f, modulus), factors)
     check = [lc % modulus]
     for fac in lifted:
-        check = _ztrim([c % modulus for c in _zmul(check, fac)])
-    assert check == _ztrim([c % modulus for c in f]), "multifactor Hensel lift failed"
+        check = _mod(_mul(check, fac), modulus)
+    assert check == _mod(f, modulus), "multifactor Hensel lift failed"
     return lifted
 
 
 def _bezout_mod_p(g, h, p):
     """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g."""
-    r0, r1 = _pnorm(g, p), _pnorm(h, p)
+    hp = _mod(h, p)
+    r0, r1 = _mod(g, p), hp
     s0, s1 = [1], []
     while r1:
-        q, r = _pdivmod(r0, r1, p)
+        q, r = _divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+        s0, s1 = s1, _mod(_sub(s0, _mul(q, s1)), p)
     if len(r0) != 1:
         raise ValueError("factors are not coprime mod p")
     inv = pow(r0[0], -1, p)
-    s = _pscale(s0, inv, p)
-    s = _pdivmod(s, _pnorm(h, p), p)[1]
-    num = _psub([1], _pmul(s, g, p), p)
-    t, rem = _pdivmod(num, _pnorm(h, p), p)
+    s = _divmod([c * inv for c in s0], hp, p)[1]
+    t, rem = _divmod(_sub([1], _mul(s, g)), hp, p)
     assert not rem, "Bezout construction failed"
     return s, t
+
+
+def _lift_exponent(p: int, bound: int) -> int:
+    """Least k with p^k > 2 * bound, so balanced residues mod p^k recover |c| <= bound."""
+    k = 1
+    while p**k <= 2 * bound:
+        k += 1
+    return k
+
+
+def _recombine(f, lifted, indices, big: int):
+    """(factor, cofactor) when the lifted factors at indices give a factor of f over Z.
+
+    The candidate is lc(f) * prod lifted[indices] with balanced residues mod
+    big, made primitive; it counts when it divides f exactly.  Else None.
+    """
+    cand = [f[-1] % big]
+    for idx in indices:
+        cand = _mod(_mul(cand, lifted[idx]), big)
+    cand = _zprimitive(_trim([_sym(c, big) for c in cand]))[1]
+    if not cand:
+        return None
+    quot = _zdivexact(f, cand)
+    return None if quot is None else (cand, quot)
 
 
 # ---------------------------------------------------------------------------
@@ -427,33 +398,13 @@ def _bezout_mod_p(g, h, p):
 def _pick_prime(f, tries: int = 6):
     """Good primes p >= 5 (squarefree reduction), fewest modular factors first."""
     found = []
-    for p in _primes_from(5):
-        if f[-1] % p == 0:
-            continue
-        fp = _pnorm(f, p)
-        if len(fp) != len(f):
-            continue
-        if len(_pgcd(fp, _pderiv(fp, p), p)) != 1:
-            continue
-        factors = factor_mod_p(fp, p)
+    for p in _good_primes(f):
+        factors = factor_mod_p(f, p)
         found.append((len(factors), p, factors))
-        if len(factors) == 1:
+        if len(factors) == 1 or len(found) >= tries:
             break
-        if len(found) >= tries:
-            break
-    found.sort(key=lambda rec: (rec[0], rec[1]))
-    return found[0][1], found[0][2]
-
-
-def _mignotte_exponent(f, p: int) -> int:
-    n = len(f) - 1
-    height = max(abs(c) for c in f)
-    # |coeff of lc * factor| <= 2^n sqrt(n+1) height |lc|, rounded up
-    bound = 2 * (1 << n) * (math.isqrt(n + 1) + 1) * height * abs(f[-1]) + 1
-    k = 1
-    while p**k <= 2 * bound:
-        k += 1
-    return k
+    _, p, factors = min(found, key=lambda rec: rec[:2])
+    return p, factors
 
 
 def zassenhaus(f) -> list:
@@ -463,7 +414,11 @@ def zassenhaus(f) -> list:
     p, mod_factors = _pick_prime(f)
     if len(mod_factors) == 1:
         return [list(f)]
-    k = _mignotte_exponent(f, p)
+    n = len(f) - 1
+    height = max(abs(c) for c in f)
+    # |coeff of lc * factor| <= 2^n sqrt(n+1) height |lc|, rounded up
+    bound = 2 * (1 << n) * (math.isqrt(n + 1) + 1) * height * abs(f[-1]) + 1
+    k = _lift_exponent(p, bound)
     big = p**k
     lifted = _hensel_lift(f, mod_factors, p, k)
     result = []
@@ -474,19 +429,12 @@ def zassenhaus(f) -> list:
         progress = True
         while progress:
             progress = False
-            for subset in _subsets(active, size):
-                cand = [fcur[-1] % big]
-                for idx in subset:
-                    cand = _ztrim([c % big for c in _zmul(cand, lifted[idx])])
-                cand = _ztrim([_sym(c, big) for c in cand])
-                cand = _zprimitive(cand)[1]
-                if not cand:
+            for subset in itertools.combinations(active, size):
+                found = _recombine(fcur, lifted, subset, big)
+                if found is None:
                     continue
-                quot = _zdivexact(fcur, cand)
-                if quot is None:
-                    continue
-                result.append(cand)
-                fcur = _zprimitive(quot)[1]
+                result.append(found[0])
+                fcur = _zprimitive(found[1])[1]
                 active = [i for i in active if i not in subset]
                 progress = True
                 break
@@ -494,12 +442,6 @@ def zassenhaus(f) -> list:
     if len(fcur) > 1:
         result.append(fcur)
     return result
-
-
-def _subsets(items, size):
-    import itertools
-
-    return itertools.combinations(items, size)
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +473,11 @@ def _to_int_poly(f: UniPoly) -> tuple[Fraction, list]:
     return Fraction(cont, denom), prim
 
 
-def _from_int_poly(zs, make_monic: bool = True) -> tuple[UniPoly, Fraction]:
+def _from_int_poly(zs) -> tuple[UniPoly, Fraction]:
+    """(monic UniPoly over Q, leading coefficient) of a nonzero int list."""
     poly = UniPoly(QQ, [Fraction(c) for c in zs])
-    if make_monic and not poly.is_zero():
-        lead = poly.lc()
-        return poly * (1 / lead), lead
-    return poly, Fraction(1)
+    lead = poly.lc()
+    return poly * (1 / lead), lead
 
 
 def factor_rational(f: UniPoly) -> FactorList:
@@ -567,46 +508,21 @@ def _partial_split_mod_p(f, p: int):
     Only the degree-1 and degree-2 parts are split off; the cofactor stays a
     single block, so no equal-degree work is wasted on high-degree content.
     """
-    fm = _pmonic(_pnorm(f, p), p)
-    h = _ppowmod([0, 1], p, fm, p)
-    g1 = _pgcd(_psub(h, [0, 1], p), fm, p)
-    rest = _pdivmod(fm, g1, p)[0]
-    linears = sorted([p - r if r else 0, 1] for r in range(p) if _peval(g1, r, p) == 0)
+    fm = _monic(_mod(f, p), p)
+    h = _powmod([0, 1], p, fm, p)
+    g1 = _gcd(_sub(h, [0, 1]), fm, p)
+    rest = _divmod(fm, g1, p)[0]
+    linears = sorted([p - r if r else 0, 1] for r in range(p) if _eval(g1, r, p) == 0)
     assert len(linears) == len(g1) - 1, "linear block failed to split into roots"
     quads = []
     if len(rest) - 1 >= 2:
-        h = _pdivmod(h, rest, p)[1]
-        h = _ppowmod_frob(h, p, rest)
-        g2 = _pgcd(_psub(h, [0, 1], p), rest, p)
-        rest = _pdivmod(rest, g2, p)[0]
+        h = _powmod(h, p, rest, p)  # x^(p^2) mod rest
+        g2 = _gcd(_sub(h, [0, 1]), rest, p)
+        rest = _divmod(rest, g2, p)[0]
         if len(g2) > 1:
             rng = random.Random(0xF00D + p)
             quads = sorted(_equal_degree(g2, 2, p, rng))
     return linears, quads, rest
-
-
-def _peval(a, x, p):
-    out = 0
-    for c in reversed(a):
-        out = (out * x + c) % p
-    return out
-
-
-def _ppowmod_frob(h, p, mod):
-    """h(x)^p mod (mod), i.e. one more Frobenius power of x."""
-    return _ppowmod(h, p, mod, p)
-
-
-def _first_good_prime(f):
-    for p in _primes_from(5):
-        if f[-1] % p == 0:
-            continue
-        fp = _pnorm(f, p)
-        if len(fp) != len(f):
-            continue
-        if len(_pgcd(fp, _pderiv(fp, p), p)) == 1:
-            return p
-    raise AssertionError("unreachable")
 
 
 def low_degree_rational_factors(f: UniPoly, max_degree: int = 2) -> list:
@@ -621,11 +537,11 @@ def low_degree_rational_factors(f: UniPoly, max_degree: int = 2) -> list:
     _, prim = _to_int_poly(f)
     if len(prim) <= 1:
         return []
-    sqfree = _zdivexact(prim, z_gcd(prim, _zderiv(prim)))
+    sqfree = _zdivexact(prim, z_gcd(prim, _deriv(prim)))
     sqfree = _zprimitive(sqfree)[1]
     if len(sqfree) == 2:
         return [_from_int_poly(sqfree)[0]]
-    p = _first_good_prime(sqfree)
+    p = next(_good_primes(sqfree))
     linears, quads, rest = _partial_split_mod_p(sqfree, p)
     if not linears and not quads:
         return []
@@ -635,42 +551,25 @@ def low_degree_rational_factors(f: UniPoly, max_degree: int = 2) -> list:
     height = max(abs(c) for c in sqfree)
     root_bound = 1 + (height + abs(lc) - 1) // abs(lc)
     bound = 2 * abs(lc) * (root_bound + 1) ** 2 + 1
-    k = 1
-    while p**k <= 2 * bound:
-        k += 1
+    k = _lift_exponent(p, bound)
     big = p**k
     blocks = linears + quads + ([rest] if len(rest) > 1 else [])
     lifted = _hensel_lift(sqfree, blocks, p, k)
-
-    def candidate(indices) -> list | None:
-        cand = [lc % big]
-        for idx in indices:
-            cand = _ztrim([c % big for c in _zmul(cand, lifted[idx])])
-        cand = _zprimitive(_ztrim([_sym(c, big) for c in cand]))[1]
-        if cand and _zdivexact(sqfree, cand) is not None:
-            return cand
-        return None
-
-    lin_idx = range(len(linears))
-    quad_idx = range(len(linears), len(linears) + len(quads))
-    out = []
-    used = set()
-    for i in lin_idx:
-        cand = candidate((i,))
-        if cand is not None:
-            out.append(_from_int_poly(cand)[0])
-            used.add(i)
+    found = []
+    free = []
+    for i in range(len(linears)):
+        hit = _recombine(sqfree, lifted, (i,), big)
+        if hit is None:
+            free.append(i)
+        else:
+            found.append(hit[0])
     if max_degree >= 2:
-        for i in quad_idx:
-            cand = candidate((i,))
-            if cand is not None:
-                out.append(_from_int_poly(cand)[0])
-        free = [i for i in lin_idx if i not in used]
-        for a in range(len(free)):
-            for b in range(a + 1, len(free)):
-                cand = candidate((free[a], free[b]))
-                if cand is not None:
-                    out.append(_from_int_poly(cand)[0])
+        quad_idx = range(len(linears), len(linears) + len(quads))
+        for indices in itertools.chain(((i,) for i in quad_idx), itertools.combinations(free, 2)):
+            hit = _recombine(sqfree, lifted, indices, big)
+            if hit is not None:
+                found.append(hit[0])
+    out = [_from_int_poly(g)[0] for g in found]
     out.sort(key=lambda poly: (poly.degree(), poly.coeffs))
     return out
 
@@ -762,22 +661,13 @@ def certify_irreducible(f: UniPoly) -> tuple[bool, str]:
         return not rational_roots(f), "rational-root"
     _, prim = _to_int_poly(f)
     patterns = []
-    good = 0
-    for p in _primes_from(5):
-        if good == 3:
-            break
-        if prim[-1] % p == 0:
-            continue
-        fp = _pnorm(prim, p)
-        if len(fp) != len(prim) or len(_pgcd(fp, _pderiv(fp, p), p)) != 1:
-            continue
-        good += 1
-        degs = sorted(len(g) - 1 for g in factor_mod_p(fp, p))
+    for p in itertools.islice(_good_primes(prim), 3):
+        degs = sorted(len(g) - 1 for g in factor_mod_p(prim, p))
         reachable = {0}
         for dg in degs:
             reachable |= {r + dg for r in reachable}
         patterns.append(reachable)
-    feasible = set.intersection(*patterns) if patterns else set(range(n + 1))
+    feasible = set.intersection(*patterns)
     if not any(0 < k < n for k in feasible):
         return True, "degree-pattern"
     factors = zassenhaus(prim)

@@ -46,9 +46,6 @@ class PreperGraph:
     def size(self) -> int:
         return len(self.vertices)
 
-    def predecessors(self, v: QuadElem) -> list[QuadElem]:
-        return [u for u in self.vertices if self.succ[u] == v]
-
     def cycle_vertices(self) -> set:
         return {v for v in self.vertices if self.portraits[v][0] == 0}
 
@@ -125,8 +122,8 @@ def _coerce_param(c: QuadElem, d: int | None) -> QuadElem:
 
 def periodic_points(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> dict:
     """Map n -> set of K-rational points of exact period n, for n <= n_max."""
-    if n_max > MAX_PERIOD:
-        raise ValueError(f"n_max capped at {MAX_PERIOD}")
+    if not 1 <= n_max <= MAX_PERIOD:
+        raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
     c = _coerce_param(c, d)
     out = {}
     for n in range(1, n_max + 1):

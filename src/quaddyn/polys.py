@@ -345,12 +345,6 @@ class UniPoly:
             raise ValueError("zero polynomial")
         return self.exact_div(self.gcd(self.derivative())).monic()
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.ring, (self.ring.zero,) * k + self.coeffs, self.var)
-
     # -- conversions ---------------------------------------------------------
 
     def map_coeffs(self, ring, fn, var: str | None = None) -> "UniPoly":

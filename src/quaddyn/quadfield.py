@@ -281,7 +281,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            value = _add(value, rhs) if op == "+" else _add(value, _neg(rhs))
+            value = value + rhs if op == "+" else value - rhs
         return value
 
     def term(self):
@@ -289,14 +289,14 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
-            value = _mul(value, rhs) if op == "*" else _div(value, rhs)
+            value = value * rhs if op == "*" else value / rhs
         return value
 
     def factor(self):
         tok = self.peek()
         if tok == "-":
             self.take()
-            return _neg(self.factor())
+            return -self.factor()
         if tok == "+":
             self.take()
             return self.factor()
@@ -332,43 +332,13 @@ class _Parser:
         return Fraction(tok)
 
 
-def _as_pair(x):
-    return x if isinstance(x, QuadElem) else None
-
-
-def _add(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    if isinstance(x, Fraction):
-        return y + x
-    return x + y
-
-
-def _neg(x):
-    return -x
-
-
-def _mul(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    if isinstance(x, Fraction):
-        return y * x
-    return x * y
-
-
-def _div(x, y):
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        if y == 0:
-            raise ZeroDivisionError("division by zero")
-        return x / y
-    if isinstance(x, Fraction):
-        return QuadElem(x, 0, y.d) / y
-    return x / y
-
-
 def parse_elem(text: str, d: int | None = None) -> QuadElem:
     """Parse a field element; d fixes the ambient field for rational inputs."""
-    value = _Parser(text).parse()
+    try:
+        value = _Parser(text).parse()
+    except ZeroDivisionError:
+        # a literal p/0 and a division by zero both land here, with one message
+        raise ZeroDivisionError("division by zero") from None
     if isinstance(value, Fraction):
         if d is None:
             raise ValueError(f"{text!r} is rational; an ambient d is required")

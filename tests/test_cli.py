@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quaddyn.cli import main
 
 
@@ -48,6 +50,29 @@ def test_graph_dot_output(capsys):
 def test_graph_bad_syntax_is_usage_error(capsys):
     code, _, err = run(capsys, "graph", "--d", "-1", "--c", "1 +")
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("c", ["1/0", "1 / 0", "-3/00 + i", "i / (i - i)"])
+def test_zero_denominator_is_a_readable_usage_error(capsys, c):
+    code, out, err = run(capsys, "graph", "--d", "-1", "--c", c)
+    assert code == 1 and out == ""
+    assert err == "error: division by zero\n" and "Fraction(" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("graph", "--d", "-1", "--c", "0", "--n-max", "-3"), "n_max must be in 1..6"),
+    (("graph", "--d", "-1", "--c", "0", "--n-max", "0"), "n_max must be in 1..6"),
+    (("graph", "--d", "-1", "--c", "0", "--n-max", "7"), "n_max must be in 1..6"),
+    (("survey", "--d", "-1", "--height", "1", "--n-max", "0"), "n_max must be in 1..6"),
+    (("curve", "X0_5", "count", "--p", "1"), "1 is not prime"),
+    (("curve", "X0_5", "jacobian", "--p", "9"), "9 is not prime"),
+    (("curve", "E17", "count", "--p", "1"), "1 is not prime"),
+    (("curve", "E17", "torsion-bound", "--primes", "3,4"), "4 is not prime"),
+])
+def test_out_of_domain_input_exits_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err and "bad reduction" not in err
 
 
 def test_dynatomic_text_and_json(capsys):

@@ -7,6 +7,7 @@ import pytest
 from quaddyn.dynatomic import dynatomic, specialize
 from quaddyn.factor import (
     certify_irreducible,
+    factor_mod_p,
     factor_rational,
     low_degree_rational_factors,
     rational_roots,
@@ -14,7 +15,8 @@ from quaddyn.factor import (
     z_gcd,
     z_squarefree_decomposition,
 )
-from quaddyn.polys import QQ, QuadField, UniPoly
+from quaddyn.finitefield import FiniteField
+from quaddyn.polys import QQ, FFRing, QuadField, UniPoly
 from quaddyn.quadfield import QuadElem
 
 F = Fraction
@@ -96,6 +98,53 @@ def test_low_degree_pair_recombination():
     p = (X**2 - 7) * (X**3 + X + 1)
     got = low_degree_rational_factors(p)
     assert [tuple(g.coeffs) for g in got if g.degree() == 2] == [(F(-7), F(0), F(1))]
+
+
+def test_low_degree_factors_match_full_factorization():
+    # Differential check of the partial split + Hensel lift + recombination
+    # against the complete Zassenhaus factorization.  Quadratics such as
+    # x^2 - 7 split into two linears mod good primes and must be recombined;
+    # roots up to 10^5 push the lift exponent, and so the number of
+    # quadratic Hensel steps, well past one.
+    rng = random.Random(2024)
+    for _ in range(25):
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            parts.append(rng.randint(1, 3) * X - rng.randint(-10**5, 10**5))
+        for _ in range(rng.randint(0, 2)):
+            s = rng.choice([2, 3, 5, 7, 11, 13, -1, -3])
+            parts.append(X**2 - s * rng.randint(1, 40) ** 2 * rng.choice([1, 1, 4]))
+        if rng.random() < 0.5:
+            parts.append(X**2 + rng.randint(-900, 900) * X + rng.randint(-10**4, 10**4))
+        parts.append(rng.choice([X**3 + X + 1, X**4 + X + 1, X**3 - 2, UniPoly.const(QQ, F(1))]))
+        f = UniPoly.const(QQ, F(rng.randint(1, 9), rng.randint(1, 9)))
+        for part in parts:
+            f = f * part ** rng.randint(1, 2)
+        full = [g for g, _ in factor_rational(f).factors if g.degree() <= 2]
+        assert low_degree_rational_factors(f) == full
+        assert low_degree_rational_factors(f, 1) == [g for g in full if g.degree() == 1]
+
+
+def test_factor_mod_p_against_brute_force():
+    rng = random.Random(77)
+    checked = 0
+    for _ in range(120):
+        p = rng.choice([5, 7, 11, 13, 31, 101])
+        f = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 9))] + [rng.randint(1, 50)]
+        ring = FFRing(FiniteField(p))
+        fp = UniPoly.from_ints(ring, f)
+        if fp.degree() != len(f) - 1 or fp.gcd(fp.derivative()).degree() != 0:
+            continue  # factor_mod_p expects a squarefree reduction
+        factors = factor_mod_p(f, p)
+        product = UniPoly.const(ring, ring.one)
+        for g in factors:
+            assert g[-1] == 1 and all(0 <= c < p for c in g)
+            product = product * UniPoly.from_ints(ring, g)
+        assert product == fp.monic()
+        roots = sum(1 for r in range(p) if fp.eval(ring.field(r)).is_zero())
+        assert sum(1 for g in factors if len(g) == 2) == roots
+        checked += 1
+    assert checked >= 40
 
 
 def test_degree_pattern_certificate():
