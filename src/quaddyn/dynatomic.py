@@ -9,7 +9,12 @@ implementation bug, never bad input.
 
 from __future__ import annotations
 
+import functools
+import math
+from fractions import Fraction
+
 from .polys import QQ, PolyRing, QuadField, UniPoly
+from .quadfield import QuadElem
 
 MAX_PERIOD = 6  # d(7) = 126 is feasible but nothing in the pipeline needs it
 
@@ -95,6 +100,15 @@ def dynatomic(n: int, c="c") -> UniPoly:
     return phi
 
 
+@functools.lru_cache(maxsize=None)
+def symbolic_dynatomic(n: int) -> UniPoly:
+    """The symbolic Phi_n over Q[c][x], built once per process and shared.
+
+    UniPoly is immutable, so every caller may hold the same object.
+    """
+    return dynatomic(n)
+
+
 def gen_dynatomic(m: int, n: int, c="c") -> UniPoly:
     """Generalized dynatomic polynomial for preperiod m and period n."""
     if m < 0 or n < 1:
@@ -110,11 +124,38 @@ def gen_dynatomic(m: int, n: int, c="c") -> UniPoly:
 
 
 def specialize(poly_cx: UniPoly, c) -> UniPoly:
-    """Evaluation homomorphism Q[c][x] -> K[x] at a concrete c."""
-    ring = QuadField(c.d)
-    coeffs = [p.eval(c) for p in poly_cx.coeffs]
-    coeffs = [v if hasattr(v, "d") else ring.of(v) for v in coeffs]
-    return UniPoly(ring, coeffs, "x")
+    """Evaluation homomorphism Q[c][x] -> K[x] at a concrete c in K = Q(sqrt(d)).
+
+    The evaluation runs over Z.  Write c = (u + v sqrt(d))/w with u, v, w
+    integers, let J be the largest c-degree among the x-coefficients and D a
+    common denominator of their rational coefficients p_j.  Each x-coefficient
+    sum_j p_j c^j is then (A + B sqrt(d)) / (D w^J), where
+    A + B sqrt(d) = sum_j (D p_j) (u + v sqrt(d))^j w^(J-j).  The powers are
+    built once as integer pairs and shared by all x-coefficients; the one
+    division happens when the QuadElem coefficients are built.
+    """
+    d = c.d
+    w = math.lcm(c.a.denominator, c.b.denominator)
+    u = c.a.numerator * (w // c.a.denominator)
+    v = c.b.numerator * (w // c.b.denominator)
+    top = max((p.degree() for p in poly_cx.coeffs), default=0)
+    den = math.lcm(*(q.denominator for p in poly_cx.coeffs for q in p.coeffs))
+    powers = []  # (u + v sqrt(d))^j w^(J-j) as integer pairs
+    s, t = 1, 0  # s + t sqrt(d) = (u + v sqrt(d))^j
+    for j in range(top + 1):
+        powers.append((s * w ** (top - j), t * w ** (top - j)))
+        s, t = s * u + d * t * v, s * v + t * u
+    scale = den * w**top
+    coeffs = []
+    for p in poly_cx.coeffs:
+        a = b = 0
+        for q, (pa, pb) in zip(p.coeffs, powers):
+            if q:
+                n = q.numerator * (den // q.denominator)
+                a += n * pa
+                b += n * pb
+        coeffs.append(QuadElem(Fraction(a, scale), Fraction(b, scale), d))
+    return UniPoly(QuadField(d), coeffs, "x")
 
 
 def verify_factorizations(n_max: int = 6, m_max: int = 3) -> dict:
@@ -123,11 +164,13 @@ def verify_factorizations(n_max: int = 6, m_max: int = 3) -> dict:
     f_c^N - x = prod_{n|N} Phi_n for N <= n_max, and
     f_c^{M+N} - f_c^M = prod_{m<=M} prod_{n|N} Phi_{m,n} for M <= m_max, N <= 4.
     """
-    if n_max > MAX_PERIOD:
-        raise ValueError(f"n_max capped at {MAX_PERIOD}")
+    if not 1 <= n_max <= MAX_PERIOD:
+        raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
+    if m_max < 0:
+        raise ValueError(f"m_max must be >= 0, got {m_max}")
     report = {}
     x = iterate_poly("c", 0)
-    phis = {k: dynatomic(k) for k in range(1, n_max + 1)}
+    phis = {k: symbolic_dynatomic(k) for k in range(1, n_max + 1)}
     for n in range(1, n_max + 1):
         lhs = iterate_poly("c", n) - x
         rhs = UniPoly.const(x.ring, x.ring.one, "x")

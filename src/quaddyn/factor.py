@@ -7,9 +7,10 @@ splitting), quadratic Hensel lifting up to a Mignotte-style bound, and
 factor recombination by subset search in order of subset size.
 
 Root-finding in K = Q(sqrt(d)) works through the norm polynomial: candidates
-come from the degree-<=2 rational factors of P * conj(P); multiplicities are
-read off by repeated exact division over K.  Only the low-degree factors are
-lifted and recombined on that path, which keeps dynatomic-sized inputs fast.
+come from the degree-<=2 rational factors of P * conj(P), formed and split
+over Z; multiplicities are read off by repeated exact division over K.  Only
+the low-degree factors are lifted and recombined on that path, which keeps
+dynatomic-sized inputs fast.
 
 Internally, polynomials are plain lists of Python ints (constant term first,
 no trailing zeros) and one kernel serves Z[x], F_p[x] and (Z/p^k)[x]:
@@ -170,9 +171,15 @@ def _equal_degree(f, d: int, p, rng: random.Random):
 
 
 def factor_mod_p(f, p: int) -> list:
-    """Monic irreducible factors of squarefree f over F_p (deterministic seed)."""
+    """Monic irreducible factors over F_p of f (deterministic seed).
+
+    f must have lc(f) prime to p and be squarefree mod p; else ValueError.
+    """
+    fm = _mod(f, p)
+    if not f or f[-1] % p == 0 or len(_gcd(fm, _deriv(fm), p)) != 1:
+        raise ValueError(f"f needs a unit leading coefficient and a squarefree reduction mod {p}")
     rng = random.Random(0xD15C0 + p + 31 * len(f))
-    fm = _monic(_mod(f, p), p)
+    fm = _monic(fm, p)
     out = []
     for block, d in _distinct_degree(fm, p):
         out.extend(_equal_degree(block, d, p, rng))
@@ -535,12 +542,23 @@ def low_degree_rational_factors(f: UniPoly, max_degree: int = 2) -> list:
     if max_degree > 2:
         raise ValueError("only degrees 1 and 2 are supported")
     _, prim = _to_int_poly(f)
+    out = [_from_int_poly(g)[0] for g in _low_degree_factors(prim, max_degree)]
+    out.sort(key=lambda poly: (poly.degree(), poly.coeffs))
+    return out
+
+
+def _low_degree_factors(f, max_degree: int) -> list:
+    """Irreducible factors over Z of degree 1..max_degree (<= 2) of an int list f.
+
+    Factors are primitive with positive lc, each listed once, in no set order.
+    """
+    _, prim = _zprimitive(f)
     if len(prim) <= 1:
         return []
     sqfree = _zdivexact(prim, z_gcd(prim, _deriv(prim)))
     sqfree = _zprimitive(sqfree)[1]
     if len(sqfree) == 2:
-        return [_from_int_poly(sqfree)[0]]
+        return [sqfree]
     p = next(_good_primes(sqfree))
     linears, quads, rest = _partial_split_mod_p(sqfree, p)
     if not linears and not quads:
@@ -569,9 +587,7 @@ def low_degree_rational_factors(f: UniPoly, max_degree: int = 2) -> list:
             hit = _recombine(sqfree, lifted, indices, big)
             if hit is not None:
                 found.append(hit[0])
-    out = [_from_int_poly(g)[0] for g in found]
-    out.sort(key=lambda poly: (poly.degree(), poly.coeffs))
-    return out
+    return found
 
 
 def rational_roots(f: UniPoly) -> list[Fraction]:
@@ -584,10 +600,30 @@ def rational_roots(f: UniPoly) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
+def _norm_over_z(f: UniPoly) -> list:
+    """The norm A^2 - d B^2 of f = A + B sqrt(d) over K, as an int list.
+
+    With L the least common denominator of f's coefficients, the result is
+    L^2 (A^2 - d B^2), formed with the int-list kernel; it is L A when B = 0,
+    whose rational roots and low-degree factors are already those of f.
+    """
+    den = math.lcm(*(q.denominator for c in f.coeffs for q in (c.a, c.b)))
+    a = _trim([c.a.numerator * (den // c.a.denominator) for c in f.coeffs])
+    b = _trim([c.b.numerator * (den // c.b.denominator) for c in f.coeffs])
+    if not b:
+        return a
+    return _sub(_mul(a, a), [f.ring.d * c for c in _mul(b, b)])
+
+
 def roots_in_quadfield(f: UniPoly, d: int | None = None) -> list[QuadElem]:
     """Multiset of roots of f lying in K = Q(sqrt(d)), sorted deterministically.
 
-    f may be over Q (then d is required) or over QuadField(d).
+    f may be over Q (then d is required) or over QuadField(d).  Candidates
+    are the K-rational roots of the degree-<=2 factors over Q of the norm
+    N(f) = A^2 - d B^2 (f = A + B sqrt(d)), which is formed over Z after
+    clearing f's denominators once and split without leaving Z.  Each
+    candidate is then checked, and its multiplicity read off, by exact
+    division over K.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
@@ -599,18 +635,12 @@ def roots_in_quadfield(f: UniPoly, d: int | None = None) -> list[QuadElem]:
         field = QuadField(d)
         f = f.map_coeffs(field, lambda c: QuadElem(c, 0, field.d))
     dd = field.d
-    a_part = UniPoly(QQ, [c.a for c in f.coeffs], f.var)
-    b_part = UniPoly(QQ, [c.b for c in f.coeffs], f.var)
-    if b_part.is_zero():
-        norm_poly = a_part
-    else:
-        norm_poly = a_part * a_part - b_part * b_part * dd
     candidates: list[QuadElem] = []
-    for g in low_degree_rational_factors(norm_poly, 2):
-        if g.degree() == 1:
-            candidates.append(QuadElem(-g.coeffs[0], 0, dd))
+    for g in _low_degree_factors(_norm_over_z(f), 2):
+        if len(g) == 2:
+            candidates.append(QuadElem(Fraction(-g[0], g[1]), 0, dd))
         else:
-            t, n = -g.coeffs[1], g.coeffs[0]
+            t, n = Fraction(-g[1], g[2]), Fraction(g[0], g[2])
             disc = t * t - 4 * n
             s = fraction_sqrt(disc / dd)
             if s is None:
@@ -644,9 +674,10 @@ def roots_in_quadfield(f: UniPoly, d: int | None = None) -> list[QuadElem]:
 def certify_irreducible(f: UniPoly) -> tuple[bool, str]:
     """Certificate that monic f is irreducible over Q.
 
-    degree <= 3: rational-root / discriminant arguments; degree >= 4: modular
-    degree-pattern witness across three good primes, falling back to the
-    uniqueness of the Hensel-lifted factorization.
+    degree <= 3: rational-root / discriminant arguments; degree >= 4: a
+    repeated factor (gcd with the derivative over Z) refutes at once, else a
+    modular degree-pattern witness across three good primes, falling back to
+    the uniqueness of the Hensel-lifted factorization.
     """
     n = f.degree()
     if n <= 0:
@@ -660,6 +691,8 @@ def certify_irreducible(f: UniPoly) -> tuple[bool, str]:
     if n == 3:
         return not rational_roots(f), "rational-root"
     _, prim = _to_int_poly(f)
+    if len(z_gcd(prim, _deriv(prim))) > 1:
+        return False, "not squarefree"
     patterns = []
     for p in itertools.islice(_good_primes(prim), 3):
         degs = sorted(len(g) - 1 for g in factor_mod_p(prim, p))

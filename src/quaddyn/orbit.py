@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, specialize
+from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .factor import roots_in_quadfield
 from .quadfield import QuadElem, format_elem, quad_sqrt
 
@@ -127,7 +127,7 @@ def periodic_points(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) 
     c = _coerce_param(c, d)
     out = {}
     for n in range(1, n_max + 1):
-        phi = specialize(dynatomic(n), c)
+        phi = specialize(symbolic_dynatomic(n), c)
         pts = set()
         for root in roots_in_quadfield(phi):
             m, period = portrait(c, root)

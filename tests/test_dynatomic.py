@@ -105,6 +105,17 @@ def test_specialized_path_matches_symbolic():
         assert dynatomic(n, c) == specialize(dynatomic(n), c)
     for m, n in ((1, 1), (2, 1), (1, 2)):
         assert gen_dynatomic(m, n, c) == specialize(gen_dynatomic(m, n), c)
+    # large-height parameters: 6-7 digit numerators and denominators
+    rng = random.Random(4242)
+
+    def big():
+        return rng.choice([-1, 1]) * rng.randint(10**5, 10**7 - 1)
+
+    for d in (-1, -2, -3, -7, -11, 2, 5):
+        c = QuadElem(F(big(), abs(big())), F(big(), abs(big())), d)
+        for n in (1, 2, 3, 4):
+            assert dynatomic(n, c) == specialize(dynatomic(n), c)
+        assert gen_dynatomic(2, 1, c) == specialize(gen_dynatomic(2, 1), c)
 
 
 def test_factorization_identities():
@@ -134,3 +145,8 @@ def test_bad_inputs():
         gen_dynatomic(-1, 1)
     with pytest.raises(ValueError):
         verify_factorizations(9, 1)
+    for n_max in (0, -2, 7):
+        with pytest.raises(ValueError, match=f"n_max must be in 1..6, got {n_max}"):
+            verify_factorizations(n_max)
+    with pytest.raises(ValueError, match="m_max must be >= 0, got -1"):
+        verify_factorizations(2, -1)

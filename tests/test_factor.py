@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from quaddyn.dynatomic import dynatomic, specialize
 from quaddyn.factor import (
+    _norm_over_z,
     certify_irreducible,
     factor_mod_p,
     factor_rational,
@@ -134,7 +136,9 @@ def test_factor_mod_p_against_brute_force():
         ring = FFRing(FiniteField(p))
         fp = UniPoly.from_ints(ring, f)
         if fp.degree() != len(f) - 1 or fp.gcd(fp.derivative()).degree() != 0:
-            continue  # factor_mod_p expects a squarefree reduction
+            with pytest.raises(ValueError):  # factor_mod_p expects a squarefree reduction
+                factor_mod_p(f, p)
+            continue
         factors = factor_mod_p(f, p)
         product = UniPoly.const(ring, ring.one)
         for g in factors:
@@ -147,11 +151,21 @@ def test_factor_mod_p_against_brute_force():
     assert checked >= 40
 
 
+def test_factor_mod_p_rejects_a_square_factor():
+    # g^2 * h mod 5: the equal-degree split of a non-squarefree block never ends
+    with pytest.raises(ValueError):
+        factor_mod_p([0, 0, 4, 4, 13, 10, 11, 6, 1], 5)
+    with pytest.raises(ValueError):
+        factor_mod_p([1, 1, 5], 5)  # leading coefficient 0 mod 5
+
+
 def test_degree_pattern_certificate():
     ok, method = certify_irreducible(X**4 + X + 1)
     assert ok and method in ("degree-pattern", "hensel-uniqueness")
     ok, _ = certify_irreducible(X**4 + 4)  # = (x^2-2x+2)(x^2+2x+2)
     assert not ok
+    # x^2 (x - 1)^3 is squarefree mod no prime, so no good prime exists
+    assert certify_irreducible(X**2 * (X - 1) ** 3) == (False, "not squarefree")
 
 
 # --- roots in quadratic fields ---------------------------------------------
@@ -217,6 +231,33 @@ def test_roots_commute_with_conjugation():
         roots = roots_in_quadfield(poly)
         conj_roots = roots_in_quadfield(conj_poly)
         assert Counter(r.conj() for r in roots) == Counter(conj_roots)
+
+
+def test_integer_norm_matches_norm_over_q():
+    # f = A + B sqrt(d): the int-list norm is L^2 (A*A - d*B*B), L the least
+    # common denominator of f's coefficients, and L*A for a rational f (B = 0)
+    rng = random.Random(808)
+    for d in (-1, -2, -3, -7, -11, 2, 5):
+        K = QuadField(d)
+        for rational in (False, True, False):
+            coeffs = []
+            for _ in range(rng.randint(1, 7)):
+                b = 0 if rational else F(rng.randint(-10**4, 10**4), rng.randint(1, 10**3))
+                coeffs.append(QuadElem(F(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)), b, d))
+            coeffs.append(QuadElem(F(rng.randint(1, 50), rng.randint(1, 60)), coeffs[0].b, d))
+            f = UniPoly(K, coeffs)
+            a_part = UniPoly(QQ, [c.a for c in f.coeffs])
+            b_part = UniPoly(QQ, [c.b for c in f.coeffs])
+            lcd = 1
+            for c in f.coeffs:
+                lcd = math.lcm(lcd, c.a.denominator, c.b.denominator)
+            if rational:
+                assert b_part.is_zero()
+                expected = a_part * lcd
+            else:
+                expected = (a_part * a_part - b_part * b_part * d) * (lcd * lcd)
+            assert all(c.denominator == 1 for c in expected.coeffs)
+            assert _norm_over_z(f) == [int(c) for c in expected.coeffs]
 
 
 def test_root_count_matches_cofactor_degree():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quaddyn import dynatomic
 from quaddyn.dynatomic import gen_dynatomic, specialize
 from quaddyn.orbit import (
     admissible_flags,
@@ -89,6 +90,23 @@ def test_monotone_in_n_max():
     sizes = [build_graph(c, n_max=k).size() for k in (1, 2, 3, 4)]
     assert sizes == sorted(sizes)
     assert sizes[2] == sizes[3] == 8
+
+
+def test_symbolic_dynatomic_is_built_once_per_process(monkeypatch):
+    calls = []
+    build = dynatomic.dynatomic
+
+    def counting(n, c="c"):
+        calls.append(n)
+        return build(n, c)
+
+    monkeypatch.setattr(dynatomic, "dynatomic", counting)
+    dynatomic.symbolic_dynatomic.cache_clear()
+    build_graph(q(F(-1, 4), F(3, 8)))
+    assert calls == [1, 2, 3, 4, 5, 6]
+    build_graph(q(F(-1, 4), F(3, 8)))
+    build_graph(q(F(-5, 12), 0, -3))
+    assert calls == [1, 2, 3, 4, 5, 6]
 
 
 def test_portraits_match_generalized_dynatomic():
