@@ -23,15 +23,18 @@ Pipeline, in the order the pieces feed each other:
      Q(i)-point, since a strictly quadratic point would bring its Galois
      conjugate as a third solution.
 
-All precision knobs default to the working choices (series degree 32,
-2-adic precision 2^6 for integrals, 2^5 for annihilators and disks, mod-2^3
-classing) but are parameters so stability reruns can raise them.
+One number sets every precision: the working precision prec (2^6 by
+default).  The integrals are taken mod 2^prec over series of degree
+required_degree(prec), the annihilators and disk series live mod 2^(prec-1),
+and solutions are classed mod 2^3.  certify_residue_disk is the one per-disk
+policy, used by full_theorem and by `quaddyn chabauty --disk`: a disk that
+is uncertified or shows more than two classes is redone once at prec + 2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -298,19 +301,9 @@ def _solve_y_series(gs: TruncSeries, hs: TruncSeries, y0: Fraction, cap: int) ->
     return y
 
 
-@lru_cache(maxsize=8)
 def expand_differentials(deg: int = SERIES_DEGREE) -> tuple[TruncSeries, TruncSeries]:
     """(omega_1, omega_2) at the base point (0, 0) of the good model, t = x."""
-    entry = get_curve("X_good")
-    g, h = entry.curve.g, entry.curve.h
-    gs = TruncSeries.from_poly(g, deg)
-    hs = TruncSeries.from_poly(h, deg)
-    y = _solve_y_series(gs, hs, Fraction(0), deg)
-    omega1 = (y + y + hs).inverse()
-    omega2 = TruncSeries([0, 1], deg) * omega1
-    for c in omega1.coeffs:
-        assert c.denominator == 1, "omega_1 coefficients are expected to be integers"
-    return omega1, omega2
+    return disk_differentials("P0", deg)
 
 
 @lru_cache(maxsize=16)
@@ -321,18 +314,16 @@ def disk_differentials(disk: str, deg: int = SERIES_DEGREE) -> tuple[TruncSeries
     t = 1/x on the second affine patch.  The remaining disks are the
     hyperelliptic-involution images and need no series.
     """
-    if disk == "P0":
-        return expand_differentials(deg)
     entry = get_curve("X_good")
     g, h = entry.curve.g, entry.curve.h
-    if disk == "P2":
-        gs = TruncSeries.from_poly(_shift_poly(g, Fraction(-3)), deg)
-        hs = TruncSeries.from_poly(_shift_poly(h, Fraction(-3)), deg)
-        y = _solve_y_series(gs, hs, Fraction(-15), deg)
+    if disk in ("P0", "P2"):
+        shift, y0 = (0, 0) if disk == "P0" else (-3, -15)
+        gs = TruncSeries.from_poly(_shift_poly(g, shift), deg)
+        hs = TruncSeries.from_poly(_shift_poly(h, shift), deg)
+        y = _solve_y_series(gs, hs, Fraction(y0), deg)
         omega1 = (y + y + hs).inverse()
-        xs = TruncSeries([-3, 1], deg)
-        return omega1, xs * omega1
-    if disk == "P4":
+        omega2 = TruncSeries([shift, 1], deg) * omega1
+    elif disk == "P4":
         # u = 1/x, v = y/u^3 patch: v^2 + (u^3 h(1/u)) v = u^6 g(1/u)
         ht = UniPoly(QQ, list(reversed([h.coeff(k) for k in range(4)])))
         gt = UniPoly(QQ, list(reversed([g.coeff(k) for k in range(7)])))
@@ -342,8 +333,11 @@ def disk_differentials(disk: str, deg: int = SERIES_DEGREE) -> tuple[TruncSeries
         base = (v + v + hs).inverse()
         omega1 = -TruncSeries([0, 1], deg) * base
         omega2 = -base
-        return omega1, omega2
-    raise ValueError("disk must be one of P0, P2, P4")
+    else:
+        raise ValueError("disk must be one of P0, P2, P4")
+    for c in omega1.coeffs:
+        assert c.denominator == 1, "omega_1 coefficients are expected to be integers"
+    return omega1, omega2
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +360,8 @@ _E1_U = ("742/325 - 44/325*i", "-512/325 - 66/325*i")
 _E2_U = ("7801337/2442505 - 1823949/2442505*i", "948975/488501 + 120593/488501*i")
 
 
-@lru_cache(maxsize=2)
-def kernel_generators(check_pins: bool = True) -> KernelData:
+@lru_cache(maxsize=1)
+def kernel_generators() -> KernelData:
     """E1 = D2 and E2 = 19 D3 - 9 D2 on the sextic model, rebased at (0, -1).
 
     Raises on any mismatch with the pinned minimal polynomials or on a
@@ -394,11 +388,10 @@ def kernel_generators(check_pins: bool = True) -> KernelData:
     h = get_curve("X_good").curve.h.map_coeffs(K, lambda c: QuadElem(c, 0, -1))
     for u, v in (reb1, reb2):
         _check_kernel_membership(u, v, h)
-    if check_pins:
-        for (u, _v), pins in ((reb1, _E1_U), (reb2, _E2_U)):
-            lin, const = (parse_elem(s, -1) for s in pins)
-            if u.coeffs[1] != lin or u.coeffs[0] != const:
-                raise RuntimeError("kernel generator mismatch with the pinned minimal polynomials")
+    for (u, _v), pins in ((reb1, _E1_U), (reb2, _E2_U)):
+        lin, const = (parse_elem(s, -1) for s in pins)
+        if u.coeffs[1] != lin or u.coeffs[0] != const:
+            raise RuntimeError("kernel generator mismatch with the pinned minimal polynomials")
     tn = tuple((-u.coeffs[1], u.coeffs[0]) for u, _ in (reb1, reb2))
     return KernelData(model=model, e1=e1, e2=e2, rebased=(reb1, reb2), trace_norm=tn)
 
@@ -697,13 +690,12 @@ class DiskCertificate:
         }
 
 
-def certify_disk(mu1: BiTruncSeries, mu2: BiTruncSeries, disk: str = "?",
-                 class_prec: int = CLASS_PREC) -> DiskCertificate:
-    """Enumerate mod-2^prec common zeros, class them mod 2^class_prec, and
+def certify_disk(mu1: BiTruncSeries, mu2: BiTruncSeries, disk: str = "?") -> DiskCertificate:
+    """Enumerate mod-2^prec common zeros, class them mod 2^CLASS_PREC, and
     certify unique lifting by the quantitative Hensel criterion."""
     prec = mu1.prec
     m = 1 << prec
-    cm = 1 << class_prec
+    cm = 1 << CLASS_PREC
     solutions = [(t, u) for t in range(m) for u in range(m)
                  if mu1.eval(t, u) == 0 and mu2.eval(t, u) == 0]
     classes = sorted({(t % cm, u % cm) for t, u in solutions})
@@ -742,6 +734,43 @@ def required_degree(prec: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the per-disk policy
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=4)
+def lambda_stage(prec: int) -> tuple[dict, tuple]:
+    """The integrals Lambda_l(E_j) mod 2^prec and the annihilators they give."""
+    omega1, omega2 = expand_differentials(required_degree(prec))
+    lam1, lam2 = integrate(omega1), integrate(omega2)
+    kernel = kernel_generators()
+    lambdas = {}
+    for (l, lam) in ((1, lam1), (2, lam2)):
+        for j, (t, n) in enumerate(kernel.trace_norm, start=1):
+            lambdas[(l, j)] = eval_lambda(lam, t, n, prec)
+    return lambdas, annihilator_solve(lambdas, prec)
+
+
+def certify_residue_disk(disk: str, prec: int = LAMBDA_PREC) -> DiskCertificate:
+    """Certificate for one of the disks P0, P2, P4 at working precision prec.
+
+    The disk series is taken mod 2^(prec-1) from the annihilators at prec.
+    A disk that is uncertified or shows more than two solution classes is
+    redone once at prec + 2, whose annihilators must reduce to the working
+    ones; the disk at x = -3 needs this at the default precision.
+    """
+    anni = lambda_stage(prec)[1]
+    cert = certify_disk(*disk_series(disk, anni, prec - 1, required_degree(prec)), disk)
+    if cert.certified and cert.solutions <= 2:
+        return cert
+    hi = prec + 2
+    hi_anni = lambda_stage(hi)[1]
+    if tuple(tuple(x % (1 << (prec - 1)) for x in vec) for vec in hi_anni) != anni:
+        raise RuntimeError("annihilators unstable under precision escalation")
+    return certify_disk(*disk_series(disk, hi_anni, hi - 1, required_degree(hi)), disk)
+
+
+# ---------------------------------------------------------------------------
 # the assembled theorem
 # ---------------------------------------------------------------------------
 
@@ -775,8 +804,6 @@ class TheoremReport:
     annihilators: tuple
     certificates: dict
     pinned_ok: dict = field(default_factory=dict)
-    points: tuple = _RATIONAL_POINTS
-    rational_five_cycle_c: tuple = _FIVE_CYCLE_C
 
     def verdict(self) -> bool:
         return all(self.pinned_ok.values()) and all(
@@ -790,8 +817,8 @@ class TheoremReport:
             "annihilators": [list(v) for v in self.annihilators],
             "disks": {name: cert.to_record() for name, cert in self.certificates.items()},
             "pinned_ok": dict(self.pinned_ok),
-            "points_on_X0_5": list(self.points),
-            "rational_five_cycle_c": list(self.rational_five_cycle_c),
+            "points_on_X0_5": list(_RATIONAL_POINTS),
+            "rational_five_cycle_c": list(_FIVE_CYCLE_C),
             "period_5_points_over_Q(i)": "none",
             "verdict": self.verdict(),
         }
@@ -843,76 +870,30 @@ def transcript(report: TheoremReport) -> str:
     return "\n".join(lines)
 
 
-def full_theorem(prec: int = LAMBDA_PREC, disk_prec: int | None = None,
-                 deg: int = SERIES_DEGREE) -> TheoremReport:
+def full_theorem(prec: int = LAMBDA_PREC) -> TheoremReport:
     """Run the whole pipeline and compare every stage with the pinned values.
 
-    Disks whose certification fails at the working precision (extra
-    approximate solution classes, or determinant valuation too large) are
-    recomputed at higher precision; the disk at x = -3 needs this, and
-    resolves to two certified solutions just like the base-point disk.  A
-    two-solution disk around a rational point still carries a single
-    Q(i)-point: a strictly quadratic point would bring its Galois conjugate
-    as a third solution.
+    Each of the disks P0, P2, P4 goes through certify_residue_disk, so a
+    disk that fails at the working precision is recomputed with two more
+    bits; the disk at x = -3 needs this, and resolves to two certified
+    solutions just like the base-point disk.  A two-solution disk around a
+    rational point still carries a single Q(i)-point: a strictly quadratic
+    point would bring its Galois conjugate as a third solution.
     """
-    if disk_prec is None:
-        disk_prec = prec - 1
-    omega1, omega2 = expand_differentials(deg)
-    lam1, lam2 = integrate(omega1), integrate(omega2)
-    kernel = kernel_generators()
-    lambdas = {}
-    for (l, lam) in ((1, lam1), (2, lam2)):
-        for j, (t, n) in enumerate(kernel.trace_norm, start=1):
-            lambdas[(l, j)] = eval_lambda(lam, t, n, prec)
+    lambdas, anni = lambda_stage(prec)
+    certs = {disk: certify_residue_disk(disk, prec) for disk in ("P0", "P2", "P4")}
+    for disk, conj in (("P1", "P0"), ("P3", "P2"), ("P5", "P4")):
+        certs[disk] = replace(certs[conj], disk=disk)
     pinned_ok = {}
     if prec == LAMBDA_PREC:
         pinned_ok["lambdas"] = all(
             (v.re, v.im) == _PINNED_LAMBDAS[key] for key, v in lambdas.items()
         )
-    anni = annihilator_solve(lambdas, prec)
-    if prec == LAMBDA_PREC:
         pinned_ok["annihilators"] = anni == _PINNED_ANNIHILATORS
-    certs = {}
-    escalated = {}
-    for disk in ("P0", "P2", "P4"):
-        mu1, mu2 = disk_series(disk, anni, min(disk_prec, prec - 1), deg)
-        cert = certify_disk(mu1, mu2, disk)
-        if not cert.certified or cert.solutions > 2:
-            hi = prec + 2
-            if "anni" not in escalated:
-                hi_deg = max(deg, required_degree(hi))
-                hi_l1 = integrate(disk_differentials("P0", hi_deg)[0])
-                hi_l2 = integrate(disk_differentials("P0", hi_deg)[1])
-                hi_vals = {
-                    (l, j): eval_lambda(lam, *kernel.trace_norm[j - 1], hi)
-                    for (l, lam) in ((1, hi_l1), (2, hi_l2))
-                    for j in (1, 2)
-                }
-                escalated["anni"] = annihilator_solve(hi_vals, hi)
-                escalated["deg"] = hi_deg
-                stable = tuple(
-                    tuple(x % (1 << (prec - 1)) for x in vec) for vec in escalated["anni"]
-                )
-                if stable != anni:
-                    raise RuntimeError("annihilators unstable under precision escalation")
-            mu1, mu2 = disk_series(disk, escalated["anni"], hi - 1, escalated["deg"])
-            cert = certify_disk(mu1, mu2, disk)
-        certs[disk] = cert
-    for disk, conj in (("P1", "P0"), ("P3", "P2"), ("P5", "P4")):
-        src = certs[conj]
-        certs[disk] = DiskCertificate(
-            disk=disk,
-            solution_classes=src.solution_classes,
-            det_valuations=src.det_valuations,
-            certified=src.certified,
-            solutions=src.solutions,
-            prec=src.prec,
-        )
-    if disk_prec == DISK_PREC:
         pinned_ok["disk_P0_classes"] = certs["P0"].solution_classes == _PINNED_P0_CLASSES
         pinned_ok["disk_P0_det"] = all(v == 2 for v in certs["P0"].det_valuations)
     for name, cert in certs.items():
         if cert.solutions > 2:
             raise RuntimeError(f"disk {name}: more than two 2-adic solutions; cannot conclude")
-    return TheoremReport(lambdas=lambdas, annihilators=anni, certificates=certs,
+    return TheoremReport(lambdas=dict(lambdas), annihilators=anni, certificates=certs,
                          pinned_ok=pinned_ok)

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .curves import WeierstrassCurve, get_curve
@@ -92,11 +93,7 @@ def _survey_params(d: int, height: int):
 
 def _survey_one(task: tuple) -> tuple:
     d, c_text, n_max, catalog_path = task
-    catalog = None
-    if catalog_path:
-        from .graphcat import load_catalog
-
-        catalog = _cached_catalog(catalog_path)
+    catalog = _cached_catalog(catalog_path) if catalog_path else None
     graph = build_graph(parse_elem(c_text, d), d, n_max)
     return c_text, classify(graph, catalog)
 
@@ -113,6 +110,9 @@ def _cached_catalog(path: str):
 
 
 def cmd_survey(args) -> int:
+    for name, value in (("height", args.height), ("jobs", args.jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     expected = {-1: QI_LABELS, -3: QW_LABELS}.get(args.d)
     params = sorted(_survey_params(args.d, args.height), key=lambda e: e.sort_key())
     tasks = [(args.d, format_elem(c), args.n_max, getattr(args, "catalog", None))
@@ -217,35 +217,20 @@ def cmd_curve(args) -> int:
 
 
 def cmd_chabauty(args) -> int:
-    from .chabauty import annihilator_solve, certify_disk, disk_series, eval_lambda
-    from .chabauty import disk_differentials, full_theorem, integrate, kernel_generators
-    from .chabauty import required_degree
+    from .chabauty import certify_residue_disk, full_theorem, transcript
 
-    deg = max(32, required_degree(args.prec))
-    if args.disk:
-        kernel = kernel_generators()
-        lam1 = integrate(disk_differentials("P0", deg)[0])
-        lam2 = integrate(disk_differentials("P0", deg)[1])
-        values = {
-            (l, j): eval_lambda(lam, *kernel.trace_norm[j - 1], args.prec)
-            for (l, lam) in ((1, lam1), (2, lam2))
-            for j in (1, 2)
-        }
-        anni = annihilator_solve(values, args.prec)
-        mu1, mu2 = disk_series(args.disk, anni, args.prec - 1, deg)
-        cert = certify_disk(mu1, mu2, args.disk)
-        record = {"schema": "quaddyn/chabauty/v1", "single_disk": cert.to_record()}
-        ok = cert.certified and cert.solutions <= 2
-    else:
-        try:
-            report = full_theorem(prec=args.prec, deg=deg)
-        except RuntimeError as err:
-            print(f"pipeline failure: {err}", file=sys.stderr)
-            return 2
-        record = report.to_record()
-        ok = report.verdict() if args.prec == 6 else all(
-            c.certified for c in report.certificates.values()
-        )
+    try:
+        if args.disk:
+            cert = certify_residue_disk(args.disk, args.prec)
+            record = {"schema": "quaddyn/chabauty/v1", "single_disk": cert.to_record()}
+            ok = cert.certified and cert.solutions <= 2
+        else:
+            report = full_theorem(prec=args.prec)
+            record = report.to_record()
+            ok = report.verdict()
+    except RuntimeError as err:
+        print(f"pipeline failure: {err}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
@@ -255,14 +240,13 @@ def cmd_chabauty(args) -> int:
         if "single_disk" in record:
             print(json.dumps(record["single_disk"], indent=2, sort_keys=True))
         else:
-            from .chabauty import transcript
-
             print(transcript(report))
             print()
             print("verdict:", "verified" if ok else "NOT verified")
     return 0 if ok else 2
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="quaddyn", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

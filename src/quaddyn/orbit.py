@@ -94,7 +94,7 @@ def _escaped(v: QuadElem) -> bool:
     )
 
 
-def portrait(c: QuadElem, alpha: QuadElem, d: int | None = None) -> tuple[int, int]:
+def portrait(c: QuadElem, alpha: QuadElem) -> tuple[int, int]:
     """Minimal (preperiod, eventual period) of alpha under f_c, by iteration."""
     seen = {}
     cur, step = alpha, 0

@@ -295,7 +295,7 @@ def test_full_theorem_report():
 
 
 def test_stability_under_higher_precision():
-    report = full_theorem(prec=8, deg=required_degree(8))
+    report = full_theorem(prec=8)
     for cert in report.certificates.values():
         assert cert.certified
     assert report.certificates["P0"].solution_classes == ((0, 0), (6, 2))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quaddyn.chabauty import full_theorem
 from quaddyn.cli import main
 
 
@@ -68,6 +69,10 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     (("curve", "X0_5", "jacobian", "--p", "9"), "9 is not prime"),
     (("curve", "E17", "count", "--p", "1"), "1 is not prime"),
     (("curve", "E17", "torsion-bound", "--primes", "3,4"), "4 is not prime"),
+    (("survey", "--d", "-1", "--height", "0"), "height must be >= 1, got 0"),
+    (("survey", "--d", "-1", "--height", "-2"), "height must be >= 1, got -2"),
+    (("survey", "--d", "-1", "--height", "1", "--jobs", "0"), "jobs must be >= 1, got 0"),
+    (("survey", "--d", "-1", "--height", "1", "--jobs", "-1"), "jobs must be >= 1, got -1"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -130,6 +135,26 @@ def test_chabauty_single_disk(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["single_disk"]["solution_classes"] == [[0, 0], [6, 2]]
+
+
+@pytest.mark.parametrize("prec", [6, 8])
+def test_chabauty_single_disk_matches_the_full_run(capsys, prec):
+    certificates = full_theorem(prec=prec).certificates
+    for disk in ("P0", "P2", "P4"):
+        code, out, _ = run(capsys, "chabauty", "--disk", disk, "--prec", str(prec), "--json")
+        assert code == 0
+        assert json.loads(out)["single_disk"] == certificates[disk].to_record()
+
+
+@pytest.mark.parametrize("argv", [
+    ("chabauty", "--prec", "2"),
+    ("chabauty", "--disk", "P0", "--prec", "2"),
+])
+def test_chabauty_pipeline_failure_exits_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("pipeline failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_chabauty_full_run_and_report(tmp_path, capsys):

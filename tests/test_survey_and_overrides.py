@@ -13,11 +13,6 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def test_empty_sweep(capsys):
-    code, record = run_json(capsys, "survey", "--d", "-1", "--height", "0", "--json")
-    assert code == 0 and record["rows"] == [] and record["histogram"] == {}
-
-
 def test_height_four_sweep_over_qi_has_no_four_cycle(capsys):
     code, record = run_json(
         capsys, "survey", "--d", "-1", "--height", "4", "--n-max", "4", "--json"
