@@ -90,8 +90,6 @@ class GaussAdic:
             if other.prec != self.prec:
                 raise ValueError("mixed precision")
             return other
-        if isinstance(other, int):
-            return GaussAdic(other, 0, self.prec)
         return NotImplemented
 
     def __add__(self, other):
@@ -200,10 +198,6 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            out = list(self.coeffs)
-            out[0] += other
-            return TruncSeries(out, self.cap)
         assert self.cap == other.cap
         return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.cap)
 
@@ -213,13 +207,9 @@ class TruncSeries:
         return TruncSeries([-c for c in self.coeffs], self.cap)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncSeries([c * other for c in self.coeffs], self.cap)
         assert self.cap == other.cap
         out = [Fraction(0)] * (self.cap + 1)
         for i, a in enumerate(self.coeffs):
@@ -423,19 +413,13 @@ def _check_kernel_membership(u: UniPoly, v: UniPoly, h: UniPoly) -> None:
 def eval_lambda(lam: TruncSeries, trace, norm, prec: int = LAMBDA_PREC) -> GaussAdic:
     """sum_k lam_k (t(P)^k + t(Q)^k) mod 2^prec via Newton power sums.
 
-    trace/norm may be exact (QuadElem/Fraction) or GaussAdic at working
-    precision.  The 1/k denominators of lam are handled by exact division
-    by 2^ord2(k) with the working precision absorbing the loss.
+    trace/norm are exact (QuadElem or rational).  The 1/k denominators of
+    lam are handled by exact division by 2^ord2(k) with the working
+    precision absorbing the loss.
     """
     work = prec + 6
-    if isinstance(trace, GaussAdic):
-        e1 = GaussAdic(trace.re, trace.im, work) if trace.prec >= work else None
-        if e1 is None:
-            raise ValueError(f"trace needs precision >= {work}")
-        e2 = GaussAdic(norm.re, norm.im, work)
-    else:
-        e1 = GaussAdic.from_exact(_as_quad(trace), work)
-        e2 = GaussAdic.from_exact(_as_quad(norm), work)
+    e1 = GaussAdic.from_exact(trace, work)
+    e2 = GaussAdic.from_exact(norm, work)
     p_prev = GaussAdic(2, 0, work)  # p_0
     p_cur = e1  # p_1
     total = GaussAdic(0, 0, prec)
@@ -455,12 +439,6 @@ def eval_lambda(lam: TruncSeries, trace, norm, prec: int = LAMBDA_PREC) -> Gauss
         term = scaled.divide_exact_by_2pow(a)
         total = total + GaussAdic(term.re, term.im, prec)
     return total
-
-
-def _as_quad(x) -> QuadElem:
-    if isinstance(x, QuadElem):
-        return x
-    return QuadElem(Fraction(x), 0, -1)
 
 
 def eval_lambda_exact(lam: TruncSeries, trace: QuadElem, norm: QuadElem) -> QuadElem:
@@ -780,10 +758,7 @@ def to_good_model(point) -> tuple:
     if isinstance(point, str):
         return point
     x, y = point
-    h = get_curve("X_good").curve.h
-    hx = h.eval(x) if isinstance(x, Fraction) else h.map_coeffs(
-        QuadField(x.d), lambda c: QuadElem(c, 0, x.d)).eval(x)
-    return (x, (y - hx) / 2)
+    return (x, (y - get_curve("X_good").curve.h.eval(x)) / 2)
 
 
 _PINNED_LAMBDAS = {

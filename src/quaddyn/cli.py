@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import __version__
 from .curves import WeierstrassCurve, get_curve
 from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
-from .graphcat import classify, canonical_code, to_dot
+from .graphcat import canonical_code, classify, load_catalog, to_dot
 from .orbit import build_graph
 from .polys import format_poly, poly_to_json
 from .quadfield import QuadElem, format_elem, parse_elem
@@ -44,18 +44,10 @@ def _emit_json(record: dict) -> None:
     print(text)
 
 
-def _catalog_from(args):
-    if getattr(args, "catalog", None):
-        from .graphcat import load_catalog
-
-        return load_catalog(args.catalog)
-    return None
-
-
 def cmd_graph(args) -> int:
     c = parse_elem(args.c, args.d)
     graph = build_graph(c, args.d, args.n_max)
-    label = classify(graph, _catalog_from(args))
+    label = classify(graph, load_catalog(args.catalog) if args.catalog else None)
     record = graph.to_record()
     record["label"] = label
     record["code"] = canonical_code(graph)
@@ -93,20 +85,9 @@ def _survey_params(d: int, height: int):
 
 def _survey_one(task: tuple) -> tuple:
     d, c_text, n_max, catalog_path = task
-    catalog = _cached_catalog(catalog_path) if catalog_path else None
+    catalog = load_catalog(catalog_path) if catalog_path else None
     graph = build_graph(parse_elem(c_text, d), d, n_max)
     return c_text, classify(graph, catalog)
-
-
-_CATALOG_CACHE: dict = {}
-
-
-def _cached_catalog(path: str):
-    if path not in _CATALOG_CACHE:
-        from .graphcat import load_catalog
-
-        _CATALOG_CACHE[path] = load_catalog(path)
-    return _CATALOG_CACHE[path]
 
 
 def cmd_survey(args) -> int:
@@ -115,8 +96,7 @@ def cmd_survey(args) -> int:
             raise ValueError(f"{name} must be >= 1, got {value}")
     expected = {-1: QI_LABELS, -3: QW_LABELS}.get(args.d)
     params = sorted(_survey_params(args.d, args.height), key=lambda e: e.sort_key())
-    tasks = [(args.d, format_elem(c), args.n_max, getattr(args, "catalog", None))
-             for c in params]
+    tasks = [(args.d, format_elem(c), args.n_max, args.catalog) for c in params]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -219,6 +199,8 @@ def cmd_curve(args) -> int:
 def cmd_chabauty(args) -> int:
     from .chabauty import certify_residue_disk, full_theorem, transcript
 
+    if args.prec < 1:
+        raise ValueError(f"prec must be >= 1, got {args.prec}")
     try:
         if args.disk:
             cert = certify_residue_disk(args.disk, args.prec)

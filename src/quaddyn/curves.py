@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .factor import factor_rational, roots_in_quadfield
+from .factor import _add, _deriv, _gcd, _mul, factor_rational, roots_in_quadfield
 from .finitefield import FiniteField
 from .polys import QQ, FFRing, UniPoly
 from .quadfield import QuadElem, fraction_sqrt
@@ -91,11 +91,9 @@ def _ff_poly(poly: UniPoly, ring: FFRing) -> UniPoly:
 
 
 def _good_reduction(curve: HypCurve, p: int) -> bool:
-    F = curve.completed_square()
     if p == 2:
-        if not curve.has_h_model():
-            return False
-        return _smooth_mod_2(curve)
+        return curve.has_h_model() and _smooth_mod_2(curve)
+    F = curve.completed_square()
     if any(c.denominator % p == 0 for c in F.coeffs):
         return False
     ring = FFRing(FiniteField(p))
@@ -106,24 +104,25 @@ def _good_reduction(curve: HypCurve, p: int) -> bool:
 
 
 def _smooth_mod_2(curve: HypCurve) -> bool:
-    """Affine smoothness scan plus distinct points at infinity, over F_2 and F_4."""
-    for deg in (1, 2):
-        field = FiniteField(2, deg)
-        ring = FFRing(field)
-        g2, h2 = _ff_poly(curve.g, ring), _ff_poly(curve.h, ring)
-        dg, dh = g2.derivative(), h2.derivative()
-        for x in field.elements():
-            for y in field.elements():
-                if (y * y + h2.eval(x) * y - g2.eval(x)).is_zero():
-                    # singular iff both partials vanish: h = 0 and g' + h'y = 0
-                    if h2.eval(x).is_zero() and (dg.eval(x) - dh.eval(x) * y).is_zero():
-                        return False
-    h3 = curve.h.coeff(3) if curve.h is not None else Fraction(0)
-    g6 = curve.g.coeff(6)
-    field = FiniteField(2)
-    roots = [v for v in field.elements()
-             if (v * v + field.from_fraction(h3) * v - field.from_fraction(g6)).is_zero()]
-    return len(roots) == 2
+    """Exact smoothness of the reduction of y^2 + h y = g over the closure of F_2.
+
+    A singular point has h(x) = 0 and h'(x) y = g'(x) with y^2 = g(x), so
+    g'^2 + h'^2 g vanishes at x; conversely such an x gives one, as squaring
+    is injective in characteristic 2.  A chart is therefore smooth iff
+    gcd(h, g'^2 + h'^2 g) = 1 in F_2[x].  The chart at infinity is
+    (u^n h(1/u), u^(2n) g(1/u)) with n = genus + 1.
+    """
+    if any(c.denominator % 2 == 0 for c in curve.g.coeffs + curve.h.coeffs):
+        return False
+    n = curve.genus() + 1
+    # an odd denominator is 1 mod 2, so each coefficient reduces to its numerator
+    h = [curve.h.coeff(k).numerator % 2 for k in range(n + 1)]
+    g = [curve.g.coeff(k).numerator % 2 for k in range(2 * n + 1)]
+    for hh, gg in ((h, g), (h[::-1], g[::-1])):
+        dh, dg = _deriv(hh), _deriv(gg)
+        if _gcd(hh, _add(_mul(dg, dg), _mul(_mul(dh, dh), gg)), 2) != [1]:
+            return False
+    return True
 
 
 def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
@@ -143,9 +142,11 @@ def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
             for y in field.elements():
                 if (y * y + hx * y - gx).is_zero():
                     total += 1
-        h3 = field.from_fraction(curve.h.coeff(3))
-        g6 = field.from_fraction(curve.g.coeff(6))
-        total += sum(1 for v in field.elements() if (v * v + h3 * v - g6).is_zero())
+        # points at infinity: v^2 + h_n v = g_2n on the chart at infinity
+        n = curve.genus() + 1
+        hn = field.from_fraction(curve.h.coeff(n))
+        g2n = field.from_fraction(curve.g.coeff(2 * n))
+        total += sum(1 for v in field.elements() if (v * v + hn * v - g2n).is_zero())
         return total
     F = _ff_poly(curve.completed_square(), ring)
     sq_count: dict = {}

@@ -47,32 +47,23 @@ def dn_rn(n: int) -> tuple[int, int]:
     return d, d // n
 
 
-def _symbolic_ring() -> PolyRing:
-    return PolyRing(QQ, "c")
-
-
-def symbolic_map() -> UniPoly:
-    """f_c(x) = x^2 + c over Q[c][x]."""
-    ring = _symbolic_ring()
-    x = UniPoly.gen(ring, "x")
-    return x * x + UniPoly.const(ring, ring.gen(), "x")
-
-
-def specialized_map(c) -> UniPoly:
-    """f_c(x) = x^2 + c over K for a concrete c (QuadElem)."""
-    ring = QuadField(c.d)
-    x = UniPoly.gen(ring, "x")
-    return x * x + UniPoly.const(ring, c, "x")
+def _c_const(c) -> UniPoly:
+    """c as a constant polynomial in x: over Q[c] for the string "c" (the
+    symbolic parameter), over K = Q(sqrt(d)) for a concrete c (QuadElem)."""
+    if c == "c":
+        ring = PolyRing(QQ, "c")
+        return UniPoly.const(ring, ring.gen(), "x")
+    return UniPoly.const(QuadField(c.d), c, "x")
 
 
 def iterate_poly(c, n: int) -> UniPoly:
     """f_c^n(x); c is a QuadElem or the string "c" for the symbolic parameter."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    f = symbolic_map() if c == "c" else specialized_map(c)
-    out = UniPoly.gen(f.ring, "x")
+    cpoly = _c_const(c)
+    out = UniPoly.gen(cpoly.ring, "x")
     for _ in range(n):
-        out = out * out + UniPoly.const(f.ring, f.coeffs[0], "x")
+        out = out * out + cpoly
     return out
 
 
@@ -80,10 +71,9 @@ def dynatomic(n: int, c="c") -> UniPoly:
     """The dynatomic polynomial of period n, by the exact Moebius quotient."""
     if n < 1:
         raise ValueError("period must be >= 1")
-    x = iterate_poly(c, 0)
-    num = UniPoly.const(x.ring, x.ring.one, "x")
-    den = UniPoly.const(x.ring, x.ring.one, "x")
-    cpoly = iterate_poly(c, 1) - x * x
+    cpoly = _c_const(c)
+    x = UniPoly.gen(cpoly.ring, "x")
+    num = den = UniPoly.const(x.ring, x.ring.one, "x")
     iterates = {}
     cur = x
     for k in range(1, n + 1):

@@ -92,14 +92,6 @@ class FiniteField:
             self.modulus = (1, 1) if p == 2 else (0, -smallest_nonresidue(p) % p)
 
     def __call__(self, *coords) -> "FFElem":
-        if len(coords) == 1 and isinstance(coords[0], FFElem):
-            src = coords[0]
-            if src.field.p != self.p:
-                raise ValueError("characteristic mismatch")
-            coords = src.coords + (0,) * (self.deg - len(src.coords))
-            return FFElem(self, coords)
-        if len(coords) == 1 and isinstance(coords[0], Fraction):
-            return self.from_fraction(coords[0])
         vals = list(coords) + [0] * (self.deg - len(coords))
         return FFElem(self, tuple(v % self.p for v in vals))
 
@@ -165,8 +157,6 @@ class FFElem:
             return other
         if isinstance(other, int):
             return self.field(other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -187,9 +177,6 @@ class FFElem:
         if o is NotImplemented:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -227,20 +214,6 @@ class FFElem:
         if o is NotImplemented:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = self.field.one(), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .orbit import PreperGraph, build_graph, cycle_structure
-from .quadfield import QuadElem, format_elem
+from .quadfield import format_elem
 
 
 def _ahu(vertex, children, memo) -> str:
@@ -146,13 +146,23 @@ def builtin_catalog() -> tuple[CatalogEntry, ...]:
     return _entries_from_rows(_TABLE)
 
 
+@lru_cache(maxsize=None)
 def load_catalog(path: str) -> tuple[CatalogEntry, ...]:
-    """Catalog override: a JSON list of {label, d, c[, vertices]} witnesses."""
+    """Catalog override: a JSON list of {label, d, c[, vertices]} witnesses.
+
+    Each file is read and its witnesses verified once per process.
+    """
     import json
 
-    with open(path) as fh:
-        raw = json.load(fh)
-    rows = [(row["label"], row["d"], row["c"], row.get("vertices")) for row in raw]
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as err:
+        raise ValueError(f"cannot read catalog {path}: {err.strerror}") from None
+    try:
+        rows = [(row["label"], row["d"], row["c"], row.get("vertices")) for row in raw]
+    except KeyError as err:
+        raise ValueError(f"catalog row without {err.args[0]!r}: {path}") from None
     return _entries_from_rows(rows)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polys import QQ, QuadField, UniPoly
+from .polys import QuadField, UniPoly
 from .quadfield import QuadElem, fraction_sqrt, quad_sqrt
 
 
@@ -47,9 +47,7 @@ class JacModel:
         self.x = UniPoly.gen(self.ring, f.var)
 
     def const(self, value) -> UniPoly:
-        if isinstance(value, (int, Fraction)) and self.ring is not QQ:
-            value = self.ring.of(value) if isinstance(value, int) else QuadElem(value, 0, self.ring.d)
-        elif isinstance(value, int):
+        if not isinstance(value, QuadElem):
             value = self.ring.of(value)
         return UniPoly.const(self.ring, value, self.f.var)
 
@@ -57,7 +55,7 @@ class JacModel:
         return self.f.eval(x) == y * y
 
     def zero(self) -> "DivClass":
-        return DivClass(self, _one(self), _zero(self), 1, 1)
+        return DivClass(self, _one(self.f), _zero(self), 1, 1)
 
     def from_mumford(self, u: UniPoly, v: UniPoly, nplus: int = 0, nminus: int = 0) -> "DivClass":
         u = u.monic()
@@ -82,7 +80,7 @@ class JacModel:
         if len(affs) == 0:
             if nplus == 1 and nminus == 1:
                 return self.zero()
-            return DivClass(self, _one(self), _zero(self), nplus, nminus)
+            return DivClass(self, _one(self.f), _zero(self), nplus, nminus)
         X = self.x
         if len(affs) == 1:
             x1, y1 = affs[0]
@@ -108,8 +106,8 @@ def _zero(model) -> UniPoly:
     return UniPoly(model.ring, (), model.f.var)
 
 
-def _one(model) -> UniPoly:
-    return UniPoly.const(model.ring, model.ring.one, model.f.var)
+def _one(a: UniPoly) -> UniPoly:
+    return UniPoly.const(a.ring, a.ring.one, a.var)
 
 
 def _is_zero_scalar(y) -> bool:
@@ -122,8 +120,8 @@ def _xgcd(a: UniPoly, b: UniPoly):
     """(g monic, x, y) with x*a + y*b = g, over a field."""
     ring = a.ring
     r0, r1 = a, b
-    s0, s1 = _one_like(a), UniPoly(ring, (), a.var)
-    t0, t1 = UniPoly(ring, (), a.var), _one_like(a)
+    s0, s1 = _one(a), UniPoly(ring, (), a.var)
+    t0, t1 = UniPoly(ring, (), a.var), _one(a)
     while not r1.is_zero():
         q, r = r0.divrem(r1)
         r0, r1 = r1, r
@@ -133,10 +131,6 @@ def _xgcd(a: UniPoly, b: UniPoly):
         return r0, s0, t0
     lead = ring.inv(r0.lc())
     return r0 * lead, s0 * lead, t0 * lead
-
-
-def _one_like(a: UniPoly) -> UniPoly:
-    return UniPoly.const(a.ring, a.ring.one, a.var)
 
 
 class DivClass:
@@ -219,7 +213,7 @@ def _compose(model, a1, a2):
     d1, e1, e2 = _xgcd(u1, u2)
     vsum = v1 + v2
     if vsum.is_zero():
-        d, c1, c2 = d1, _one_like(u1), UniPoly(model.ring, (), u1.var)
+        d, c1, c2 = d1, _one(u1), UniPoly(model.ring, (), u1.var)
     else:
         d, c1, c2 = _xgcd(d1, vsum)
     u = (u1 * u2).exact_div(d * d).monic()

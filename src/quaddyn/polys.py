@@ -205,9 +205,6 @@ class UniPoly:
             return self - UniPoly.const(self.ring, self._scalar(other), self.var)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def _scalar(self, other):
         if isinstance(other, int):
             return self.ring.of(other)
@@ -268,9 +265,6 @@ class UniPoly:
             for j, c in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - q * c
         return UniPoly(self.ring, quot, self.var), UniPoly(self.ring, rem, self.var)
-
-    def __floordiv__(self, other):
-        return self.divrem(other)[0]
 
     def __mod__(self, other):
         return self.divrem(other)[1]

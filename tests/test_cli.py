@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quaddyn
 from quaddyn.chabauty import full_theorem
 from quaddyn.cli import main
 
@@ -73,11 +78,30 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     (("survey", "--d", "-1", "--height", "-2"), "height must be >= 1, got -2"),
     (("survey", "--d", "-1", "--height", "1", "--jobs", "0"), "jobs must be >= 1, got 0"),
     (("survey", "--d", "-1", "--height", "1", "--jobs", "-1"), "jobs must be >= 1, got -1"),
+    (("graph", "--d", "-1", "--c", "0", "--catalog", "/nonexistent.json"),
+     "error: cannot read catalog /nonexistent.json"),
+    (("survey", "--d", "-1", "--height", "1", "--catalog", "/nonexistent.json"),
+     "error: cannot read catalog /nonexistent.json"),
+    (("chabauty", "--prec", "-1"), "error: prec must be >= 1, got -1"),
+    (("chabauty", "--prec", "0"), "error: prec must be >= 1, got 0"),
+    (("dynatomic", "--n", "0"), "period must be in 1..6"),
+    (("dynatomic", "--n", "7"), "period must be in 1..6"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert message in err and "bad reduction" not in err
+
+
+@pytest.mark.parametrize("key", ["label", "d", "c"])
+def test_catalog_row_without_a_key_exits_1(tmp_path, capsys, key):
+    row = {"label": "3(2)", "d": -1, "c": "-1", "vertices": 3}
+    del row[key]
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([row]))
+    code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: catalog row without {key!r}: {path}\n"
 
 
 def test_dynatomic_text_and_json(capsys):
@@ -106,6 +130,16 @@ def test_curve_commands(capsys):
     assert json.loads(out)["count"] == 6
 
 
+def test_curve_text_output(capsys):
+    code, out, err = run(capsys, "curve", "X0_5", "jacobian", "--p", "5")
+    assert code == 0 and err == ""
+    assert out == "curve=X0_5, action=jacobian, order_p=41, order_p2=1189\n"
+    code, out, _ = run(capsys, "curve", "E17", "structure", "--p", "3", "--deg", "2")
+    assert out == "curve=E17, action=structure, structure=[4, 4]\n"
+    code, out, _ = run(capsys, "curve", "X_good", "count", "--p", "2")
+    assert out == "curve=X_good, action=count, count=6, q=2\n"
+
+
 def test_curve_unknown_name(capsys):
     code, _, err = run(capsys, "curve", "X9_9", "genus")
     assert code == 1 and "unknown curve" in err
@@ -128,6 +162,27 @@ def test_survey_small(capsys):
     }
     assert not record["flagged"]
     assert sum(record["histogram"].values()) == len(record["rows"])
+
+
+def test_survey_text_mode_flags_labels_outside_the_list(tmp_path, capsys):
+    # a catalog without most labels: those graphs get synthesized "?" labels
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"label": "3(2)", "d": -1, "c": "-1", "vertices": 3}]))
+    argv = ("survey", "--d", "-1", "--height", "1", "--n-max", "3", "--catalog", str(path))
+    code, record_text, _ = run(capsys, *argv, "--json")
+    record = json.loads(record_text)
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    rows, histogram = lines[:lines.index("histogram:")], lines[lines.index("histogram:") + 1:]
+    marker = "  <-- OUTSIDE THE CLASSIFIED LIST"
+    assert rows == [f"{r['c']:>20}  {r['label']}{marker if r['flagged'] else ''}"
+                    for r in record["rows"]]
+    assert f"{'-1':>20}  3(2)" in rows
+    assert histogram == [f"  {label:>12}: {n}" for label, n in record["histogram"].items()]
+    flagged = sum(row.endswith(marker) for row in rows)
+    assert 0 < flagged == len(record["flagged"]) < len(rows)
+    assert err == f"!! {flagged} parameter(s) fall outside the expected label list\n"
 
 
 def test_chabauty_single_disk(capsys):
@@ -170,3 +225,18 @@ def test_version_and_usage(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (("--version",), 0, ""),
+    (("chabauty", "--prec", "-1"), 1, "error: prec must be >= 1, got -1\n"),
+])
+def test_module_entry_point_passes_the_exit_code_through(argv, code, err):
+    src = str(Path(quaddyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "quaddyn", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code and proc.stderr == err
+    if code == 0:
+        assert proc.stdout == f"quaddyn {quaddyn.__version__}\n"

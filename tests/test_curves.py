@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from quaddyn.curves import (
     HypCurve,
     WeierstrassCurve,
+    _good_reduction,
     count_points_ff,
     curve_genus,
     elliptic_count,
@@ -148,3 +150,29 @@ def test_c_map_evaluation():
     c_minus = entry.c_value(-i)
     expected = {QuadElem(F(1, 4), F(1, 2), -1), QuadElem(F(1, 4), F(-1, 2), -1)}
     assert {c_plus, c_minus} == expected
+
+
+@pytest.mark.parametrize("name", ["8(1,1)a", "8(1,1)b"])
+@pytest.mark.parametrize("deg", [1, 2])
+def test_genus1_torsion_bound_is_the_gcd_of_direct_counts(name, deg):
+    curve = get_curve(name).curve
+    assert curve.genus() == 1
+    counts = [count_points_ff(curve, p, deg) for p in (5, 7)]
+    assert torsion_bound(curve, [5, 7], deg) == math.gcd(*counts)
+
+
+def test_reduction_at_2_is_exact():
+    one = UniPoly.const(QQ, F(1))
+    # smooth over F_2 and F_4, singular at the three points with x^3 + x + 1 = 0
+    # over F_8, where h = 0 and g'^2 + h'^2 g = 0
+    curve = HypCurve(g=X**4 + X**3, h=X**3 + X + one)
+    assert not _good_reduction(curve, 2)
+    with pytest.raises(ValueError, match="bad reduction at 2"):
+        count_points_ff(curve, 2, 1)
+    assert _good_reduction(get_curve("X_good").curve, 2)
+    assert not _good_reduction(get_curve("X0_5").curve, 2)  # an f-model is bad at 2
+    # genus 1: y^2 + y = x^3 is smooth at 2, its chart at infinity is (u^2, u)
+    e = HypCurve(g=X**3, h=one)
+    assert _good_reduction(e, 2)
+    for deg in (1, 2):
+        assert count_points_ff(e, 2, deg) == elliptic_count(WeierstrassCurve(0, 0, 1, 0, 0), 2, deg)

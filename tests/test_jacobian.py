@@ -191,3 +191,11 @@ def test_enumeration_oracle_matches_zeta_mod3():
 
     x05 = get_curve("X0_5").curve
     assert jacobian_order_enumerated(x05.f, FiniteField(3)) == 9
+
+
+def test_from_points_two_affine_points_is_a_sum_of_one_point_classes():
+    model = x05_model()
+    p, q_ = (q(0), q(1)), (q(-3), q(1))
+    pair = model.from_points(p, q_)
+    assert pair.u.degree() == 2 and (pair.nplus, pair.nminus) == (0, 0)
+    assert pair == model.from_points(p, "inf+") + model.from_points(q_, "inf-")
