@@ -136,8 +136,7 @@ def cmd_survey(args) -> int:
 
 def cmd_dynatomic(args) -> int:
     if args.n < 1 or args.n > MAX_PERIOD:
-        print(f"period must be in 1..{MAX_PERIOD}", file=sys.stderr)
-        return 1
+        raise ValueError(f"period must be in 1..{MAX_PERIOD}")
     c = parse_elem(args.c, args.d) if args.c is not None else "c"
     poly = gen_dynatomic(args.m, args.n, c) if args.m else dynatomic(args.n, c)
     record = {
@@ -165,16 +164,13 @@ def cmd_curve(args) -> int:
         return 1
     curve = entry.curve
     record = {"schema": "quaddyn/curve/v1", "curve": entry.name, "action": args.action}
-    from .curves import (count_points_ff, curve_genus, elliptic_count,
-                         elliptic_group_structure, jacobian_orders, torsion_bound)
+    from .curves import (count_points_ff, curve_genus, elliptic_group_structure,
+                         jacobian_orders, torsion_bound)
 
     if args.action == "genus":
-        record["genus"] = 1 if isinstance(curve, WeierstrassCurve) else curve_genus(curve)
+        record["genus"] = curve_genus(curve)
     elif args.action == "count":
-        if isinstance(curve, WeierstrassCurve):
-            record["count"] = elliptic_count(curve, args.p, args.deg)
-        else:
-            record["count"] = count_points_ff(curve, args.p, args.deg)
+        record["count"] = count_points_ff(curve, args.p, args.deg)
         record["q"] = args.p**args.deg
     elif args.action == "jacobian":
         orders = jacobian_orders(curve, args.p)

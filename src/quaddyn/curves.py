@@ -1,11 +1,11 @@
 """Hyperelliptic curves of genus 1-2: models, counting, and torsion data.
 
 Curves come in two shapes: y^2 = f(x) (odd characteristic work) and
-y^2 + h(x)y = g(x) (needed for good reduction at 2).  Point counts over
-F_q are by brute force over the affine plane plus the infinite points read
-off the leading behavior; Jacobian orders follow from the genus-2 zeta
-relations, and elliptic group structures from chord-tangent addition over
-the full (small) group.
+y^2 + h(x)y = g(x) (needed for good reduction at 2); Weierstrass curves are
+y^2 + hy = g models.  One enumerator gives every F_q point count and point
+list, from a table of square roots at odd p; Jacobian orders follow from
+the zeta relations, and elliptic group structures from chord-tangent
+addition over the full (small) group.
 
 The named curve models live in data/curves.json together with their
 c-parametrizations; load_registry() deserializes them.
@@ -21,8 +21,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .factor import _add, _deriv, _gcd, _mul, factor_rational, roots_in_quadfield
-from .finitefield import FiniteField
-from .polys import QQ, FFRing, UniPoly
+from .finitefield import FiniteField, reduce_fraction
+from .polys import QQ, UniPoly
 from .quadfield import QuadElem, fraction_sqrt
 
 Q_LIMIT = 10**6
@@ -86,8 +86,17 @@ def curve_genus(curve: HypCurve) -> int:
     return curve.genus()
 
 
-def _ff_poly(poly: UniPoly, ring: FFRing) -> UniPoly:
-    return UniPoly(ring, [ring.field.from_fraction(c) for c in poly.coeffs], poly.var)
+class WeierstrassCurve(HypCurve):
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.
+
+    As a HypCurve this is y^2 + h y = g with h = a1 x + a3 and
+    g = x^3 + a2 x^2 + a4 x + a6; `a` keeps the invariants for the group law.
+    """
+
+    def __init__(self, a1, a2, a3, a4, a6, name: str = ""):
+        self.a = tuple(Fraction(v) for v in (a1, a2, a3, a4, a6))
+        a1, a2, a3, a4, a6 = self.a
+        super().__init__(g=UniPoly(QQ, (a6, a4, a2, QQ.one)), h=UniPoly(QQ, (a3, a1)), name=name)
 
 
 def _good_reduction(curve: HypCurve, p: int) -> bool:
@@ -96,11 +105,9 @@ def _good_reduction(curve: HypCurve, p: int) -> bool:
     F = curve.completed_square()
     if any(c.denominator % p == 0 for c in F.coeffs):
         return False
-    ring = FFRing(FiniteField(p))
-    Fp = _ff_poly(F, ring)
-    if Fp.degree() != F.degree():  # p | lc degenerates the model at infinity
-        return False
-    return Fp.gcd(Fp.derivative()).degree() == 0
+    Fp = [reduce_fraction(c, p) for c in F.coeffs]
+    # p | lc degenerates the model at infinity
+    return Fp[-1] != 0 and _gcd(Fp, _deriv(Fp), p) == [1]
 
 
 def _smooth_mod_2(curve: HypCurve) -> bool:
@@ -125,51 +132,77 @@ def _smooth_mod_2(curve: HypCurve) -> bool:
     return True
 
 
-def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
-    """#X(F_q) by brute force; includes the points at infinity."""
+def _reduced(poly: UniPoly, field: FiniteField) -> list:
+    """Coefficients of poly in field, leading one first; [0] for the zero polynomial."""
+    return [field.from_fraction(c) for c in reversed(poly.coeffs)] or [field.zero()]
+
+
+def _horner(coeffs: list, x):
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * x + c
+    return out
+
+
+def _enumerate(curve: HypCurve, p: int, deg: int, points: list | None = None) -> int:
+    """#X(F_q), q = p^deg, of y^2 + s(x) y = r(x): (s, r) = (h, g), or (0, f).
+
+    At odd p, (2y + s)^2 = F(x) with F = s^2 + 4r, so the y over each x come
+    from one table of square roots, looked up at F(x); at p = 2 they are
+    scanned.  The points at infinity are those of the chart
+    v^2 + s_n v = r_2n with n = genus + 1.  When points is a list, the
+    affine points (x, y) are appended to it.
+    """
     q = p**deg
     if q > Q_LIMIT:
         raise ValueError(f"q = {q} exceeds the enumeration limit")
     field = FiniteField(p, deg)  # rejects a non-prime p before the reduction test
     if not _good_reduction(curve, p):
         raise ValueError(f"{curve!r} has bad reduction at {p}")
-    ring = FFRing(field)
-    total = 0
-    if p == 2:
-        g2, h2 = _ff_poly(curve.g, ring), _ff_poly(curve.h, ring)
-        for x in field.elements():
-            hx, gx = h2.eval(x), g2.eval(x)
-            for y in field.elements():
-                if (y * y + hx * y - gx).is_zero():
-                    total += 1
-        # points at infinity: v^2 + h_n v = g_2n on the chart at infinity
-        n = curve.genus() + 1
-        hn = field.from_fraction(curve.h.coeff(n))
-        g2n = field.from_fraction(curve.g.coeff(2 * n))
-        total += sum(1 for v in field.elements() if (v * v + hn * v - g2n).is_zero())
+    n = curve.genus() + 1
+    s = _reduced(curve.h if curve.has_h_model() else UniPoly(QQ, ()), field)
+    elems = list(field.elements())
+    if p == 2:  # an f-model has bad reduction at 2, so r = g
+
+        def fibre(sx, rx):
+            return [y for y in elems if y * y + sx * y == rx]
+
+        r = _reduced(curve.g, field)
+        sn, r2n = (field.from_fraction(c) for c in (curve.h.coeff(n), curve.g.coeff(2 * n)))
+        total = len(fibre(sn, r2n))
+        for x in elems:
+            ys = fibre(_horner(s, x), _horner(r, x))
+            total += len(ys)
+            if points is not None:
+                points.extend((x, y) for y in ys)
         return total
-    F = _ff_poly(curve.completed_square(), ring)
-    sq_count: dict = {}
-    for y in field.elements():
-        key = y * y
-        sq_count[key] = sq_count.get(key, 0) + 1
-    for x in field.elements():
-        total += sq_count.get(F.eval(x), 0)
-    degF = curve.completed_square().degree()
-    if degF % 2 == 1:
-        total += 1
-    else:
-        total += sq_count.get(F.lc(), 0)
+    roots: dict = {}
+    for t in elems:
+        roots.setdefault((t * t).coords, []).append(t)
+    F = curve.completed_square()
+    total = len(roots.get(field.from_fraction(F.coeff(2 * n)).coords, ()))
+    Fq, half = _reduced(F, field), field((p + 1) // 2)
+    for x in elems:
+        ts = roots.get(_horner(Fq, x).coords, ())
+        total += len(ts)
+        if points is not None and ts:
+            sx = _horner(s, x)
+            points.extend((x, (t - sx) * half) for t in ts)
     return total
 
 
-def jacobian_orders(curve: HypCurve, p: int) -> tuple[int, int]:
-    """(#J(F_p), #J(F_{p^2})) from the counts over F_p and F_{p^2} (genus 2)."""
-    if curve.genus() != 2:
-        raise ValueError("jacobian_orders requires a genus-2 curve")
-    n1 = count_points_ff(curve, p, 1)
-    n2 = count_points_ff(curve, p, 2)
+def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
+    """#X(F_q), q = p^deg, including the points at infinity."""
+    return _enumerate(curve, p, deg)
+
+
+def _jacobian_counts(curve: HypCurve, p: int) -> tuple[int, int]:
+    """(#J(F_p), #J(F_{p^2})) of a genus-1 or genus-2 curve, by its zeta function."""
+    n1 = _enumerate(curve, p, 1)
     s1 = p + 1 - n1
+    if curve.genus() == 1:  # #E(F_{p^2}) = p^2 + 1 - (s1^2 - 2p)
+        return n1, n1 * (p + 1 + s1)
+    n2 = _enumerate(curve, p, 2)
     twice_s2 = s1 * s1 - (p * p + 1 - n2)
     if twice_s2 % 2:
         raise ArithmeticError("inconsistent point counts (bug): s2 is not integral")
@@ -179,45 +212,22 @@ def jacobian_orders(curve: HypCurve, p: int) -> tuple[int, int]:
     return p1, p1 * pm1
 
 
+def jacobian_orders(curve: HypCurve, p: int) -> tuple[int, int]:
+    """(#J(F_p), #J(F_{p^2})) from the counts over F_p and F_{p^2} (genus 2)."""
+    if curve.genus() != 2:
+        raise ValueError("jacobian_orders requires a genus-2 curve")
+    return _jacobian_counts(curve, p)
+
+
 # ---------------------------------------------------------------------------
-# elliptic curves in Weierstrass form
+# the group law on elliptic curves in Weierstrass form
 # ---------------------------------------------------------------------------
-
-
-class WeierstrassCurve:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q."""
-
-    def __init__(self, a1, a2, a3, a4, a6, name: str = ""):
-        self.a = tuple(Fraction(v) for v in (a1, a2, a3, a4, a6))
-        self.name = name
-
-    def discriminant(self) -> Fraction:
-        a1, a2, a3, a4, a6 = self.a
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    def reduce(self, field: FiniteField) -> tuple:
-        return tuple(field.from_fraction(v) for v in self.a)
 
 
 _INF = "O"
 
 
-def _ec_points(curve: WeierstrassCurve, field: FiniteField) -> list:
-    a1, a2, a3, a4, a6 = curve.reduce(field)
-    pts = [_INF]
-    for x in field.elements():
-        rhs = ((x + a2) * x + a4) * x + a6
-        for y in field.elements():
-            if y * y + a1 * x * y + a3 * y == rhs:
-                pts.append((x, y))
-    return pts
-
-
-def _ec_add(curve_a: tuple, P, Q, field: FiniteField):
+def _ec_add(curve_a: tuple, P, Q):
     a1, a2, a3, a4, a6 = curve_a
     if P is _INF:
         return Q
@@ -239,12 +249,12 @@ def _ec_add(curve_a: tuple, P, Q, field: FiniteField):
     return (x3, y3)
 
 
-def _ec_mul(curve_a: tuple, k: int, P, field: FiniteField):
+def _ec_mul(curve_a: tuple, k: int, P):
     out, base = _INF, P
     while k:
         if k & 1:
-            out = _ec_add(curve_a, out, base, field)
-        base = _ec_add(curve_a, base, base, field)
+            out = _ec_add(curve_a, out, base)
+        base = _ec_add(curve_a, base, base)
         k >>= 1
     return out
 
@@ -266,22 +276,15 @@ def elliptic_group_structure(curve: WeierstrassCurve, p: int, deg: int = 1) -> t
     field = FiniteField(p, deg)
     if field.q > 10**5:
         raise ValueError("field too large for full group enumeration")
-    from .finitefield import reduce_fraction
-
-    disc = curve.discriminant()
-    if disc.denominator % p == 0 or reduce_fraction(disc, p) == 0:
-        raise ValueError(f"bad reduction at {p}")
-    pts = _ec_points(curve, field)
-    n = len(pts)
-    curve_a = curve.reduce(field)
+    pts: list = []
+    n = _enumerate(curve, p, deg, pts)
+    curve_a = tuple(field.from_fraction(v) for v in curve.a)
     primes = _factorize(n)
     exponent = 1
     for P in pts:
-        if P is _INF:
-            continue
         order = n
         for q in primes:
-            while order % q == 0 and _ec_mul(curve_a, order // q, P, field) is _INF:
+            while order % q == 0 and _ec_mul(curve_a, order // q, P) is _INF:
                 order //= q
         exponent = exponent * order // math.gcd(exponent, order)
         if exponent == n:
@@ -292,16 +295,11 @@ def elliptic_group_structure(curve: WeierstrassCurve, p: int, deg: int = 1) -> t
 
 
 def elliptic_count(curve: WeierstrassCurve, p: int, deg: int = 1) -> int:
-    from .finitefield import reduce_fraction
-
-    field = FiniteField(p, deg)  # rejects a non-prime p before the reduction test
-    disc = curve.discriminant()
-    if disc.denominator % p == 0 or reduce_fraction(disc, p) == 0:
-        raise ValueError(f"bad reduction at {p}")
-    return len(_ec_points(curve, field))
+    """#E(F_q), q = p^deg, including the point at infinity."""
+    return _enumerate(curve, p, deg)
 
 
-def torsion_bound(curve, primes: list[int], deg: int = 2) -> int:
+def torsion_bound(curve: HypCurve, primes: list[int], deg: int = 2) -> int:
     """gcd over p of #J(F_{p^deg}) (genus 2) or #E(F_{p^deg}) (genus 1).
 
     The result annihilates J(K)_tors for every quadratic field K, since each
@@ -309,24 +307,9 @@ def torsion_bound(curve, primes: list[int], deg: int = 2) -> int:
     """
     out = 0
     for p in primes:
-        if isinstance(curve, WeierstrassCurve):
-            count = elliptic_count(curve, p, deg)
-        elif curve.genus() == 2:
-            orders = jacobian_orders(curve, p)
-            count = orders[1] if deg == 2 else orders[0]
-        else:
-            count = _genus1_jac_count(curve, p, deg)
-        out = math.gcd(out, count)
+        orders = _jacobian_counts(curve, p)
+        out = math.gcd(out, orders[1] if deg == 2 else orders[0])
     return out
-
-
-def _genus1_jac_count(curve: HypCurve, p: int, deg: int) -> int:
-    # genus-1 curve given by a quartic model: #J = #E = count via zeta
-    n1 = count_points_ff(curve, p, 1)
-    a = p + 1 - n1
-    if deg == 1:
-        return n1
-    return p * p + 1 - (a * a - 2 * p)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +369,7 @@ def _squarefree_of_fraction(q: Fraction) -> int:
 @dataclass(frozen=True)
 class RegistryEntry:
     name: str
-    curve: object  # HypCurve or WeierstrassCurve
+    curve: HypCurve  # a WeierstrassCurve for the elliptic curves
     aliases: tuple
     graph: str | None
     c_map: tuple | None  # (numerator UniPoly, denominator UniPoly) in x

@@ -102,10 +102,7 @@ class FiniteField:
         return self(1)
 
     def from_fraction(self, x) -> "FFElem":
-        x = Fraction(x)
-        if x.denominator % self.p == 0:
-            raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-        return self(x.numerator * pow(x.denominator, -1, self.p))
+        return self(reduce_fraction(x, self.p))
 
     def elements(self):
         """Iterator over all q = p^deg elements, lexicographic in coords."""

@@ -159,10 +159,16 @@ def load_catalog(path: str) -> tuple[CatalogEntry, ...]:
             raw = json.load(fh)
     except OSError as err:
         raise ValueError(f"cannot read catalog {path}: {err.strerror}") from None
+    if not isinstance(raw, list) or not all(isinstance(row, dict) for row in raw):
+        raise ValueError(f"catalog is not a list of objects: {path}")
     try:
         rows = [(row["label"], row["d"], row["c"], row.get("vertices")) for row in raw]
     except KeyError as err:
         raise ValueError(f"catalog row without {err.args[0]!r}: {path}") from None
+    for row in rows:
+        for key, value, kind in zip(("label", "d", "c", "vertices"), row, (str, int, str, int)):
+            if type(value) is not kind and (key, value) != ("vertices", None):
+                raise ValueError(f"catalog row with a non-{kind.__name__} {key!r}: {path}")
     return _entries_from_rows(rows)
 
 

@@ -86,6 +86,8 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     (("chabauty", "--prec", "0"), "error: prec must be >= 1, got 0"),
     (("dynatomic", "--n", "0"), "period must be in 1..6"),
     (("dynatomic", "--n", "7"), "period must be in 1..6"),
+    (("curve", "E17", "jacobian", "--p", "3"), "error: jacobian_orders requires a genus-2 curve"),
+    (("curve", "E17", "count", "--p", "1000003"), "error: q = 1000003 exceeds the enumeration limit"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -102,6 +104,23 @@ def test_catalog_row_without_a_key_exits_1(tmp_path, capsys, key):
     code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
     assert code == 1 and out == ""
     assert err == f"error: catalog row without {key!r}: {path}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"label": "3(2)", "d": -1, "c": "-1"}, "catalog is not a list of objects"),
+    ([["3(2)", -1, "-1"]], "catalog is not a list of objects"),
+    ([{"label": "3(2)", "d": "-1", "c": "-1"}], "catalog row with a non-int 'd'"),
+    ([{"label": "3(2)", "d": -1, "c": -1}], "catalog row with a non-str 'c'"),
+    ([{"label": "3(2)", "d": True, "c": "-1"}], "catalog row with a non-int 'd'"),
+    ([{"label": 3, "d": -1, "c": "-1"}], "catalog row with a non-str 'label'"),
+    ([{"label": "3(2)", "d": -1, "c": "-1", "vertices": "3"}], "catalog row with a non-int 'vertices'"),
+])
+def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}: {path}\n"
 
 
 def test_dynatomic_text_and_json(capsys):
@@ -138,6 +157,13 @@ def test_curve_text_output(capsys):
     assert out == "curve=E17, action=structure, structure=[4, 4]\n"
     code, out, _ = run(capsys, "curve", "X_good", "count", "--p", "2")
     assert out == "curve=X_good, action=count, count=6, q=2\n"
+
+
+def test_elliptic_curves_share_the_characteristic_2_path(capsys):
+    code, out, err = run(capsys, "curve", "E17", "count", "--p", "2", "--deg", "2")
+    assert code == 0 and err == "" and out == "curve=E17, action=count, count=8, q=4\n"
+    code, out, err = run(capsys, "curve", "E40", "count", "--p", "2")
+    assert code == 1 and out == "" and err == "error: HypCurve(E40) has bad reduction at 2\n"
 
 
 def test_curve_unknown_name(capsys):
