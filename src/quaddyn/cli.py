@@ -38,6 +38,14 @@ QW_LABELS = frozenset({
 })
 
 
+D_LIMIT = 10**12  # every QuadElem factors d by trial division, up to sqrt|d|
+
+
+def _check_d(d: int) -> None:
+    if abs(d) > D_LIMIT:
+        raise ValueError(f"|d| must be at most 10^12, got {d}")
+
+
 def _emit_json(record: dict) -> None:
     text = json.dumps(record, indent=2, sort_keys=True)
     assert json.loads(text) == record, "JSON record does not round-trip"
@@ -45,6 +53,7 @@ def _emit_json(record: dict) -> None:
 
 
 def cmd_graph(args) -> int:
+    _check_d(args.d)
     c = parse_elem(args.c, args.d)
     graph = build_graph(c, args.d, args.n_max)
     label = classify(graph, load_catalog(args.catalog) if args.catalog else None)
@@ -91,6 +100,7 @@ def _survey_one(task: tuple) -> tuple:
 
 
 def cmd_survey(args) -> int:
+    _check_d(args.d)
     for name, value in (("height", args.height), ("jobs", args.jobs)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -135,6 +145,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_dynatomic(args) -> int:
+    _check_d(args.d)
     if args.n < 1 or args.n > MAX_PERIOD:
         raise ValueError(f"period must be in 1..{MAX_PERIOD}")
     c = parse_elem(args.c, args.d) if args.c is not None else "c"
@@ -156,7 +167,23 @@ def cmd_dynatomic(args) -> int:
     return 0
 
 
+# the options each curve action reads, and their defaults
+CURVE_OPTIONS = {
+    "count": ("p", "deg"),
+    "jacobian": ("p",),
+    "torsion-bound": ("primes", "deg"),
+    "genus": (),
+    "structure": ("p", "deg"),
+}
+CURVE_DEFAULTS = {"p": 3, "deg": 1, "primes": "3,5"}
+
+
 def cmd_curve(args) -> int:
+    for name, default in CURVE_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in CURVE_OPTIONS[args.action]:
+            raise ValueError(f"--{name} is not used by the {args.action} action")
     try:
         entry = get_curve(args.name)
     except KeyError as err:
@@ -261,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="finite-field data for a registry curve")
     p.add_argument("name")
-    p.add_argument("action",
-                   choices=["count", "jacobian", "torsion-bound", "genus", "structure"])
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--deg", type=int, default=1, choices=[1, 2])
-    p.add_argument("--primes", default="3,5")
+    p.add_argument("action", choices=list(CURVE_OPTIONS))
+    p.add_argument("--p", type=int, help="prime, default 3 (count, jacobian, structure)")
+    p.add_argument("--deg", type=int, choices=[1, 2],
+                   help="field degree, default 1 (count, torsion-bound, structure)")
+    p.add_argument("--primes", help='comma-separated primes, default "3,5" (torsion-bound)')
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curve)
 

@@ -305,6 +305,8 @@ def torsion_bound(curve: HypCurve, primes: list[int], deg: int = 2) -> int:
     The result annihilates J(K)_tors for every quadratic field K, since each
     residue field at p embeds into F_{p^2}.
     """
+    if deg not in (1, 2):
+        raise ValueError(f"deg must be 1 or 2, got {deg}")
     out = 0
     for p in primes:
         orders = _jacobian_counts(curve, p)

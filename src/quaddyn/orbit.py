@@ -1,11 +1,24 @@
 """The preperiodic-graph engine for f_c(z) = z^2 + c over K = Q(sqrt(d)).
 
-Strategy: find all K-rational periodic points (roots of the dynatomic
-polynomials, filtered down to exact period by iteration), then take the
-backward closure under preimages.  A preimage of y is a square root of
-y - c in K, so the closure step is a pair of quad_sqrt calls; it terminates
-because preperiodic sets are finite.  The fixed point at infinity is always
-omitted, matching the convention the vertex counts follow.
+build_graph decides preperiodicity with a height box.  A preperiodic x
+satisfies |sigma(x)| <= (1 + sqrt(1 + 4|sigma(c)|))/2 at every infinite place
+and v_P(x) = v_P(c)/2 at every prime P with v_P(c) < 0 (Doyle-Faber-Krumm,
+NYJM 2014; Benedetto-Chen-Hyde-Kovacheva-White, Exp. Math. 2014).  So an odd
+v_P(c) < 0 leaves no preperiodic point.  Otherwise every one is y/D with y in
+2 O_K inside the box and y^2 = -D^2 c mod D, where D = 2M and M is the least
+integer whose square the denominator of c divides.  Each such candidate is
+iterated until its orbit repeats (preperiodic) or leaves the candidate set
+(not preperiodic), which decides every period; the graph keeps the points of
+eventual period <= n_max.
+
+When trial division below TRIAL_BOUND leaves a cofactor of the denominator
+that it does not prove prime (square roots modulo an unfactored number are
+as hard as factoring it), or the box holds more than BOX_LIMIT candidates,
+build_graph falls back to the dynatomic path: the K-rational periodic points
+from the roots of the dynatomic polynomials (periodic_points), then their
+backward closure under preimages.  Both give the same vertex set.  The
+fixed point at infinity is always omitted, matching the convention the
+vertex counts follow.
 
 Results are labeled complete for periods <= n_max (default 6); that bound is
 one more than any cycle length that occurs over the fields of interest.
@@ -13,11 +26,13 @@ one more than any cycle length that occurs over the fields of interest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .factor import roots_in_quadfield
+from .finitefield import sqrt_mod_p
 from .quadfield import QuadElem, format_elem, quad_sqrt
 
 CLOSURE_CAP = 10_000
@@ -137,14 +152,9 @@ def periodic_points(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) 
     return out
 
 
-def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> PreperGraph:
-    """Assemble G(f_c, K) by backward closure from the periodic points."""
-    c = _coerce_param(c, d)
-    field_d = c.d
-    per = periodic_points(c, None, n_max)
-    vertices = set()
-    for pts in per.values():
-        vertices |= pts
+def _backward_closure(c: QuadElem, points: set) -> set:
+    """points together with all their iterated K-rational preimages."""
+    vertices = set(points)
     frontier = list(vertices)
     while frontier:
         y = frontier.pop()
@@ -157,13 +167,253 @@ def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> P
                 frontier.append(pre)
         if len(vertices) > CLOSURE_CAP:
             raise RuntimeError("backward closure exceeded the safety cap (suspected bug)")
-    succ = {v: _apply(c, v) for v in vertices}
-    portraits = {v: portrait(c, v) for v in vertices}
+    return vertices
+
+
+# -- the height-box engine ----------------------------------------------------
+
+TRIAL_BOUND = 1 << 16  # the coset cut factors denominators by trial division below this
+BOX_LIMIT = 1 << 14  # candidates the box may hold before the dynatomic path is cheaper
+
+
+def _ceil_sqrt(n: int) -> int:
+    r = math.isqrt(n)
+    return r + (r * r < n)
+
+
+def _floor_times_sqrt(b: int, d: int) -> int:
+    """floor(b * sqrt(d)) for d > 0."""
+    return math.isqrt(b * b * d) if b >= 0 else -_ceil_sqrt(b * b * d)
+
+
+def _escape_bound(D: int, g: int) -> int:
+    """An integer Y >= D*R for R = (1 + sqrt(1 + 4|c|))/2, given an integer g >= D^2 |c|."""
+    return (D + _ceil_sqrt(D * D + 4 * g) + 1) // 2
+
+
+def _smooth_factors(n: int) -> dict | None:
+    """{p: e} with n = prod p^e by trial division below TRIAL_BOUND.
+
+    A cofactor left below TRIAL_BOUND^2 is prime; None when a larger one is
+    left, whose primality trial division does not prove.
+    """
+    out, p = {}, 2
+    while p * p <= n and p < TRIAL_BOUND:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n >= TRIAL_BOUND * TRIAL_BOUND:
+        return None
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _digits(p: int, q: int, d: int, A: int, B: int, na: int, nb: int) -> list | None:
+    """The (s, t) in [0, p)^2 for which (A + s q, B + t q) solves y^2 = -n mod p q.
+
+    (A, B) solves it mod q = p^j.  The first digit comes from square roots
+    mod p.  Past it, y^2 + n changes by 2 q y (s + t sqrt(d)) mod p q, so the
+    digits solve two linear equations mod p: one solution when the
+    determinant 4 Norm(y) is a unit, else a line or the whole plane of them.
+    None when the line or plane has more than BOX_LIMIT points.
+    """
+    if q == 1:
+        if p > 2:
+            return _roots_mod_p(p, d, -na % p, -nb % p)
+        return [(s, t) for s in (0, 1) for t in (0, 1) if (s + d * t + na) % 2 == 0 == nb % 2]
+    rows = ((2 * A % p, 2 * d * B % p, -(A * A + d * B * B + na) // q % p),
+            (2 * B % p, 2 * A % p, -(2 * A * B + nb) // q % p))
+    (u1, v1, w1), (u2, v2, w2) = rows
+    det = (u1 * v2 - v1 * u2) % p
+    if det:
+        inv = pow(det, -1, p)
+        return [((w1 * v2 - v1 * w2) * inv % p, (u1 * w2 - w1 * u2) * inv % p)]
+    # rank <= 1: the solutions fill a line or the plane, or there are none
+    u, v, w = next((row for row in rows if row[0] or row[1]), (0, 0, 0))
+    inv = pow(v or u or 1, -1, p)
+    s0, t0 = (0, w * inv % p) if v else (w * inv % p, 0)
+    if any((x * s0 + y * t0 - z) % p for x, y, z in rows):
+        return []
+    if (p if u or v else p * p) > BOX_LIMIT:
+        return None
+    if v:
+        return [(s, (w - u * s) * inv % p) for s in range(p)]
+    if u:
+        return [(s0, t) for t in range(p)]
+    return [(s, t) for s in range(p) for t in range(p)]
+
+
+def _roots_mod_p(p: int, d: int, a0: int, b0: int) -> list | None:
+    """(A, B) mod an odd prime p with A^2 + d B^2 = a0 and 2AB = b0.
+
+    Any root has (A^2 - d B^2)^2 = a0^2 - d b0^2, so A^2 = (a0 +- r)/2 for a
+    square root r of that norm; B follows from 2AB = b0, or from d B^2 = a0
+    when A = 0.
+    """
+    if d % p == 0 == a0 == b0:  # y lies in the prime over the ramified p: A = 0, any B
+        return None if p > BOX_LIMIT else [(0, b) for b in range(p)]
+    r = sqrt_mod_p(a0 * a0 - d * b0 * b0, p)
+    if r is None:
+        return []
+    out = set()
+    for h in {(a0 + r) * (p + 1) // 2 % p, (a0 - r) * (p + 1) // 2 % p}:
+        root = sqrt_mod_p(h, p)
+        for A in () if root is None else {root, -root % p}:
+            if A:
+                bs = (b0 * pow(2 * A, -1, p) % p,)
+            elif d % p:
+                b = sqrt_mod_p(a0 * pow(d, -1, p), p)
+                bs = () if b is None else (b, -b % p)
+            else:
+                bs = ()
+            out |= {(A, b) for b in bs if (A * A + d * b * b - a0) % p == 0 == (2 * A * b - b0) % p}
+    return sorted(out)
+
+
+def _square_root_classes(p: int, e: int, d: int, na: int, nb: int) -> list | None:
+    """All (A, B) mod p^e with (A + B sqrt(d))^2 = -(na + nb sqrt(d)) mod p^e.
+
+    Lifted one p-adic digit at a time; None when the classes outgrow BOX_LIMIT.
+    """
+    sols, q = [(0, 0)], 1
+    for _ in range(e):
+        lifted = []
+        for A, B in sols:
+            digits = _digits(p, q, d, A, B, na, nb)
+            if digits is None or len(lifted) + len(digits) > BOX_LIMIT:
+                return None
+            lifted += [(A + s * q, B + t * q) for s, t in digits]
+        sols, q = lifted, q * p
+    return sols
+
+
+def _escape_box(d: int, D: int, na: int, nb: int):
+    """(b_max, a_max, a_range) for the y = A + B sqrt(d) with |sigma(y)| <= D R_sigma.
+
+    Here na + nb sqrt(d) = D^2 c.  Every such y has |B| <= b_max, |A| <= a_max
+    and lo <= A <= hi for (lo, hi) = a_range(B); the bounds are exact integer
+    ones, rounded outward only in R_sigma.
+    """
+    if d < 0:
+        Y = _escape_bound(D, _ceil_sqrt(na * na - d * nb * nb))
+
+        def a_range(B):
+            h = Y * Y + d * B * B
+            h = math.isqrt(h) if h >= 0 else -1
+            return -h, h
+
+        return math.isqrt(Y * Y // -d), Y, a_range
+    t = _floor_times_sqrt(nb, d)
+    yp = _escape_bound(D, max(abs(na + t), abs(na + t + 1)))
+    ym = _escape_bound(D, max(abs(na - t), abs(na - t - 1)))
+
+    def a_range(B):  # |A + B sqrt(d)| <= yp and |A - B sqrt(d)| <= ym
+        fl = _floor_times_sqrt(B, d)
+        ce = fl + (B != 0)
+        return max(-yp - fl, ce - ym), min(yp - ce, ym + fl)
+
+    return math.isqrt((yp + ym) ** 2 // (4 * d)), (yp + ym) // 2 + 1, a_range
+
+
+def _box_points(c: QuadElem) -> set | None:
+    """Every K-rational preperiodic point of f_c, for all periods (see the module doc).
+
+    Points are worked on as y = D x = A + B sqrt(d) with integer A, B.  None
+    when the dynatomic path has to decide.
+    """
+    d = c.d
+    w = math.lcm(c.a.denominator, c.b.denominator)
+    # an odd prime p not dividing d with v_p(w) odd has a prime above it with
+    # v_P(c) < 0 odd, so no point is preperiodic
+    odd, g = w, math.gcd(w, 2 * d)
+    while g > 1:
+        odd //= g
+        g = math.gcd(odd, g)
+    root = math.isqrt(odd)
+    if root * root != odd:
+        return set()
+    near, far = _smooth_factors(w // odd), _smooth_factors(root)
+    if near is None or far is None:
+        return None
+    exps = {p: (k + 1) // 2 for p, k in near.items()} | far
+    exps[2] = exps.get(2, 0) + 1
+    D = math.prod(p**k for p, k in exps.items())
+    na, nb = int(c.a * D * D), int(c.b * D * D)
+
+    b_max, a_max, a_range = _escape_box(d, D, na, nb)
+
+    def in_2ok(A, B):
+        return (A - B) % 2 == 0 if d % 4 == 1 else A % 2 == 0 == B % 2
+
+    per_class = (2 * b_max // D + 1) * (2 * a_max // D + 1)
+    classes, mod = [(0, 0)], 1
+    for p, k in sorted(exps.items()):
+        local = _square_root_classes(p, k, d, na, nb)
+        if local is None:
+            return None
+        q = p**k
+        if p == 2:  # y and D f(y/D) both lie in 2 O_K
+            local = [(a, b) for a, b in local if in_2ok(a, b)
+                     and in_2ok((a * a + d * b * b + na) // q, (2 * a * b + nb) // q)]
+        if len(classes) * len(local) * per_class > BOX_LIMIT:
+            return None
+        inv = pow(mod, -1, q)
+        classes = [(x + mod * ((a - x) * inv % q), y + mod * ((b - y) * inv % q))
+                   for x, y in classes for a, b in local]
+        mod *= q
+
+    def step(A, B):
+        """D f(y/D), or None when it leaves the candidate set."""
+        ra, rb = A * A + d * B * B + na, 2 * A * B + nb
+        if ra % D or rb % D:
+            return None
+        A, B = ra // D, rb // D
+        lo, hi = a_range(B)
+        return (A, B) if lo <= A <= hi and in_2ok(A, B) else None
+
+    by_b = {}
+    for a0, b0 in classes:
+        by_b.setdefault(b0, []).append(a0)
+    status = {}  # y -> preperiodic?  (None while y is on the current path)
+    for b0, a0s in by_b.items():
+        for B in range(-b_max + (b0 + b_max) % D, b_max + 1, D):
+            lo, hi = a_range(B)
+            for a0 in a0s:
+                for A in range(lo + (a0 - lo) % D, hi + 1, D):
+                    path, y = [], (A, B)
+                    while y not in status:
+                        status[y] = None
+                        path.append(y)
+                        y = step(*y)
+                        if y is None:
+                            break
+                    verdict = y is not None and status[y] is not False
+                    for v in path:
+                        status[v] = verdict
+    return {QuadElem(Fraction(A, D), Fraction(B, D), d) for (A, B), pre in status.items() if pre}
+
+
+def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> PreperGraph:
+    """G(f_c, K) restricted to the points whose eventual period is <= n_max."""
+    if not 1 <= n_max <= MAX_PERIOD:
+        raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
+    c = _coerce_param(c, d)
+    points = _box_points(c)
+    if points is None:
+        per = periodic_points(c, None, n_max)
+        vertices = _backward_closure(c, set().union(*per.values()))
+        portraits = {v: portrait(c, v) for v in vertices}
+    else:
+        portraits = {v: portrait(c, v) for v in points}
+        portraits = {v: mp for v, mp in portraits.items() if mp[1] <= n_max}
+    succ = {v: _apply(c, v) for v in portraits}
     return PreperGraph(
-        vertices=tuple(sorted(vertices, key=lambda v: v.sort_key())),
+        vertices=tuple(sorted(portraits, key=lambda v: v.sort_key())),
         succ=succ,
         portraits=portraits,
-        field=field_d,
+        field=c.d,
         parameter=c,
         n_max_used=n_max,
     )

@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 
+@lru_cache(maxsize=256)
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, m) with n = s^2 * m and m squarefree (sign kept on m)."""
     if n == 0:

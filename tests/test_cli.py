@@ -88,11 +88,36 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     (("dynatomic", "--n", "7"), "period must be in 1..6"),
     (("curve", "E17", "jacobian", "--p", "3"), "error: jacobian_orders requires a genus-2 curve"),
     (("curve", "E17", "count", "--p", "1000003"), "error: q = 1000003 exceeds the enumeration limit"),
+    (("curve", "X0_5", "jacobian", "--p", "3", "--deg", "2"),
+     "error: --deg is not used by the jacobian action"),
+    (("curve", "X0_5", "count", "--primes", "5,7"), "error: --primes is not used by the count action"),
+    (("curve", "X0_5", "genus", "--p", "5"), "error: --p is not used by the genus action"),
+    (("curve", "E17", "structure", "--primes", "3,5"),
+     "error: --primes is not used by the structure action"),
+    (("curve", "X1_4", "torsion-bound", "--p", "5"), "error: --p is not used by the torsion-bound action"),
+    (("graph", "--d", "1000000000001", "--c", "0"), "error: |d| must be at most 10^12, got 1000000000001"),
+    (("graph", "--d", "-1000000000001", "--c", "0"),
+     "error: |d| must be at most 10^12, got -1000000000001"),
+    (("graph", "--d", "100000000000000000039", "--c", "0"), "error: |d| must be at most 10^12"),
+    (("survey", "--d", "1000000000001", "--height", "1"), "error: |d| must be at most 10^12"),
+    (("survey", "--d", "-1000000000001", "--height", "1"), "error: |d| must be at most 10^12"),
+    (("dynatomic", "--n", "2", "--d", "1000000000001", "--c", "1"), "error: |d| must be at most 10^12"),
+    (("dynatomic", "--n", "2", "--d", "-1000000000001"), "error: |d| must be at most 10^12"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert message in err and "bad reduction" not in err
+
+
+@pytest.mark.parametrize("d, c, label", [
+    ("-1000000000000", "-1", "3(2)"),  # d = -10^12 names Q(i)
+    ("999999999989", "-2", "5(1,1)a"),
+    ("-999999999989", "0", "3(1,1)?"),
+])
+def test_d_up_to_the_bound_is_accepted(capsys, d, c, label):
+    code, out, err = run(capsys, "graph", "--d", d, "--c", c)
+    assert code == 0 and err == "" and f"label {label}," in out
 
 
 @pytest.mark.parametrize("key", ["label", "d", "c"])

@@ -96,6 +96,12 @@ def test_torsion_bounds():
     assert bound == 16  # gcd(16, 32)
 
 
+@pytest.mark.parametrize("deg", [0, 3, -1])
+def test_torsion_bound_rejects_other_degrees(deg):
+    with pytest.raises(ValueError, match=f"deg must be 1 or 2, got {deg}"):
+        torsion_bound(get_curve("X0_5").curve, [3], deg)
+
+
 def test_zeta_vs_enumeration_oracle():
     x05 = get_curve("X0_5").curve
     assert jacobian_order_enumerated(x05.f, FiniteField(3)) == jacobian_orders(x05, 3)[0]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from quaddyn import dynatomic
+from quaddyn import dynatomic, graphcat
 from quaddyn.dynatomic import gen_dynatomic, specialize
 from quaddyn.orbit import (
     admissible_flags,
@@ -102,10 +102,14 @@ def test_symbolic_dynatomic_is_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(dynatomic, "dynatomic", counting)
     dynatomic.symbolic_dynatomic.cache_clear()
+    graphcat.builtin_catalog.cache_clear()
+    graphcat.builtin_catalog()
     build_graph(q(F(-1, 4), F(3, 8)))
+    assert calls == []  # the height-box engine needs no Phi_n
+    periodic_points(q(F(-1, 4), F(3, 8)))
     assert calls == [1, 2, 3, 4, 5, 6]
-    build_graph(q(F(-1, 4), F(3, 8)))
-    build_graph(q(F(-5, 12), 0, -3))
+    periodic_points(q(F(-1, 4), F(3, 8)))
+    periodic_points(q(F(-5, 12), 0, -3))
     assert calls == [1, 2, 3, 4, 5, 6]
 
 
