@@ -26,7 +26,7 @@ from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
 from .graphcat import canonical_code, classify, load_catalog, to_dot
 from .orbit import build_graph
 from .polys import format_poly, poly_to_json
-from .quadfield import QuadElem, format_elem, parse_elem
+from .quadfield import D_LIMIT, QuadElem, format_elem, parse_elem
 
 QI_LABELS = frozenset({
     "0", "3(2)", "4(1,1)", "4(2)", "5(1,1)a", "5(1,1)b", "5(2)a", "6(1,1)",
@@ -36,9 +36,6 @@ QW_LABELS = frozenset({
     "0", "3(2)", "4(1)", "4(1,1)", "4(2)", "5(1,1)a", "6(1,1)", "6(2)",
     "6(3)", "7(2,1,1)a", "8(2)a", "8(2,1,1)", "8(3)",
 })
-
-
-D_LIMIT = 10**12  # every QuadElem factors d by trial division, up to sqrt|d|
 
 
 def _check_d(d: int) -> None:
@@ -178,6 +175,11 @@ CURVE_OPTIONS = {
 CURVE_DEFAULTS = {"p": 3, "deg": 1, "primes": "3,5"}
 
 
+def _curve_help(name: str, what: str) -> str:
+    users = ", ".join(action for action, names in CURVE_OPTIONS.items() if name in names)
+    return f"{what}, default {CURVE_DEFAULTS[name]} ({users})"
+
+
 def cmd_curve(args) -> int:
     for name, default in CURVE_DEFAULTS.items():
         if getattr(args, name) is None:
@@ -289,10 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="finite-field data for a registry curve")
     p.add_argument("name")
     p.add_argument("action", choices=list(CURVE_OPTIONS))
-    p.add_argument("--p", type=int, help="prime, default 3 (count, jacobian, structure)")
-    p.add_argument("--deg", type=int, choices=[1, 2],
-                   help="field degree, default 1 (count, torsion-bound, structure)")
-    p.add_argument("--primes", help='comma-separated primes, default "3,5" (torsion-bound)')
+    p.add_argument("--p", type=int, help=_curve_help("p", "prime"))
+    p.add_argument("--deg", type=int, choices=[1, 2], help=_curve_help("deg", "field degree"))
+    p.add_argument("--primes", help=_curve_help("primes", "comma-separated primes"))
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curve)
 

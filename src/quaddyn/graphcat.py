@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .orbit import PreperGraph, build_graph, cycle_structure
-from .quadfield import format_elem
+from .quadfield import D_LIMIT, format_elem
 
 
 def _ahu(vertex, children, memo) -> str:
@@ -169,6 +169,8 @@ def load_catalog(path: str) -> tuple[CatalogEntry, ...]:
         for key, value, kind in zip(("label", "d", "c", "vertices"), row, (str, int, str, int)):
             if type(value) is not kind and (key, value) != ("vertices", None):
                 raise ValueError(f"catalog row with a non-{kind.__name__} {key!r}: {path}")
+        if abs(row[1]) > D_LIMIT:
+            raise ValueError(f"catalog row with |d| above 10^12: {path}")
     return _entries_from_rows(rows)
 
 

@@ -13,12 +13,12 @@ eventual period <= n_max.
 
 When trial division below TRIAL_BOUND leaves a cofactor of the denominator
 that it does not prove prime (square roots modulo an unfactored number are
-as hard as factoring it), or the box holds more than BOX_LIMIT candidates,
-build_graph falls back to the dynatomic path: the K-rational periodic points
-from the roots of the dynatomic polynomials (periodic_points), then their
-backward closure under preimages.  Both give the same vertex set.  The
-fixed point at infinity is always omitted, matching the convention the
-vertex counts follow.
+as hard as factoring it), or the box or the coset classes hold more than
+BOX_LIMIT candidates, build_graph falls back to the dynatomic path: the
+K-rational periodic points from the roots of the dynatomic polynomials
+(periodic_points), then their backward closure under preimages.  Both give
+the same vertex set.  The fixed point at infinity is always omitted,
+matching the convention the vertex counts follow.
 
 Results are labeled complete for periods <= n_max (default 6); that bound is
 one more than any cycle length that occurs over the fields of interest.
@@ -173,7 +173,11 @@ def _backward_closure(c: QuadElem, points: set) -> set:
 # -- the height-box engine ----------------------------------------------------
 
 TRIAL_BOUND = 1 << 16  # the coset cut factors denominators by trial division below this
-BOX_LIMIT = 1 << 14  # candidates the box may hold before the dynatomic path is cheaper
+# Candidates the box may hold before build_graph falls back.  Measured on a
+# 2-vCPU x86-64 host, Python 3.11: the box costs 1-2 us a candidate (15-30 ms
+# at 2^14); the fallback, once Phi_1..Phi_6 are built, 4-7 ms at integral c
+# and 20-50 ms otherwise.  The crossover thus lies between 2^12 and 2^15.
+BOX_LIMIT = 1 << 14
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -210,14 +214,14 @@ def _smooth_factors(n: int) -> dict | None:
     return out
 
 
-def _digits(p: int, q: int, d: int, A: int, B: int, na: int, nb: int) -> list | None:
+def _digits(p: int, q: int, d: int, A: int, B: int, na: int, nb: int):
     """The (s, t) in [0, p)^2 for which (A + s q, B + t q) solves y^2 = -n mod p q.
 
     (A, B) solves it mod q = p^j.  The first digit comes from square roots
     mod p.  Past it, y^2 + n changes by 2 q y (s + t sqrt(d)) mod p q, so the
     digits solve two linear equations mod p: one solution when the
-    determinant 4 Norm(y) is a unit, else a line or the whole plane of them.
-    None when the line or plane has more than BOX_LIMIT points.
+    determinant 4 Norm(y) is a unit, else a line or the whole plane of them,
+    which are generated lazily: p may be far above BOX_LIMIT.
     """
     if q == 1:
         if p > 2:
@@ -236,16 +240,14 @@ def _digits(p: int, q: int, d: int, A: int, B: int, na: int, nb: int) -> list | 
     s0, t0 = (0, w * inv % p) if v else (w * inv % p, 0)
     if any((x * s0 + y * t0 - z) % p for x, y, z in rows):
         return []
-    if (p if u or v else p * p) > BOX_LIMIT:
-        return None
     if v:
-        return [(s, (w - u * s) * inv % p) for s in range(p)]
+        return ((s, (w - u * s) * inv % p) for s in range(p))
     if u:
-        return [(s0, t) for t in range(p)]
-    return [(s, t) for s in range(p) for t in range(p)]
+        return ((s0, t) for t in range(p))
+    return ((s, t) for s in range(p) for t in range(p))
 
 
-def _roots_mod_p(p: int, d: int, a0: int, b0: int) -> list | None:
+def _roots_mod_p(p: int, d: int, a0: int, b0: int):
     """(A, B) mod an odd prime p with A^2 + d B^2 = a0 and 2AB = b0.
 
     Any root has (A^2 - d B^2)^2 = a0^2 - d b0^2, so A^2 = (a0 +- r)/2 for a
@@ -253,7 +255,7 @@ def _roots_mod_p(p: int, d: int, a0: int, b0: int) -> list | None:
     when A = 0.
     """
     if d % p == 0 == a0 == b0:  # y lies in the prime over the ramified p: A = 0, any B
-        return None if p > BOX_LIMIT else [(0, b) for b in range(p)]
+        return ((0, b) for b in range(p))
     r = sqrt_mod_p(a0 * a0 - d * b0 * b0, p)
     if r is None:
         return []
@@ -281,10 +283,10 @@ def _square_root_classes(p: int, e: int, d: int, na: int, nb: int) -> list | Non
     for _ in range(e):
         lifted = []
         for A, B in sols:
-            digits = _digits(p, q, d, A, B, na, nb)
-            if digits is None or len(lifted) + len(digits) > BOX_LIMIT:
-                return None
-            lifted += [(A + s * q, B + t * q) for s, t in digits]
+            for s, t in _digits(p, q, d, A, B, na, nb):
+                if len(lifted) == BOX_LIMIT:
+                    return None
+                lifted.append((A + s * q, B + t * q))
         sols, q = lifted, q * p
     return sols
 

@@ -19,6 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+D_LIMIT = 10**12  # QuadElem factors d by trial division, up to sqrt|d|; callers cap |d| here
+
+
 @lru_cache(maxsize=256)
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, m) with n = s^2 * m and m squarefree (sign kept on m)."""

@@ -62,16 +62,14 @@ def test_catalog_witnesses(label, d, c_text, size):
 
 
 @pytest.mark.parametrize("d", FIELDS)
-def test_height_3_surveys_at_n_max_4_and_6(d):
+@pytest.mark.parametrize("height, n_max", [(3, 4), (2, 6)])
+def test_surveys(d, height, n_max):
+    span = range(-height, height + 1)
     params = {QuadElem(F(u, w), F(v, w), d)
-              for w in range(1, 4) for u in range(-3, 4) for v in range(-3, 4)}
+              for w in range(1, height + 1) for u in span for v in span}
     for c in params:
         assert orbit._box_points(c) is not None
-        per = periodic_points(c, None, 6)
-        for n_max in (4, 6):
-            points = set().union(*(per[n] for n in range(1, n_max + 1)))
-            expected = {v: portrait(c, v) for v in closure(c, points)}
-            assert build_graph(c, None, n_max).portraits == expected, (c, n_max)
+        assert build_graph(c, None, n_max).portraits == oracle(c, n_max), c
 
 
 @pytest.mark.parametrize("d, c_text, n_max", [
@@ -107,10 +105,15 @@ def test_small_height_parameters(d, u, w, v, z, n_max):
     assert_agrees(QuadElem(F(u, w), F(v, z), d), n_max)
 
 
+def fixed_from(x):
+    """c = x - x^2, for which x is a fixed point."""
+    return x - x * x
+
+
 def fixed_point_family(d, a, b, m):
     """c = x - x^2 with x = (a + b sqrt(d))/m: x and 1 - x are fixed, -x and x - 1 map to them."""
     x = QuadElem(F(a, m), F(b, m), d)
-    return x - x * x, {x, 1 - x, -x, x - 1}
+    return fixed_from(x), {x, 1 - x, -x, x - 1}
 
 
 # 65537 and 10^9 + 7 are left as cofactors that trial division below 2^16 proves prime
@@ -138,6 +141,42 @@ def test_fallback_on_large_prime_denominators(d, prime, cofactor, r):
     a = r * m // 10**6
     c, points = fixed_point_family(d, a + (a % prime == 0), 0, m)
     assert points <= set(assert_agrees(c, 6, engine="fallback").vertices)
+
+
+def power(z, k):
+    y = QuadElem(1, 0, z.d)
+    for _ in range(k):
+        y = y * z
+    return y
+
+
+# Parameters whose box is over BOX_LIMIT (2^14) at its default value.
+BOX_LIMIT_EXITS = {
+    # the candidate count: the boxes hold 16,641 and 19,092 candidates
+    "box, d=-1": QuadElem(4000, 0, -1),
+    "box, d=-3": QuadElem(-4000, 0, -3),
+    # the class count: y lies in (2 + i)^6, which leaves 2 * 5^6 classes mod 5^12
+    "classes, p=5": fixed_from(power(QuadElem(2, 1, -1), 12) / 5**12),
+    # a digit line: 16417 = 64^2 + 111^2 splits and y lies in one prime above it,
+    # so each of the 2 classes mod 16417 lifts to 16417 classes mod 16417^2
+    "line, p=16417": fixed_from(power(QuadElem(64, 111, -1), 2) / 16417**2),
+    # the first digit at the ramified 16411: y may be any element of the prime above it
+    "ramified, p=16411": fixed_from(QuadElem(0, F(-1, 16411), -16411)),
+}
+
+
+@pytest.mark.parametrize("c", BOX_LIMIT_EXITS.values(), ids=BOX_LIMIT_EXITS.keys())
+def test_box_limit_exits_fall_back_to_the_same_graph(c):
+    graph = assert_agrees(c, 6, engine="fallback")
+    with mock.patch.object(orbit, "BOX_LIMIT", 1 << 20):
+        box = orbit._box_points(c)
+    assert box == set(graph.vertices)
+
+
+def test_a_huge_ramified_prime_falls_back_without_listing_its_residues():
+    """The 2^31 - 1 classes at the ramified prime are cut off at BOX_LIMIT + 1."""
+    p = 2**31 - 1
+    assert assert_agrees(fixed_from(QuadElem(0, F(-1, p), -p)), 6, engine="fallback").size() == 4
 
 
 @DETERMINISTIC

@@ -139,6 +139,8 @@ def test_catalog_row_without_a_key_exits_1(tmp_path, capsys, key):
     ([{"label": "3(2)", "d": True, "c": "-1"}], "catalog row with a non-int 'd'"),
     ([{"label": 3, "d": -1, "c": "-1"}], "catalog row with a non-str 'label'"),
     ([{"label": "3(2)", "d": -1, "c": "-1", "vertices": "3"}], "catalog row with a non-int 'vertices'"),
+    ([{"label": "3(2)", "d": 10**20 + 39, "c": "-1"}], "catalog row with |d| above 10^12"),
+    ([{"label": "3(2)", "d": -(10**12 + 1), "c": "-1"}], "catalog row with |d| above 10^12"),
 ])
 def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
     path = tmp_path / "catalog.json"
