@@ -15,9 +15,10 @@ Pipeline, in the order the pieces feed each other:
   5. annihilator_solve: integer vectors (Re/Im combinations) killing both
      generators, normalized mod 2^5.
   6. disk_series / certify_disk: bivariate series of the annihilating maps
-     on each residue disk (t = (1+i)(T+Ui)), solution enumeration mod 2^5,
-     and unique-lifting certification via the quantitative two-variable
-     Hensel criterion (value valuation >= 2 ord_2(det J) + 1).
+     on each residue disk (t = (1+i)(T+Ui)), common zeros mod 2^5 lifted
+     one bit at a time, and unique-lifting certification via the
+     quantitative two-variable Hensel criterion (value valuation
+     >= 2 ord_2(det J) + 1).
   7. full_theorem: assembles the verdict; a disk holding two certified
      2-adic solutions around a rational point still carries a single
      Q(i)-point, since a strictly quadratic point would bring its Galois
@@ -47,6 +48,10 @@ SERIES_DEGREE = 32
 LAMBDA_PREC = 6
 DISK_PREC = 5
 CLASS_PREC = 3
+# upper bound on the working precision: annihilator_solve lists all 4^bits
+# module vectors, so each further bit costs about 4x; cold `chabauty --prec`
+# runs take 6.6-7.5 s at 11 and about 30 s at 12 (2-vCPU x86-64, Python 3.11)
+PREC_LIMIT = 12
 
 
 # ---------------------------------------------------------------------------
@@ -587,39 +592,33 @@ class BiTruncSeries:
 def _lambda_bivariate(lam: TruncSeries, prec: int = DISK_PREC):
     """lambda((1+i)(T+Ui)) as a pair (Re, Im) of bivariate polys mod 2^prec.
 
-    The degree-k coefficient lambda_k (1+i)^k is integral at (1+i) for all
-    k >= 1, so the substitution stays in Z[i] coefficient by coefficient.
+    L = (1+i)T + (i-1)U = (1+i)(T + iU), so the degree-k part is
+    g_k (T + iU)^k with g_k = lambda_k (1+i)^k.  g_k is integral at (1+i)
+    for all k >= 1, so it is reduced mod 2^prec and the binomial expansion
+    runs on integer pairs.
     """
     m = 1 << prec
-    # accumulated exact Gaussian-rational coefficients of T^a U^b
-    acc: dict = {}
-    # powers of L = (1+i)T + (i-1)U with exact Gaussian integer coefficients
-    power = {(0, 0): (Fraction(1), Fraction(0))}
+    re_terms, im_terms = {}, {}
+    w = (1, 0)  # (1+i)^k, exactly
     for k in range(1, lam.cap + 1):
-        new: dict = {}
-        for (a, b), (re, im) in power.items():
-            # multiply by (1+i) T
-            key = (a + 1, b)
-            r, s = new.get(key, (Fraction(0), Fraction(0)))
-            new[key] = (r + re - im, s + re + im)
-            # multiply by (i-1) U
-            key = (a, b + 1)
-            r, s = new.get(key, (Fraction(0), Fraction(0)))
-            new[key] = (r - re - im, s + re - im)
-        power = new
+        w = (w[0] - w[1], w[0] + w[1])
         ck = lam.coeffs[k]
         if ck == 0:
             continue
-        for key, (re, im) in power.items():
-            r, s = acc.get(key, (Fraction(0), Fraction(0)))
-            acc[key] = (r + ck * re, s + ck * im)
-    re_terms, im_terms = {}, {}
-    for key, (re, im) in acc.items():
-        for q in (re, im):
+        g = []
+        for x in w:
+            q = ck * x
             if q.denominator % 2 == 0:
                 raise ValueError("non-integral coefficient after substitution (bug)")
-        re_terms[key] = re.numerator * pow(re.denominator, -1, m) % m
-        im_terms[key] = im.numerator * pow(im.denominator, -1, m) % m
+            g.append(q.numerator * pow(q.denominator, -1, m) % m)
+        r, s = g
+        binom = 1
+        for j in range(k + 1):
+            # coefficient of T^(k-j) U^j: g_k C(k, j) i^j
+            re_terms[(k - j, j)] = binom * r
+            im_terms[(k - j, j)] = binom * s
+            r, s = -s, r
+            binom = binom * (k - j) // (j + 1)
     return (
         BiTruncSeries(re_terms, prec, lam.cap),
         BiTruncSeries(im_terms, prec, lam.cap),
@@ -669,13 +668,21 @@ class DiskCertificate:
 
 
 def certify_disk(mu1: BiTruncSeries, mu2: BiTruncSeries, disk: str = "?") -> DiskCertificate:
-    """Enumerate mod-2^prec common zeros, class them mod 2^CLASS_PREC, and
-    certify unique lifting by the quantitative Hensel criterion."""
+    """Lift the common zeros one bit at a time up to mod 2^prec, class them
+    mod 2^CLASS_PREC, and certify unique lifting by the quantitative Hensel
+    criterion."""
     prec = mu1.prec
     m = 1 << prec
     cm = 1 << CLASS_PREC
-    solutions = [(t, u) for t in range(m) for u in range(m)
-                 if mu1.eval(t, u) == 0 and mu2.eval(t, u) == 0]
+    # mu(t, u) mod 2^(k+1) depends only on (t, u) mod 2^(k+1), and a zero mod
+    # 2^(k+1) is a zero mod 2^k: the zeros mod 2^(k+1) are the lifts
+    # (t + a 2^k, u + b 2^k) of the zeros mod 2^k that vanish mod 2^(k+1)
+    solutions = [(0, 0)]
+    for k in range(prec):
+        bit, mask = 1 << k, (2 << k) - 1
+        solutions = [(t, u) for t0, u0 in solutions
+                     for t in (t0, t0 + bit) for u in (u0, u0 + bit)
+                     if not mu1.eval(t, u) & mask and not mu2.eval(t, u) & mask]
     classes = sorted({(t % cm, u % cm) for t, u in solutions})
     j11, j12 = mu1.partial(0), mu1.partial(1)
     j21, j22 = mu2.partial(0), mu2.partial(1)

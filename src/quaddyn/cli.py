@@ -222,10 +222,12 @@ def cmd_curve(args) -> int:
 
 
 def cmd_chabauty(args) -> int:
-    from .chabauty import certify_residue_disk, full_theorem, transcript
+    from .chabauty import PREC_LIMIT, certify_residue_disk, full_theorem, transcript
 
     if args.prec < 1:
         raise ValueError(f"prec must be >= 1, got {args.prec}")
+    if args.prec > PREC_LIMIT:
+        raise ValueError(f"prec must be <= {PREC_LIMIT}, got {args.prec}")
     try:
         if args.disk:
             cert = certify_residue_disk(args.disk, args.prec)

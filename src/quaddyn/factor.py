@@ -305,9 +305,10 @@ def z_squarefree_decomposition(f):
 # ---------------------------------------------------------------------------
 
 
-def _hensel_step(f, g, h, s, t, m: int):
-    """One quadratic step: from factorization mod m to mod m*m (h monic)."""
-    mm = m * m
+def _hensel_step(f, g, h, s, t, m: int, mm: int):
+    """One quadratic step: from factorization mod m to mod mm, where
+    m | mm | m*m (h monic)."""
+    assert mm % m == 0 and m * m % mm == 0, "Hensel step target must lie between m and m*m"
     e = _mod(_sub(f, _mul(g, h)), mm)
     q, r = _divmod(_mul(s, e), h, mm)
     g1 = _mod(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
@@ -342,9 +343,10 @@ def _hensel_lift(f, factors, p: int, target: int):
         m = p
         gl, hl, sl, tl = g, h, s, t
         while m < modulus:
-            gl, hl, sl, tl = _hensel_step(fcur, gl, hl, sl, tl, m)
-            m *= m
-        gl, hl = _mod(gl, modulus), _mod(hl, modulus)
+            # the last step stops at p^target, not at m*m
+            mm = min(m * m, modulus)
+            gl, hl, sl, tl = _hensel_step(fcur, gl, hl, sl, tl, m, mm)
+            m = mm
         return lift_pair(gl, fac_list[:mid]) + lift_pair(hl, fac_list[mid:])
 
     lifted = lift_pair(_mod(f, modulus), factors)

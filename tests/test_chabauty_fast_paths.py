@@ -1,0 +1,188 @@
+"""Differential tests for the two fast paths of the per-disk certification.
+
+certify_disk lifts common zeros one bit at a time; its oracle scans all
+4^prec residue pairs with one pow per term.  _lambda_bivariate substitutes
+t = (1+i)(T+Ui) on integers mod 2^prec; its oracle expands the powers of
+L = (1+i)T + (i-1)U with exact Fractions and reduces the sums at the end.
+"""
+
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from quaddyn.chabauty import (
+    CLASS_PREC,
+    BiTruncSeries,
+    DiskCertificate,
+    TruncSeries,
+    _lambda_bivariate,
+    certify_disk,
+    disk_differentials,
+    integrate,
+    required_degree,
+)
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# Hypothesis caches the constants of the source files at collection time, even
+# with database=None; keep that cache out of the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quaddyn-hypothesis")
+
+
+# --- oracles ------------------------------------------------------------------
+
+
+def _eval_oracle(terms: dict, prec: int, t: int, u: int) -> int:
+    m = 1 << prec
+    return sum(c * pow(t, i, m) * pow(u, j, m) for (i, j), c in terms.items()) % m
+
+
+def _partial_oracle(terms: dict, var: int) -> dict:
+    out: dict = {}
+    for (i, j), c in terms.items():
+        e = (i, j)[var]
+        if e:
+            key = (i - 1, j) if var == 0 else (i, j - 1)
+            out[key] = out.get(key, 0) + e * c
+    return out
+
+
+def _scan_certificate(mu1: BiTruncSeries, mu2: BiTruncSeries, disk: str) -> DiskCertificate:
+    """The certificate from the zero set of a scan over all 4^prec pairs."""
+    prec = mu1.prec
+    m = 1 << prec
+    cm = 1 << CLASS_PREC
+    zeros = [(t, u) for t in range(m) for u in range(m)
+             if _eval_oracle(mu1.terms, prec, t, u) == 0
+             and _eval_oracle(mu2.terms, prec, t, u) == 0]
+    classes = sorted({(t % cm, u % cm) for t, u in zeros})
+    jac = [_partial_oracle(mu.terms, var) for mu in (mu1, mu2) for var in (0, 1)]
+    det_vals = []
+    for t, u in classes:
+        a, b, c, d = (_eval_oracle(p, prec, t, u) for p in jac)
+        det = (a * d - b * c) % m
+        det_vals.append(prec if det == 0 else (det & -det).bit_length() - 1)
+    return DiskCertificate(
+        disk=disk,
+        solution_classes=tuple(classes),
+        det_valuations=tuple(det_vals),
+        certified=all(prec >= 2 * dv + 1 for dv in det_vals),
+        solutions=len(classes),
+        prec=prec,
+    )
+
+
+def _lambda_bivariate_oracle(lam: TruncSeries, prec: int):
+    """Exact Fraction expansion of the powers L^k, reduced mod 2^prec at the end."""
+    m = 1 << prec
+    acc: dict = {}
+    power = {(0, 0): (Fraction(1), Fraction(0))}
+    for k in range(1, lam.cap + 1):
+        new: dict = {}
+        for (a, b), (re, im) in power.items():
+            r, s = new.get((a + 1, b), (Fraction(0), Fraction(0)))
+            new[(a + 1, b)] = (r + re - im, s + re + im)  # times (1+i) T
+            r, s = new.get((a, b + 1), (Fraction(0), Fraction(0)))
+            new[(a, b + 1)] = (r - re - im, s + re - im)  # times (i-1) U
+        power = new
+        ck = lam.coeffs[k]
+        for key, (re, im) in power.items():
+            r, s = acc.get(key, (Fraction(0), Fraction(0)))
+            acc[key] = (r + ck * re, s + ck * im)
+    parts: tuple = ({}, {})
+    for key, pair in acc.items():
+        for out, q in zip(parts, pair):
+            if q.denominator % 2 == 0:
+                raise ValueError("non-integral coefficient after substitution")
+            out[key] = q.numerator * pow(q.denominator, -1, m) % m
+    return tuple(BiTruncSeries(out, prec, lam.cap) for out in parts)
+
+
+# --- certify_disk against the scan ----------------------------------------------
+
+
+@st.composite
+def series_pairs(draw):
+    prec = draw(st.integers(1, 6))
+    m = 1 << prec
+    pair = []
+    for _ in range(2):
+        keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8))
+        terms = {key: draw(st.integers(0, m - 1)) for key in keys}
+        if draw(st.booleans()):
+            terms.pop((0, 0), None)  # (0, 0) is a common zero, as on the disks
+        pair.append(BiTruncSeries(terms, prec, 8))
+    return pair
+
+
+@DETERMINISTIC
+@given(series_pairs())
+def test_lifted_zeros_equal_the_scan(pair):
+    assert certify_disk(*pair, "R") == _scan_certificate(*pair, "R")
+
+
+@pytest.mark.parametrize("prec", range(1, 7))
+def test_lifted_zeros_equal_the_scan_on_degenerate_pairs(prec):
+    half = 1 << (prec - 1)
+    cases = [
+        ({}, {}),  # every pair is a zero
+        ({(2, 0): 1}, {}),  # t = 0 mod 2^ceil(prec/2), any u
+        ({(1, 0): half, (0, 1): half}, {(1, 1): 2}),
+        ({(2, 0): 1, (0, 2): 1}, {(1, 1): 4}),
+    ]
+    for terms1, terms2 in cases:
+        mu1, mu2 = BiTruncSeries(terms1, prec, 4), BiTruncSeries(terms2, prec, 4)
+        assert certify_disk(mu1, mu2, "D") == _scan_certificate(mu1, mu2, "D")
+
+
+# --- _lambda_bivariate against the Fraction expansion ----------------------------
+
+
+@pytest.mark.parametrize("disk", ["P0", "P2", "P4"])
+def test_substitution_equals_the_fraction_expansion_on_the_disks(disk):
+    # series precision prec with the degree of working precision prec + 1:
+    # what `chabauty --prec 5..10` uses before any escalation
+    for prec in range(4, 10):
+        for omega in disk_differentials(disk, required_degree(prec + 1)):
+            lam = integrate(omega)
+            fast = _lambda_bivariate(lam, prec)
+            slow = _lambda_bivariate_oracle(lam, prec)
+            assert [s.terms for s in fast] == [s.terms for s in slow]
+
+
+@st.composite
+def integral_series(draw):
+    """lambda_k = a / (b 2^e) with b odd and e <= k // 2, so that
+    lambda_k (1+i)^k is integral at (1+i)."""
+    cap = draw(st.integers(1, 12))
+    coeffs = [Fraction(0)]
+    for k in range(1, cap + 1):
+        a = draw(st.integers(-50, 50))
+        b = 2 * draw(st.integers(0, 10)) + 1
+        coeffs.append(Fraction(a, b << draw(st.integers(0, k // 2))))
+    return TruncSeries(coeffs, cap)
+
+
+@DETERMINISTIC
+@given(integral_series(), st.integers(1, 8))
+def test_substitution_equals_the_fraction_expansion(lam, prec):
+    fast = _lambda_bivariate(lam, prec)
+    slow = _lambda_bivariate_oracle(lam, prec)
+    assert [s.terms for s in fast] == [s.terms for s in slow]
+
+
+@DETERMINISTIC
+@given(integral_series(), st.data())
+def test_a_non_integral_term_raises_in_both(lam, data):
+    k = data.draw(st.integers(1, lam.cap))
+    coeffs = list(lam.coeffs)
+    coeffs[k] = Fraction(2 * data.draw(st.integers(-20, 20)) + 1, 1 << (k // 2 + 1))
+    bad = TruncSeries(coeffs, lam.cap)
+    for substitute in (_lambda_bivariate, _lambda_bivariate_oracle):
+        with pytest.raises(ValueError, match="non-integral"):
+            substitute(bad, 6)

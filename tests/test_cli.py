@@ -84,6 +84,7 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
      "error: cannot read catalog /nonexistent.json"),
     (("chabauty", "--prec", "-1"), "error: prec must be >= 1, got -1"),
     (("chabauty", "--prec", "0"), "error: prec must be >= 1, got 0"),
+    (("chabauty", "--prec", "13"), "error: prec must be <= 12, got 13"),
     (("dynatomic", "--n", "0"), "period must be in 1..6"),
     (("dynatomic", "--n", "7"), "period must be in 1..6"),
     (("curve", "E17", "jacobian", "--p", "3"), "error: jacobian_orders requires a genus-2 curve"),
@@ -108,6 +109,16 @@ def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert message in err and "bad reduction" not in err
+
+
+def test_chabauty_at_prec_10(capsys):
+    code, out, _ = run(capsys, "chabauty", "--prec", "10", "--json")
+    record = json.loads(out)
+    assert code == 0 and record["verdict"] is True
+    expected = {"P0": [[0, 0], [6, 2]], "P2": [[0, 0], [5, 3]], "P4": [[0, 0]]}
+    for disk, classes in expected.items():
+        assert record["disks"][disk]["solution_classes"] == classes
+        assert record["disks"][disk]["series_precision_bits"] == 9
 
 
 @pytest.mark.parametrize("d, c, label", [

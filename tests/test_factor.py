@@ -7,6 +7,8 @@ import pytest
 
 from quaddyn.dynatomic import dynatomic, specialize
 from quaddyn.factor import (
+    _hensel_lift,
+    _mul,
     _norm_over_z,
     certify_irreducible,
     factor_mod_p,
@@ -157,6 +159,28 @@ def test_factor_mod_p_rejects_a_square_factor():
         factor_mod_p([0, 0, 4, 4, 13, 10, 11, 6, 1], 5)
     with pytest.raises(ValueError):
         factor_mod_p([1, 1, 5], 5)  # leading coefficient 0 mod 5
+
+
+def test_hensel_lift_to_p_k_is_the_lift_to_p_2k_reduced():
+    # the monic lifts are unique, so stopping the last quadratic step at p^k
+    # must give the lift to p^(2k) reduced mod p^k
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(60):
+        p = rng.choice([3, 5, 7, 11])
+        f = [1]
+        for _ in range(rng.randint(2, 4)):
+            low_terms = [rng.randint(-30, 30) for _ in range(rng.randint(1, 3))]
+            f = _mul(f, low_terms + [rng.randint(1, 4)])
+        try:
+            factors = factor_mod_p(f, p)
+        except ValueError:  # not squarefree mod p, or p divides the leading coefficient
+            continue
+        k = rng.randint(1, 9)
+        low, high = _hensel_lift(f, factors, p, k), _hensel_lift(f, factors, p, 2 * k)
+        assert low == [[c % p**k for c in fac] for fac in high]
+        checked += len(factors) > 1
+    assert checked >= 20
 
 
 def test_degree_pattern_certificate():
