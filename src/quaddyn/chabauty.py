@@ -13,7 +13,8 @@ Pipeline, in the order the pieces feed each other:
   4. eval_lambda: the integrals Lambda_l(E_j) mod 2^6, via Newton power sums
      over truncated Gaussian 2-adics.
   5. annihilator_solve: integer vectors (Re/Im combinations) killing both
-     generators, normalized mod 2^5.
+     generators mod 2^5, each the first hit of a lexicographic search over
+     its support.
   6. disk_series / certify_disk: bivariate series of the annihilating maps
      on each residue disk (t = (1+i)(T+Ui)), common zeros mod 2^5 lifted
      one bit at a time, and unique-lifting certification via the
@@ -34,7 +35,6 @@ is uncertified or shows more than two classes is redone once at prec + 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -48,9 +48,9 @@ SERIES_DEGREE = 32
 LAMBDA_PREC = 6
 DISK_PREC = 5
 CLASS_PREC = 3
-# upper bound on the working precision: annihilator_solve lists all 4^bits
-# module vectors, so each further bit costs about 4x; cold `chabauty --prec`
-# runs take 6.6-7.5 s at 11 and about 30 s at 12 (2-vCPU x86-64, Python 3.11)
+# upper bound on the working precision; cold `chabauty --prec` runs take about
+# 0.6/0.9/1.2 s at 10/11/12 (2-vCPU x86-64, Python 3.11), and the part that
+# grows with prec is the Fraction Newton series in disk_differentials
 PREC_LIMIT = 12
 
 
@@ -254,15 +254,6 @@ def integrate(series: TruncSeries) -> TruncSeries:
     for k, c in enumerate(series.coeffs):
         out.append(Fraction(c, k + 1))
     return TruncSeries(out, series.cap + 1)
-
-
-def truncation_margin_ok(cap: int = SERIES_DEGREE, needed: int = 24) -> bool:
-    """Every discarded term of degree 33..46 has valuation >= needed, and the
-    analytic bound k - 4 log2(k) covers k >= 47."""
-    for k in range(cap + 1, 47):
-        if k - 4 * _ord2(k) < needed:
-            return False
-    return 47 - 4 * math.log2(47) >= needed
 
 
 def _ord2(n: int) -> int:
@@ -470,32 +461,34 @@ def annihilator_solve(values: dict, prec: int = LAMBDA_PREC) -> tuple[tuple, tup
     values maps (l, j) -> GaussAdic Lambda_l(E_j) at precision 2^prec.  The
     2-power content of the rows sets the output precision (one lost bit for
     the pipeline data, giving vectors mod 2^(prec-1)).  Returns the two
-    canonical generators: one supported on the real parts, one on the
-    imaginary parts; raises when the solution module does not have rank 2.
+    canonical generators: the lexicographically least solutions with an odd
+    entry supported on the real parts (c1, c3) and on the imaginary parts
+    (c2, c4); raises when the solution module does not have rank 2.
     """
     rows = []
     for j in (1, 2):
         l1, l2 = values[(1, j)], values[(2, j)]
         rows.append((l1.re, l1.im, l2.re, l2.im))
-    basis, bits = _solve_two_rows(rows, prec)
-    module = set()
+    reduced, bits = _reduced_rows(rows, prec)
     m = 1 << bits
-    for a in range(m):
-        for b in range(m):
-            vec = tuple((a * basis[0][k] + b * basis[1][k]) % m for k in range(4))
-            module.add(vec)
-    if len(module) != m * m:
-        raise RuntimeError(f"annihilator solution space is not free of rank 2 mod 2^{bits}")
-    re_vec = _min_supported(module, (0, 2))
-    im_vec = _min_supported(module, (1, 3))
-    if re_vec is None or im_vec is None:
-        raise RuntimeError("annihilator module does not split into Re/Im generators")
-    return re_vec, im_vec
+    gens = []
+    for i, j in ((0, 2), (1, 3)):
+        hit = next(((x, y) for x in range(m) for y in range(m)
+                    if (x | y) & 1 and all((r[i] * x + r[j] * y) % m == 0 for r in reduced)),
+                   None)
+        if hit is None:
+            raise RuntimeError("annihilator module does not split into Re/Im generators")
+        vec = [0, 0, 0, 0]
+        vec[i], vec[j] = hit
+        gens.append(tuple(vec))
+    return tuple(gens)
 
 
-def _solve_two_rows(rows, prec: int):
-    """Kernel basis of two linear forms mod 2^prec, with the output modulus
-    2^bits set by the largest row content (at least one bit is lost)."""
+def _reduced_rows(rows, prec: int):
+    """The two rows divided by their 2-power contents, mod 2^bits, with bits
+    set by the largest content (at least one bit is lost).  Raises unless
+    they have rank 2 with unit pivots, so that their kernel mod 2^bits is
+    free of rank 2."""
     contents = [min(_ord2_or_inf(x) for x in row) for row in rows]
     bits = prec - max(1, *contents)
     if bits < 2:
@@ -508,37 +501,13 @@ def _solve_two_rows(rows, prec: int):
         raise RuntimeError("no unit pivot in the annihilator system")
     factor = r2[piv1] * pow(r1[piv1], -1, m) % m
     r2 = [(r2[k] - factor * r1[k]) % m for k in range(4)]
-    piv2 = next((k for k in range(4) if k != piv1 and r2[k] % 2), None)
-    if piv2 is None:
+    if not any(r2[k] % 2 for k in range(4) if k != piv1):
         raise RuntimeError("annihilator system does not have rank 2 with unit pivots")
-    inv1 = pow(r1[piv1], -1, m)
-    inv2 = pow(r2[piv2], -1, m)
-    basis = []
-    for fk in (k for k in range(4) if k not in (piv1, piv2)):
-        vec = [0, 0, 0, 0]
-        vec[fk] = 1
-        vec[piv2] = -r2[fk] * inv2 % m
-        vec[piv1] = -(r1[fk] + r1[piv2] * vec[piv2]) * inv1 % m
-        basis.append(tuple(vec))
-    return basis, bits
+    return reduced, bits
 
 
 def _ord2_or_inf(x: int) -> int:
     return 999 if x == 0 else _ord2(x)
-
-
-def _min_supported(module: set, support: tuple):
-    """Lexicographically least primitive module vector on the given support."""
-    best = None
-    for vec in module:
-        if any(vec[k] for k in range(4) if k not in support):
-            continue
-        if not any(vec[k] % 2 for k in support):
-            continue
-        key = tuple(vec[k] for k in support)
-        if best is None or key < best[0]:
-            best = (key, vec)
-    return best[1] if best else None
 
 
 # ---------------------------------------------------------------------------

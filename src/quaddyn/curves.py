@@ -273,9 +273,10 @@ def _factorize(n: int) -> dict:
 
 def elliptic_group_structure(curve: WeierstrassCurve, p: int, deg: int = 1) -> tuple[int, int]:
     """Invariant factors (n1, n2), n1 | n2, of E(F_{p^deg})."""
-    field = FiniteField(p, deg)
-    if field.q > 10**5:
+    # before FiniteField, whose primality test trial-divides up to sqrt(p)
+    if deg in (1, 2) and p**deg > 10**5:
         raise ValueError("field too large for full group enumeration")
+    field = FiniteField(p, deg)
     pts: list = []
     n = _enumerate(curve, p, deg, pts)
     curve_a = tuple(field.from_fraction(v) for v in curve.a)

@@ -17,7 +17,6 @@ from quaddyn.chabauty import (
     kernel_generators,
     required_degree,
     to_good_model,
-    truncation_margin_ok,
     val_p,
 )
 from quaddyn.quadfield import QuadElem
@@ -101,7 +100,6 @@ def test_lambda_series_heads_and_tails():
 
 
 def test_truncation_margin():
-    assert truncation_margin_ok()
     assert all(k - 4 * _ord2(k) >= 24 for k in range(33, 47))
     assert required_degree(6) == 32
 

@@ -1,9 +1,13 @@
-"""Differential tests for the two fast paths of the per-disk certification.
+"""Differential tests for the fast paths of the annihilators and the
+per-disk certification.
 
-certify_disk lifts common zeros one bit at a time; its oracle scans all
-4^prec residue pairs with one pow per term.  _lambda_bivariate substitutes
-t = (1+i)(T+Ui) on integers mod 2^prec; its oracle expands the powers of
-L = (1+i)T + (i-1)U with exact Fractions and reduces the sums at the end.
+annihilator_solve takes the first hit of a lexicographic search on each
+support; its oracle lists all 4^bits vectors of the solution module and picks
+the least supported ones.  certify_disk lifts common zeros one bit at a time;
+its oracle scans all 4^prec residue pairs with one pow per term.
+_lambda_bivariate substitutes t = (1+i)(T+Ui) on integers mod 2^prec; its
+oracle expands the powers of L = (1+i)T + (i-1)U with exact Fractions and
+reduces the sums at the end.
 """
 
 import tempfile
@@ -19,11 +23,14 @@ from quaddyn.chabauty import (
     CLASS_PREC,
     BiTruncSeries,
     DiskCertificate,
+    GaussAdic,
     TruncSeries,
     _lambda_bivariate,
+    annihilator_solve,
     certify_disk,
     disk_differentials,
     integrate,
+    lambda_stage,
     required_degree,
 )
 
@@ -35,6 +42,57 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quaddyn-hypothesis")
 
 
 # --- oracles ------------------------------------------------------------------
+
+
+def _ord2_or_inf(x: int) -> int:
+    return 999 if x == 0 else (x & -x).bit_length() - 1
+
+
+def _annihilator_oracle(values: dict, prec: int) -> tuple:
+    """The least Re- and Im-supported vectors of a listing of the whole
+    solution module, built from a kernel basis of the content-reduced rows."""
+    rows = [(values[(1, j)].re, values[(1, j)].im, values[(2, j)].re, values[(2, j)].im)
+            for j in (1, 2)]
+    contents = [min(_ord2_or_inf(x) for x in row) for row in rows]
+    bits = prec - max(1, *contents)
+    if bits < 2:
+        raise RuntimeError("degenerate annihilator rows; data or precision failure")
+    m = 1 << bits
+    r1, r2 = [[(x >> a) % m for x in row] for row, a in zip(rows, contents)]
+    piv1 = next((k for k in range(4) if r1[k] % 2), None)
+    if piv1 is None:
+        raise RuntimeError("no unit pivot in the annihilator system")
+    factor = r2[piv1] * pow(r1[piv1], -1, m) % m
+    r2 = [(r2[k] - factor * r1[k]) % m for k in range(4)]
+    piv2 = next((k for k in range(4) if k != piv1 and r2[k] % 2), None)
+    if piv2 is None:
+        raise RuntimeError("annihilator system does not have rank 2 with unit pivots")
+    basis = []
+    for fk in (k for k in range(4) if k not in (piv1, piv2)):
+        vec = [0, 0, 0, 0]
+        vec[fk] = 1
+        vec[piv2] = -r2[fk] * pow(r2[piv2], -1, m) % m
+        vec[piv1] = -(r1[fk] + r1[piv2] * vec[piv2]) * pow(r1[piv1], -1, m) % m
+        basis.append(vec)
+    module = {tuple((a * basis[0][k] + b * basis[1][k]) % m for k in range(4))
+              for a in range(m) for b in range(m)}
+    assert len(module) == m * m
+    gens = []
+    for support in ((0, 2), (1, 3)):
+        keyed = [(tuple(vec[k] for k in support), vec) for vec in module
+                 if not any(vec[k] for k in range(4) if k not in support)
+                 and any(vec[k] % 2 for k in support)]
+        if not keyed:
+            raise RuntimeError("annihilator module does not split into Re/Im generators")
+        gens.append(min(keyed)[1])
+    return tuple(gens)
+
+
+def _outcome(solve, values: dict, prec: int):
+    try:
+        return solve(values, prec)
+    except RuntimeError as err:
+        return str(err)
 
 
 def _eval_oracle(terms: dict, prec: int, t: int, u: int) -> int:
@@ -101,6 +159,43 @@ def _lambda_bivariate_oracle(lam: TruncSeries, prec: int):
                 raise ValueError("non-integral coefficient after substitution")
             out[key] = q.numerator * pow(q.denominator, -1, m) % m
     return tuple(BiTruncSeries(out, prec, lam.cap) for out in parts)
+
+
+# --- annihilator_solve against the module listing --------------------------------
+
+
+@st.composite
+def row_pairs(draw):
+    """Lambda values at prec 2..8 whose two rows have 2-power contents 0..2.
+    Half of them are built to vanish on (x0, 0, y0, 0) and (0, x1, 0, y1),
+    so that the search has a hit on each support."""
+    prec = draw(st.integers(2, 8))
+    entry = st.integers(0, (1 << prec) - 1)
+    x0, y0, x1, y1 = (draw(entry) for _ in range(4))
+    split = draw(st.booleans())
+    values = {}
+    for j in (1, 2):
+        if split:
+            a, b = draw(entry), draw(entry)
+            row = [a * y0, b * y1, -a * x0, -b * x1]
+        else:
+            row = [draw(entry) for _ in range(4)]
+        scale = 1 << draw(st.integers(0, 2))
+        values[(1, j)] = GaussAdic(scale * row[0], scale * row[1], prec)
+        values[(2, j)] = GaussAdic(scale * row[2], scale * row[3], prec)
+    return values, prec
+
+
+@DETERMINISTIC
+@given(row_pairs())
+def test_annihilator_search_equals_the_module_listing(case):
+    assert _outcome(annihilator_solve, *case) == _outcome(_annihilator_oracle, *case)
+
+
+@pytest.mark.parametrize("prec", range(3, 12))
+def test_annihilator_search_equals_the_module_listing_on_the_pipeline(prec):
+    values = lambda_stage(prec)[0]
+    assert annihilator_solve(values, prec) == _annihilator_oracle(values, prec)
 
 
 # --- certify_disk against the scan ----------------------------------------------

@@ -104,6 +104,8 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     (("dynatomic", "--n", "2", "--d", "1000000000001", "--c", "1"), "error: |d| must be at most 10^12"),
     (("dynatomic", "--n", "2", "--d", "-1000000000001"), "error: |d| must be at most 10^12"),
     (("chabauty", "--prec", "13"), "error: prec must be <= 12, got 13"),
+    (("curve", "E17", "structure", "--p", "1000000000000000003"),
+     "error: field too large for full group enumeration"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -119,6 +121,17 @@ def test_chabauty_at_prec_10(capsys):
     for disk, classes in expected.items():
         assert record["disks"][disk]["solution_classes"] == classes
         assert record["disks"][disk]["series_precision_bits"] == 9
+
+
+def test_chabauty_at_prec_12(capsys):
+    code, out, _ = run(capsys, "chabauty", "--prec", "12", "--json")
+    record = json.loads(out)
+    assert code == 0 and record["verdict"] is True
+    assert record["annihilators"] == [[2, 0, 647, 0], [0, 1, 0, 1901]]
+    expected = {"P0": [[0, 0], [6, 2]], "P2": [[0, 0], [5, 3]], "P4": [[0, 0]]}
+    for disk, classes in expected.items():
+        assert record["disks"][disk]["solution_classes"] == classes
+        assert record["disks"][disk]["series_precision_bits"] == 11
 
 
 @pytest.mark.parametrize("d, c, label", [
