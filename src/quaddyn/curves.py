@@ -2,10 +2,17 @@
 
 Curves come in two shapes: y^2 = f(x) (odd characteristic work) and
 y^2 + h(x)y = g(x) (needed for good reduction at 2); Weierstrass curves are
-y^2 + hy = g models.  One enumerator gives every F_q point count and point
-list, from a table of square roots at odd p; Jacobian orders follow from
-the zeta relations, and elliptic group structures from chord-tangent
-addition over the full (small) group.
+y^2 + hy = g models.  Finite fields are plain integers: F_p as ints mod p,
+F_{p^2} as pairs a0 + a1 t with t^2 = n (n the smallest non-residue) at odd
+p and t^2 = t + 1 at p = 2.  One enumerator gives every F_q point count: at
+odd p each x carries 1 + chi(F(x)) points of (2y + h)^2 = F(x), where the
+quadratic character chi of F_{p^2} is that of the norm in F_p, so a count
+needs only a table of squares mod p; point lists (structures only) use a
+table of square roots over F_q.  Jacobian orders follow from the zeta
+relations.  An elliptic group structure Z/n1 x Z/n2 is read from Sylow
+subgroups: n1 | q - 1 by the Weil pairing, so only a prime ell | q - 1 with
+ell^2 | #E(F_q) can divide n1, and its share is found from the exponent of
+the ell-Sylow subgroup, built as a set.
 
 The named curve models live in data/curves.json together with their
 c-parametrizations; load_registry() deserializes them.
@@ -21,7 +28,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .factor import _add, _deriv, _gcd, _mul, factor_rational, roots_in_quadfield
-from .finitefield import FiniteField, reduce_fraction
+from .finitefield import is_prime, reduce_fraction, smallest_nonresidue
 from .polys import QQ, UniPoly
 from .quadfield import QuadElem, fraction_sqrt
 
@@ -132,62 +139,137 @@ def _smooth_mod_2(curve: HypCurve) -> bool:
     return True
 
 
-def _reduced(poly: UniPoly, field: FiniteField) -> list:
-    """Coefficients of poly in field, leading one first; [0] for the zero polynomial."""
-    return [field.from_fraction(c) for c in reversed(poly.coeffs)] or [field.zero()]
+class _Fq:
+    """F_p on ints in [0, p) (deg 1), or F_{p^2} on pairs (a0, a1) = a0 + a1 t (deg 2).
 
+    t^2 = m1 t + m0: t^2 = nr, the smallest quadratic non-residue, at odd p,
+    and t^2 = t + 1 at p = 2.
+    """
 
-def _horner(coeffs: list, x):
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
+    def __init__(self, p: int, deg: int):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if deg not in (1, 2):
+            raise ValueError("deg must be 1 or 2")
+        self.p, self.deg = p, deg
+        self.m0 = self.m1 = 0
+        if deg == 2:
+            self.m0, self.m1 = (1, 1) if p == 2 else (smallest_nonresidue(p), 0)
+        self.zero = 0 if deg == 1 else (0, 0)
+
+    def of(self, x):
+        r = reduce_fraction(x, self.p)
+        return r if self.deg == 1 else (r, 0)
+
+    def elements(self):
+        p = self.p
+        return range(p) if self.deg == 1 else ((a0, a1) for a1 in range(p) for a0 in range(p))
+
+    def values(self, poly: UniPoly):
+        """poly(x) for each x of elements(), in that order (Horner's rule)."""
+        p = self.p
+        coeffs = [reduce_fraction(c, p) for c in reversed(poly.coeffs)]
+        if self.deg == 1:
+            for x in range(p):
+                v = 0
+                for c in coeffs:
+                    v = (v * x + c) % p
+                yield v
+            return
+        m0, m1 = self.m0, self.m1
+        for x0, x1 in self.elements():
+            v0 = v1 = 0
+            for c in coeffs:
+                hi = v1 * x1
+                v0, v1 = (v0 * x0 + m0 * hi + c) % p, (v0 * x1 + v1 * x0 + m1 * hi) % p
+            yield (v0, v1)
+
+    def norm(self, a) -> int:
+        """N(a) in F_p: a0^2 + m1 a0 a1 - m0 a1^2 at deg 2, a itself at deg 1.
+
+        At odd p a nonzero a is a square in F_q iff N(a) is one in F_p, and
+        N(a) = 0 only at a = 0.
+        """
+        if self.deg == 1:
+            return a
+        a0, a1 = a
+        return (a0 * a0 + self.m1 * a0 * a1 - self.m0 * a1 * a1) % self.p
+
+    def add(self, a, b):
+        p = self.p
+        return (a + b) % p if self.deg == 1 else ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+
+    def neg(self, a):
+        p = self.p
+        return -a % p if self.deg == 1 else (-a[0] % p, -a[1] % p)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p = self.p
+        if self.deg == 1:
+            return a * b % p
+        hi = a[1] * b[1]
+        return ((a[0] * b[0] + self.m0 * hi) % p, (a[0] * b[1] + a[1] * b[0] + self.m1 * hi) % p)
+
+    def inv(self, a):
+        """a^-1 = conj(a) / N(a), with conj(t) = m1 - t."""
+        p = self.p
+        if self.deg == 1:
+            return pow(a, -1, p)
+        n = pow(self.norm(a), -1, p)
+        return ((a[0] + self.m1 * a[1]) * n % p, -a[1] * n % p)
 
 
 def _enumerate(curve: HypCurve, p: int, deg: int, points: list | None = None) -> int:
     """#X(F_q), q = p^deg, of y^2 + s(x) y = r(x): (s, r) = (h, g), or (0, f).
 
-    At odd p, (2y + s)^2 = F(x) with F = s^2 + 4r, so the y over each x come
-    from one table of square roots, looked up at F(x); at p = 2 they are
-    scanned.  The points at infinity are those of the chart
+    At odd p, (2y + s)^2 = F(x) with F = s^2 + 4r, so x carries as many
+    points as F(x) has square roots in F_q: the count of square roots of
+    N(F(x)) in F_p, read from a table of size p.  At p = 2 the fibres over
+    F_2 or F_4 are scanned.  The points at infinity are those of the chart
     v^2 + s_n v = r_2n with n = genus + 1.  When points is a list, the
-    affine points (x, y) are appended to it.
+    affine points (x, y) are appended to it; at odd p they come from a table
+    of the square roots in F_q.
     """
     q = p**deg
     if q > Q_LIMIT:
         raise ValueError(f"q = {q} exceeds the enumeration limit")
-    field = FiniteField(p, deg)  # rejects a non-prime p before the reduction test
+    field = _Fq(p, deg)  # rejects a non-prime p before the reduction test
     if not _good_reduction(curve, p):
         raise ValueError(f"{curve!r} has bad reduction at {p}")
     n = curve.genus() + 1
-    s = _reduced(curve.h if curve.has_h_model() else UniPoly(QQ, ()), field)
-    elems = list(field.elements())
+    s = curve.h if curve.has_h_model() else UniPoly(QQ, ())
     if p == 2:  # an f-model has bad reduction at 2, so r = g
+        add, mul, elems = field.add, field.mul, list(field.elements())
 
         def fibre(sx, rx):
-            return [y for y in elems if y * y + sx * y == rx]
+            return [y for y in elems if mul(y, add(y, sx)) == rx]
 
-        r = _reduced(curve.g, field)
-        sn, r2n = (field.from_fraction(c) for c in (curve.h.coeff(n), curve.g.coeff(2 * n)))
-        total = len(fibre(sn, r2n))
-        for x in elems:
-            ys = fibre(_horner(s, x), _horner(r, x))
+        total = len(fibre(field.of(curve.h.coeff(n)), field.of(curve.g.coeff(2 * n))))
+        for x, sx, rx in zip(elems, field.values(s), field.values(curve.g)):
+            ys = fibre(sx, rx)
             total += len(ys)
             if points is not None:
                 points.extend((x, y) for y in ys)
         return total
-    roots: dict = {}
-    for t in elems:
-        roots.setdefault((t * t).coords, []).append(t)
     F = curve.completed_square()
-    total = len(roots.get(field.from_fraction(F.coeff(2 * n)).coords, ()))
-    Fq, half = _reduced(F, field), field((p + 1) // 2)
-    for x in elems:
-        ts = roots.get(_horner(Fq, x).coords, ())
+    fx = field.values(F)
+    roots_mod_p = [0] * p
+    for t in range(p):
+        roots_mod_p[t * t % p] += 1
+    total = roots_mod_p[field.norm(field.of(F.coeff(2 * n)))]
+    if points is None:
+        return total + sum(roots_mod_p[field.norm(v)] for v in fx)
+    roots: dict = {}
+    for t in field.elements():
+        roots.setdefault(field.mul(t, t), []).append(t)
+    half = field.of(Fraction(1, 2))
+    for x, v, sx in zip(field.elements(), fx, field.values(s)):
+        ts = roots.get(v, ())
         total += len(ts)
-        if points is not None and ts:
-            sx = _horner(s, x)
-            points.extend((x, (t - sx) * half) for t in ts)
+        points.extend((x, field.mul(field.sub(t, sx), half)) for t in ts)
     return total
 
 
@@ -227,34 +309,37 @@ def jacobian_orders(curve: HypCurve, p: int) -> tuple[int, int]:
 _INF = "O"
 
 
-def _ec_add(curve_a: tuple, P, Q):
-    a1, a2, a3, a4, a6 = curve_a
+def _ec_add(field: _Fq, curve_a: tuple, P, Q):
+    """P + Q on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over field."""
     if P is _INF:
         return Q
     if Q is _INF:
         return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2 and y2 == -y1 - a1 * x1 - a3:
-        return _INF
-    if P == Q:
-        den = y1 + y1 + a1 * x1 + a3
-        lam = (x1 * x1 * 3 + a2 * x1 * 2 + a4 - a1 * y1) / den
-        nu = (-(x1 * x1 * x1) + a4 * x1 + a6 * 2 - a3 * y1) / den
+    a1, a2, a3, a4, a6 = curve_a
+    add, sub, mul = field.add, field.sub, field.mul
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:  # Q = P or Q = -P, and y1 + y2 = -a1 x1 - a3 exactly when Q = -P
+        den = add(add(y1, y2), add(mul(a1, x1), a3))
+        if den == field.zero:
+            return _INF
+        # the tangent: (3 x1^2 + 2 a2 x1 + a4 - a1 y1) / (2 y1 + a1 x1 + a3)
+        num = sub(add(mul(x1, add(add(x1, add(x1, x1)), add(a2, a2))), a4), mul(a1, y1))
     else:
-        lam = (y2 - y1) / (x2 - x1)
-        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
+        num, den = sub(y2, y1), sub(x2, x1)
+    lam = mul(num, field.inv(den))
+    lam_a1 = add(lam, a1)
+    x3 = sub(mul(lam, lam_a1), add(add(a2, x1), x2))
+    # y3 = -(lam + a1) x3 - nu - a3, with nu = y1 - lam x1
+    y3 = field.neg(add(add(mul(lam_a1, x3), sub(y1, mul(lam, x1))), a3))
     return (x3, y3)
 
 
-def _ec_mul(curve_a: tuple, k: int, P):
+def _ec_mul(field: _Fq, curve_a: tuple, k: int, P):
     out, base = _INF, P
     while k:
         if k & 1:
-            out = _ec_add(curve_a, out, base)
-        base = _ec_add(curve_a, base, base)
+            out = _ec_add(field, curve_a, out, base)
+        base = _ec_add(field, curve_a, base, base)
         k >>= 1
     return out
 
@@ -271,26 +356,55 @@ def _factorize(n: int) -> dict:
     return out
 
 
+def _sylow_exponent(field: _Fq, curve_a: tuple, points: list, m: int, ell: int, size: int) -> int:
+    """Exponent of the ell-Sylow subgroup S = m E(F_q), of order size.
+
+    S is grown as a set from the images m P of the points: each image not yet
+    in S adds whole cosets S + kQ of itself.  The exponent of S is the
+    largest order among the images that were added.
+    """
+    group, exponent = {_INF}, 1
+    for P in points:
+        if len(group) == size:
+            break
+        Q = _ec_mul(field, curve_a, m, P)
+        if Q in group:
+            continue
+        order, R = ell, _ec_mul(field, curve_a, ell, Q)
+        while R is not _INF:
+            order, R = order * ell, _ec_mul(field, curve_a, ell, R)
+        exponent = max(exponent, order)
+        grown, kQ = set(group), Q
+        while kQ not in group:
+            grown.update(_ec_add(field, curve_a, kQ, g) for g in group)
+            kQ = _ec_add(field, curve_a, kQ, Q)
+        group = grown
+    assert len(group) == size, "Sylow subgroup of the wrong order (bug)"
+    return exponent
+
+
 def elliptic_group_structure(curve: WeierstrassCurve, p: int, deg: int = 1) -> tuple[int, int]:
-    """Invariant factors (n1, n2), n1 | n2, of E(F_{p^deg})."""
-    # before FiniteField, whose primality test trial-divides up to sqrt(p)
+    """Invariant factors (n1, n2), n1 | n2, of E(F_q), q = p^deg.
+
+    The Weil pairing gives n1 | q - 1.  So for each prime ell with
+    ell^v || n = #E(F_q), n1's ell-part is 1 unless v >= 2 and ell | q - 1;
+    then it is ell^v / exp(S) for the ell-Sylow subgroup S.
+    """
+    # before _Fq, whose primality test trial-divides up to sqrt(p)
     if deg in (1, 2) and p**deg > 10**5:
         raise ValueError("field too large for full group enumeration")
-    field = FiniteField(p, deg)
-    pts: list = []
-    n = _enumerate(curve, p, deg, pts)
-    curve_a = tuple(field.from_fraction(v) for v in curve.a)
-    primes = _factorize(n)
-    exponent = 1
-    for P in pts:
-        order = n
-        for q in primes:
-            while order % q == 0 and _ec_mul(curve_a, order // q, P) is _INF:
-                order //= q
-        exponent = exponent * order // math.gcd(exponent, order)
-        if exponent == n:
-            break
-    n1 = n // exponent
+    field = _Fq(p, deg)
+    n = _enumerate(curve, p, deg)
+    sylow = {ell: v for ell, v in _factorize(n).items() if v >= 2 and (p**deg - 1) % ell == 0}
+    n1 = 1
+    if sylow:
+        pts: list = []
+        _enumerate(curve, p, deg, pts)
+        curve_a = tuple(field.of(v) for v in curve.a)
+        for ell, v in sylow.items():
+            size = ell**v
+            n1 *= size // _sylow_exponent(field, curve_a, pts, n // size, ell, size)
+    exponent = n // n1
     assert exponent % n1 == 0, "group is not of rank <= 2 (bug)"
     return (n1, exponent)
 

@@ -352,64 +352,3 @@ def order3_certify(model: JacModel, t, n) -> bool:
         if not D.is_zero() and (3 * D).is_zero():
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# brute-force class enumeration over small finite fields (test oracle)
-# ---------------------------------------------------------------------------
-
-
-def jacobian_order_enumerated(f_or_gh, field) -> int:
-    """#J(F_q) by enumerating Mumford normal forms over F_q (oracle for zeta).
-
-    Accepts either a sextic f (odd characteristic) or a pair (g, h) for
-    y^2 + h y = g (characteristic 2).  Requires both infinite points to be
-    F_q-rational and, in characteristic 2, no F_q-rational fixed point of
-    the involution (true for the pipeline's curve; asserted).
-    """
-    from .polys import FFRing
-
-    ring = FFRing(field)
-    if isinstance(f_or_gh, tuple):
-        g, h = f_or_gh
-        gq = UniPoly(ring, [field.from_fraction(c) for c in g.coeffs])
-        hq = UniPoly(ring, [field.from_fraction(c) for c in h.coeffs])
-
-        def norm_poly(v):
-            return v * v + hq * v - gq
-
-        if field.p == 2:
-            for x in field.elements():
-                assert not hq.eval(x).is_zero(), "involution-fixed point over F_q"
-        h3 = field.from_fraction(h.coeff(3))
-        g6 = field.from_fraction(g.coeff(6))
-        inf_roots = [v for v in field.elements() if (v * v + h3 * v - g6).is_zero()]
-        affine = sum(
-            1
-            for x in field.elements()
-            for y in field.elements()
-            if (y * y + hq.eval(x) * y - gq.eval(x)).is_zero()
-        )
-    else:
-        fq = UniPoly(ring, [field.from_fraction(c) for c in f_or_gh.coeffs])
-
-        def norm_poly(v):
-            return v * v - fq
-
-        lc = fq.lc()
-        inf_roots = [v for v in field.elements() if v * v == lc]
-        affine = sum(
-            1 for x in field.elements() for y in field.elements() if (y * y - fq.eval(x)).is_zero()
-        )
-    assert len(inf_roots) == 2, "infinite points must be rational for this count"
-    X = UniPoly.gen(ring)
-    count2 = 0
-    for a0 in field.elements():
-        for a1 in field.elements():
-            u = X * X + UniPoly.const(ring, a1) * X + UniPoly.const(ring, a0)
-            for b0 in field.elements():
-                for b1 in field.elements():
-                    v = UniPoly.const(ring, b1) * X + UniPoly.const(ring, b0)
-                    if norm_poly(v).divrem(u)[1].is_zero():
-                        count2 += 1
-    return count2 + 2 * affine + 3

@@ -1,9 +1,9 @@
 """Dense univariate polynomials over pluggable exact coefficient rings.
 
-Supported rings: Q (fractions.Fraction), Q(sqrt(d)) (QuadElem), F_p / F_{p^2}
-(FFElem), and Q[c] (UniPoly over Q, for symbolic dynatomic work).  A ring
-handle supplies zero, one, of(int) and inv(); the elements themselves carry
-the arithmetic through operator overloading.
+Supported rings: Q (fractions.Fraction), Q(sqrt(d)) (QuadElem), and Q[c]
+(UniPoly over Q, for symbolic dynatomic work).  A ring handle supplies zero,
+one, of(int) and inv(); the elements themselves carry the arithmetic through
+operator overloading.
 
 Polynomials are immutable.  The zero polynomial has an empty coefficient
 tuple; trailing zero coefficients are always stripped, so degree == len - 1.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .finitefield import FiniteField
 from .quadfield import QuadElem
 
 
@@ -69,30 +68,6 @@ class QuadField:
 
     def __repr__(self):
         return f"Q(sqrt({self.d}))"
-
-
-class FFRing:
-    is_field = True
-
-    def __init__(self, field: FiniteField):
-        self.field = field
-        self.zero = field.zero()
-        self.one = field.one()
-
-    def of(self, n):
-        return self.field(n)
-
-    def inv(self, x):
-        return x.inverse()
-
-    def __eq__(self, other):
-        return isinstance(other, FFRing) and self.field == other.field
-
-    def __hash__(self):
-        return hash(("FF", self.field.p, self.field.deg))
-
-    def __repr__(self):
-        return repr(self.field)
 
 
 class PolyRing:

@@ -18,9 +18,9 @@ from quaddyn.curves import (
 )
 from quaddyn.dynatomic import dn_rn, dynatomic, gen_dynatomic, verify_factorizations
 from quaddyn.factor import factor_rational, roots_in_quadfield
-from quaddyn.finitefield import FiniteField
+from ff_oracle import FiniteField, jacobian_order_enumerated
 from quaddyn.graphcat import canonical_code, classify
-from quaddyn.jacobian import JacModel, jacobian_order_enumerated, order3_certify, point_order, rebase_at
+from quaddyn.jacobian import JacModel, order3_certify, point_order, rebase_at
 from quaddyn.orbit import build_graph, cycle_structure
 from quaddyn.polys import QQ, PolyRing, QuadField, UniPoly
 from quaddyn.quadfield import QuadElem, parse_elem, quad_sqrt

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,14 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     (("chabauty", "--prec", "13"), "error: prec must be <= 12, got 13"),
     (("curve", "E17", "structure", "--p", "1000000000000000003"),
      "error: field too large for full group enumeration"),
+    (("dynatomic", "--n", "6", "--m", "3"),
+     "error: output degree d_n 2^(m-1) = 54*2^2 exceeds 108 for the symbolic form"),
+    (("dynatomic", "--n", "2", "--m", "7"),
+     "error: output degree d_n 2^(m-1) = 2*2^6 exceeds 108 for the symbolic form"),
+    (("dynatomic", "--n", "6", "--m", "5", "--c", "1/3+i"),
+     "error: output degree d_n 2^(m-1) = 54*2^4 exceeds 432 for the specialized form"),
+    (("dynatomic", "--n", "1", "--m", "1000000000000"),
+     "error: output degree d_n 2^(m-1) = 2*2^999999999999 exceeds 108 for the symbolic form"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -225,6 +234,23 @@ def test_curve_unknown_name(capsys):
 def test_curve_structure_needs_weierstrass(capsys):
     code, _, err = run(capsys, "curve", "X0_5", "structure")
     assert code == 1 and "Weierstrass" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("curve", "X1_4", "count", "--p", "97", "--deg", "2"), {"count": 9790}),
+    (("curve", "X0_5", "jacobian", "--p", "97"), {"order_p": 10957, "order_p2": 89989841}),
+    (("curve", "X1_1_3", "torsion-bound", "--primes", "29,31,37", "--deg", "2"), {"bound": 63}),
+    (("curve", "E40", "structure", "--p", "101", "--deg", "2"), {"structure": [24, 432]}),
+    (("curve", "E40", "structure", "--p", "307", "--deg", "2"), {"structure": [4, 23700]}),
+])
+def test_curve_results_at_large_q(capsys, argv, expected):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--json")
+    record = json.loads(out)
+    assert code == 0 and err == ""
+    assert {key: record[key] for key in expected} == expected
+    # q = 94,249 for the last row; a scan over the orders of all points took over 300 s
+    assert time.perf_counter() - start < 60
 
 
 def test_survey_small(capsys):

@@ -17,8 +17,7 @@ from quaddyn.curves import (
     torsion_bound,
     weierstrass_and_2torsion,
 )
-from quaddyn.finitefield import FiniteField
-from quaddyn.jacobian import jacobian_order_enumerated
+from ff_oracle import FiniteField, jacobian_order_enumerated
 from quaddyn.polys import QQ, UniPoly
 from quaddyn.quadfield import QuadElem
 

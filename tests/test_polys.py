@@ -7,7 +7,6 @@ from quaddyn.curves import get_curve
 from quaddyn.polys import (
     QQ,
     ExactnessError,
-    FFRing,
     PolyRing,
     QuadField,
     UniPoly,
@@ -15,7 +14,7 @@ from quaddyn.polys import (
     poly_from_json,
     poly_to_json,
 )
-from quaddyn.finitefield import FiniteField
+from ff_oracle import FFRing, FiniteField
 from quaddyn.quadfield import QuadElem
 
 F = Fraction

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quaddyn.finitefield import FiniteField, reduce_quad
+from ff_oracle import FiniteField, reduce_quad
 from quaddyn.quadfield import (
     QuadElem,
     format_elem,
