@@ -5,7 +5,8 @@ Pipeline, in the order the pieces feed each other:
   1. expand_differentials: power series of the two regular differentials at
      the base point (0,0) of the good-reduction model y^2 + h y = g, with
      integer coefficients to degree 32 (terms beyond degree 32 vanish mod
-     2^6 on the residue disk: k - 4 ord_2(k) >= 24 for 33 <= k <= 46).
+     2^6 on the residue disk: k - 4 ord_2(k) >= 24 for 33 <= k <= 46),
+     computed on ints by a coefficient recurrence for y and 1/(2y + h).
   2. integrate: termwise antiderivatives lambda_1, lambda_2.
   3. kernel_generators: exact divisor classes E1 = D2, E2 = 19 D3 - 9 D2
      generating the kernel of reduction mod (1+i), with their rebased
@@ -49,8 +50,8 @@ LAMBDA_PREC = 6
 DISK_PREC = 5
 CLASS_PREC = 3
 # upper bound on the working precision; cold `chabauty --prec` runs take about
-# 0.6/0.9/1.2 s at 10/11/12 (2-vCPU x86-64, Python 3.11), and the part that
-# grows with prec is the Fraction Newton series in disk_differentials
+# 0.42/0.45/0.46 s at 10/11/12 (2-vCPU x86-64, Python 3.11), and the part that
+# grows fastest with prec is annihilator_solve's lexicographic search
 PREC_LIMIT = 12
 
 
@@ -189,7 +190,11 @@ def val_p(x: QuadElem) -> int:
 
 
 class TruncSeries:
-    """Dense power series over Q, truncated beyond a degree cap."""
+    """Dense power series over Q, truncated beyond a degree cap.
+
+    A container only: the differentials are computed on int lists and the
+    integrals termwise, so no series arithmetic is needed here.
+    """
 
     __slots__ = ("coeffs", "cap")
 
@@ -201,44 +206,6 @@ class TruncSeries:
 
     def __setattr__(self, *args):
         raise AttributeError("TruncSeries is immutable")
-
-    def __add__(self, other):
-        assert self.cap == other.cap
-        return TruncSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.cap)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.cap)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        assert self.cap == other.cap
-        out = [Fraction(0)] * (self.cap + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, self.cap + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncSeries(out, self.cap)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "TruncSeries":
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            raise ZeroDivisionError("series has no inverse (zero constant term)")
-        out = [Fraction(1) / a0]
-        for n in range(1, self.cap + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                acc += self.coeffs[k] * out[n - k]
-            out.append(-acc / a0)
-        return TruncSeries(out, self.cap)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -274,17 +241,43 @@ def _shift_poly(poly: UniPoly, a: Fraction) -> UniPoly:
     return poly.compose(x + UniPoly.const(QQ, Fraction(a)))
 
 
-def _solve_y_series(gs: TruncSeries, hs: TruncSeries, y0: Fraction, cap: int) -> TruncSeries:
-    """The branch of y^2 + h y = g through y(0) = y0, by series Newton iteration."""
-    y = TruncSeries([y0], cap)
-    for _ in range(cap.bit_length() + 2):
-        resid = y * y + hs * y - gs
-        if resid.is_zero():
-            break
-        deriv = y + y + hs
-        y = y - resid * deriv.inverse()
-    assert (y * y + hs * y - gs).is_zero(), "series Newton did not converge"
-    return y
+def _integer_coeffs(coeffs, cap: int) -> list[int]:
+    """The coefficients of degree <= cap as ints, padded with zeros."""
+    out = [0] * (cap + 1)
+    for k, c in enumerate(coeffs[: cap + 1]):
+        c = Fraction(c)
+        if c.denominator != 1:
+            raise ValueError(f"curve coefficient {c} is not an integer")
+        out[k] = c.numerator
+    return out
+
+
+def _branch_series(g, h, y0: int, cap: int) -> tuple[list[int], list[int]]:
+    """The branch y of y^2 + h y = g through y(0) = y0, and 1/(2y + h), to t^cap.
+
+    Degree n >= 1 of the equation reads, with u = 2 y0 + h_0,
+        u y_n = g_n - sum_{k=1}^{n-1} y_k y_{n-k} - sum_{k=1}^{n} h_k y_{n-k}.
+    For u = +-1, u^-1 = u, so both series are integer lists computed
+    coefficient by coefficient.
+    """
+    g, h = _integer_coeffs(g, cap), _integer_coeffs(h, cap)
+    if y0 * y0 + h[0] * y0 != g[0]:
+        raise ValueError(f"y(0) = {y0} is not on the curve at t = 0")
+    u = 2 * y0 + h[0]
+    if u not in (1, -1):
+        raise ValueError(f"2 y(0) + h(0) = {u} is not a unit of Z")
+    y = [y0]
+    for n in range(1, cap + 1):
+        acc = g[n] - sum(y[k] * y[n - k] for k in range(1, n))
+        y.append(u * (acc - sum(h[k] * y[n - k] for k in range(1, n + 1))))
+    for n in range(cap + 1):
+        resid = sum((y[k] + h[k]) * y[n - k] for k in range(n + 1)) - g[n]
+        assert resid == 0, "y^2 + h y - g is not 0 mod t^(cap+1)"
+    s = [2 * a + b for a, b in zip(y, h)]
+    inv = [u]
+    for n in range(1, cap + 1):
+        inv.append(-u * sum(s[k] * inv[n - k] for k in range(1, n + 1)))
+    return y, inv
 
 
 def expand_differentials(deg: int = SERIES_DEGREE) -> tuple[TruncSeries, TruncSeries]:
@@ -304,26 +297,21 @@ def disk_differentials(disk: str, deg: int = SERIES_DEGREE) -> tuple[TruncSeries
     g, h = entry.curve.g, entry.curve.h
     if disk in ("P0", "P2"):
         shift, y0 = (0, 0) if disk == "P0" else (-3, -15)
-        gs = TruncSeries.from_poly(_shift_poly(g, shift), deg)
-        hs = TruncSeries.from_poly(_shift_poly(h, shift), deg)
-        y = _solve_y_series(gs, hs, Fraction(y0), deg)
-        omega1 = (y + y + hs).inverse()
-        omega2 = TruncSeries([shift, 1], deg) * omega1
+        gs, hs = (_shift_poly(poly, shift).coeffs for poly in (g, h))
+        omega1 = _branch_series(gs, hs, y0, deg)[1]
+        # omega_2 = x omega_1 = (shift + t) omega_1
+        omega2 = [shift * a + b for a, b in zip(omega1, [0] + omega1)]
     elif disk == "P4":
         # u = 1/x, v = y/u^3 patch: v^2 + (u^3 h(1/u)) v = u^6 g(1/u)
-        ht = UniPoly(QQ, list(reversed([h.coeff(k) for k in range(4)])))
-        gt = UniPoly(QQ, list(reversed([g.coeff(k) for k in range(7)])))
-        hs = TruncSeries.from_poly(ht, deg)
-        gs = TruncSeries.from_poly(gt, deg)
-        v = _solve_y_series(gs, hs, Fraction(1), deg)  # v(0) = 1 picks inf+
-        base = (v + v + hs).inverse()
-        omega1 = -TruncSeries([0, 1], deg) * base
-        omega2 = -base
+        ht = [h.coeff(k) for k in reversed(range(4))]
+        gt = [g.coeff(k) for k in reversed(range(7))]
+        base = _branch_series(gt, ht, 1, deg)[1]  # v(0) = 1 picks inf+
+        omega1 = [0] + [-c for c in base[:-1]]  # -t base
+        omega2 = [-c for c in base]
     else:
         raise ValueError("disk must be one of P0, P2, P4")
-    for c in omega1.coeffs:
-        assert c.denominator == 1, "omega_1 coefficients are expected to be integers"
-    return omega1, omega2
+    assert all(isinstance(c, int) for c in omega1), "omega_1 coefficients are expected to be integers"
+    return TruncSeries(omega1, deg), TruncSeries(omega2, deg)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from chabauty_oracle import FractionSeries
 from quaddyn.chabauty import (
     GaussAdic,
     TruncSeries,
@@ -87,6 +88,35 @@ def test_omega_series_integer_coefficients():
     assert omega2.coeffs[0] == 0
 
 
+# first 8 and last 2 integer coefficients of (omega_1, omega_2) at degree
+# required_degree(12) = 64 on the disks at x = -3 and at infinity
+DISK_OMEGAS = {
+    "P2": (
+        ([-1, -12, -191, -3451, -65755, -1290296, -25802550, -522843081],
+         [-174287158137870359940798705170671369777616688641634764179314968401868904128442925811,
+          -3776117103203529364783364654340612158261138641614277262780395333378057722760233833764]),
+        ([3, 35, 561, 10162, 193814, 3805133, 76117354, 1542726693],
+         [514816221657251974680842935268293906067292932275142762504897165032202519404630698129,
+          11154064151472717734409295257851165105005799236201197024161871031732304264152258575481]),
+    ),
+    "P4": (
+        ([0, -1, 4, -13, 39, -111, 304, -808],
+         [-35546547956526629264405198014, 104214651095568399059639861699]),
+        ([-1, 4, -13, 39, -111, 304, -808, 2097],
+         [104214651095568399059639861699, -305569618031996888468600729678]),
+    ),
+}
+
+
+@pytest.mark.parametrize("disk", ["P2", "P4"])
+def test_disk_omegas_pinned(disk):
+    deg = required_degree(12)
+    assert deg == 64
+    for omega, (head, tail) in zip(disk_differentials(disk, deg), DISK_OMEGAS[disk]):
+        assert omega.cap == deg
+        assert list(omega.coeffs[:8]) == head and list(omega.coeffs[-2:]) == tail
+
+
 def test_lambda_series_heads_and_tails():
     omega1, omega2 = expand_differentials()
     lam1, lam2 = integrate(omega1), integrate(omega2)
@@ -113,7 +143,7 @@ def _ord2(k):
 
 
 def test_series_inverse():
-    s = TruncSeries([1, 2, 3], 8)
+    s = FractionSeries([1, 2, 3], 8)
     prod = s * s.inverse()
     assert prod.coeffs[0] == 1 and all(c == 0 for c in prod.coeffs[1:])
 

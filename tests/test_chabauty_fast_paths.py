@@ -1,5 +1,8 @@
-"""Differential tests for the fast paths of the annihilators and the
-per-disk certification.
+"""Differential tests for the fast paths of the differentials, the
+annihilators and the per-disk certification.
+
+disk_differentials solves y^2 + h y = g by a coefficient recurrence on ints;
+its oracle, in chabauty_oracle, runs series Newton iteration over Q.
 
 annihilator_solve takes the first hit of a lexicographic search on each
 support; its oracle lists all 4^bits vectors of the solution module and picks
@@ -19,12 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+import chabauty_oracle
 from quaddyn.chabauty import (
     CLASS_PREC,
     BiTruncSeries,
     DiskCertificate,
     GaussAdic,
     TruncSeries,
+    _branch_series,
     _lambda_bivariate,
     annihilator_solve,
     certify_disk,
@@ -281,3 +286,50 @@ def test_a_non_integral_term_raises_in_both(lam, data):
     for substitute in (_lambda_bivariate, _lambda_bivariate_oracle):
         with pytest.raises(ValueError, match="non-integral"):
             substitute(bad, 6)
+
+
+# --- disk_differentials against the Fraction Newton iteration --------------------
+
+
+@pytest.mark.parametrize("disk", ["P0", "P2", "P4"])
+def test_differentials_equal_the_fraction_oracle_on_the_disks(disk):
+    for deg in sorted({required_degree(prec) for prec in range(4, 17)}):
+        fast = disk_differentials(disk, deg)
+        slow = chabauty_oracle.disk_differentials(disk, deg)
+        assert [(s.coeffs, s.cap) for s in fast] == [(s.coeffs, s.cap) for s in slow]
+
+
+@st.composite
+def unit_branches(draw):
+    """(g, h, y0, cap) with deg g, deg h <= 8 and 2 y0 + h_0 = +-1."""
+    coeffs = st.lists(st.integers(-30, 30), min_size=8, max_size=8)
+    y0 = draw(st.integers(-20, 20))
+    h0 = draw(st.sampled_from([1, -1])) - 2 * y0
+    g = [y0 * y0 + h0 * y0] + draw(coeffs)
+    h = [h0] + draw(coeffs)
+    return g, h, y0, draw(st.integers(0, 24))
+
+
+@DETERMINISTIC
+@given(unit_branches())
+def test_recurrence_equals_the_newton_iteration(branch):
+    g, h, y0, cap = branch
+    y, inv = _branch_series(g, h, y0, cap)
+    y_slow, inv_slow = chabauty_oracle.branch_series(g, h, y0, cap)
+    assert y == list(y_slow.coeffs) and inv == list(inv_slow.coeffs)
+
+
+@pytest.mark.parametrize("g, h, y0, match", [
+    ([0, 1], [0, 1], 0, "not a unit"),  # 2 y0 + h0 = 0
+    ([2, 1], [1, 1], 1, "not a unit"),  # 2 y0 + h0 = 3
+    ([5, 1], [-1, 1], 1, "not on the curve"),
+    ([0, 1], [-1, Fraction(1, 2)], 0, "not an integer"),
+])
+def test_the_recurrence_refuses_what_it_cannot_solve_over_z(g, h, y0, match):
+    with pytest.raises(ValueError, match=match):
+        _branch_series(g, h, y0, 8)
+
+
+def test_an_unknown_disk_raises():
+    with pytest.raises(ValueError, match="disk must be one of"):
+        disk_differentials("P1", 32)
