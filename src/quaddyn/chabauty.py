@@ -210,10 +210,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    @staticmethod
-    def from_poly(poly: UniPoly, cap: int = SERIES_DEGREE) -> "TruncSeries":
-        return TruncSeries(list(poly.coeffs), cap)
-
 
 def integrate(series: TruncSeries) -> TruncSeries:
     """Termwise antiderivative with zero constant term (cap shifts by one)."""

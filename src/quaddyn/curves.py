@@ -28,7 +28,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .factor import _add, _deriv, _gcd, _mul, factor_rational, roots_in_quadfield
-from .finitefield import is_prime, reduce_fraction, smallest_nonresidue
+from .finitefield import factorize, is_prime, reduce_fraction, smallest_nonresidue
 from .polys import QQ, UniPoly
 from .quadfield import QuadElem, fraction_sqrt
 
@@ -344,18 +344,6 @@ def _ec_mul(field: _Fq, curve_a: tuple, k: int, P):
     return out
 
 
-def _factorize(n: int) -> dict:
-    out, p = {}, 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _sylow_exponent(field: _Fq, curve_a: tuple, points: list, m: int, ell: int, size: int) -> int:
     """Exponent of the ell-Sylow subgroup S = m E(F_q), of order size.
 
@@ -395,7 +383,7 @@ def elliptic_group_structure(curve: WeierstrassCurve, p: int, deg: int = 1) -> t
         raise ValueError("field too large for full group enumeration")
     field = _Fq(p, deg)
     n = _enumerate(curve, p, deg)
-    sylow = {ell: v for ell, v in _factorize(n).items() if v >= 2 and (p**deg - 1) % ell == 0}
+    sylow = {ell: v for ell, v in factorize(n).items() if v >= 2 and (p**deg - 1) % ell == 0}
     n1 = 1
     if sylow:
         pts: list = []

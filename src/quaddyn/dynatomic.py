@@ -13,6 +13,7 @@ import functools
 import math
 from fractions import Fraction
 
+from .finitefield import factorize
 from .polys import QQ, PolyRing, QuadField, UniPoly
 from .quadfield import QuadElem
 
@@ -25,17 +26,8 @@ def divisors(n: int) -> list[int]:
 
 
 def mobius(n: int) -> int:
-    mu, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1 if p == 2 else 2
-    if n > 1:
-        mu = -mu
-    return mu
+    exps = factorize(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 def dn_rn(n: int) -> tuple[int, int]:

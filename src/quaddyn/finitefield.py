@@ -1,9 +1,10 @@
-"""Integer arithmetic mod a prime p.
+"""Trial division, and integer arithmetic mod a prime p.
 
-Primality by trial division, the Legendre symbol, the smallest quadratic
-non-residue (which fixes the model F_p[t]/(t^2 - n) of F_{p^2} used by the
-curve layer), square roots mod p, and the reduction of a rational mod p.
-Elements are plain ints in [0, p).
+Factorization and primality by trial division (the one factoring loop of the
+package), the Legendre symbol, the smallest quadratic non-residue (which
+fixes the model F_p[t]/(t^2 - n) of F_{p^2} used by the curve layer), square
+roots mod p, and the reduction of a rational mod p.  Elements are plain ints
+in [0, p).
 """
 
 from __future__ import annotations
@@ -11,19 +12,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def trial_factor(n: int, bound: int | None = None) -> tuple[dict, int]:
+    """({p: e}, rest) with n = rest * prod p^e, by trial division below bound.
+
+    rest is 1 unless a cofactor of at least bound^2 is left: it has no prime
+    factor below bound, but trial division does not prove it prime.
+    """
+    out, p = {}, 2
+    while p * p <= n and (bound is None or p < bound):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if bound is not None and n >= bound * bound:
+        return out, n
+    if n > 1:
+        out[n] = 1
+    return out, 1
+
+
+def factorize(n: int) -> dict:
+    """{p: e} with n = prod p^e, for n >= 1."""
+    return trial_factor(n)[0]
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def legendre(a: int, p: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .orbit import PreperGraph, build_graph, cycle_structure
+from .orbit import PreperGraph, build_graph, cycle_structure, portraits_of
 from .quadfield import D_LIMIT, format_elem
 
 
@@ -40,40 +40,21 @@ def _min_rotation(seq: list[str]) -> tuple[str, ...]:
 def canonical_code(graph) -> str:
     """Label-free canonical encoding; equal codes iff isomorphic digraphs."""
     if isinstance(graph, PreperGraph):
-        succ = graph.succ
+        succ, portraits = graph.succ, graph.portraits
     else:
         succ = dict(graph)
-    vertices = set(succ)
-    if any(succ[v] not in vertices for v in vertices):
-        raise ValueError("not a functional graph: successor leaves the vertex set")
+        portraits = portraits_of(succ)
 
-    # cycle detection on a functional graph
-    on_cycle = set()
-    color = {}
-    for start in vertices:
-        if start in color:
-            continue
-        path, cur = [], start
-        while color.get(cur) is None:
-            color[cur] = "active"
-            path.append(cur)
-            cur = succ[cur]
-        if color.get(cur) == "active":
-            cyc_start = path.index(cur)
-            on_cycle.update(path[cyc_start:])
-        for v in path:
-            color[v] = "done"
-
-    children = {v: [] for v in vertices}
-    for v in vertices:
-        if v not in on_cycle:
+    children = {v: [] for v in succ}
+    for v, (m, _n) in portraits.items():
+        if m:
             children[succ[v]].append(v)
 
     memo = {}
     comp_codes = []
     seen = set()
-    for v in sorted(on_cycle, key=id):
-        if v in seen:
+    for v, (m, _n) in portraits.items():
+        if m or v in seen:
             continue
         cyc = [v]
         cur = succ[v]

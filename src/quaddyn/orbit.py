@@ -8,17 +8,20 @@ v_P(c) < 0 leaves no preperiodic point.  Otherwise every one is y/D with y in
 2 O_K inside the box and y^2 = -D^2 c mod D, where D = 2M and M is the least
 integer whose square the denominator of c divides.  Each such candidate is
 iterated until its orbit repeats (preperiodic) or leaves the candidate set
-(not preperiodic), which decides every period; the graph keeps the points of
-eventual period <= n_max.
+(not preperiodic).
 
 When trial division below TRIAL_BOUND leaves a cofactor of the denominator
 that it does not prove prime (square roots modulo an unfactored number are
 as hard as factoring it), or the box or the coset classes hold more than
 BOX_LIMIT candidates, build_graph falls back to the dynatomic path: the
 K-rational periodic points from the roots of the dynatomic polynomials
-(periodic_points), then their backward closure under preimages.  Both give
-the same vertex set.  The fixed point at infinity is always omitted,
-matching the convention the vertex counts follow.
+(periodic_points), then their backward closure under preimages.  The fixed
+point at infinity is always omitted, matching the convention the vertex
+counts follow.
+
+Either point set is finite and closed under f_c, so the portraits of all its
+points come from one walk over its successor map (portraits_of).  The graph
+keeps the points of eventual period <= n_max: the same vertex set either way.
 
 Results are labeled complete for periods <= n_max (default 6); that bound is
 one more than any cycle length that occurs over the fields of interest.
@@ -27,12 +30,13 @@ one more than any cycle length that occurs over the fields of interest.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .factor import roots_in_quadfield
-from .finitefield import sqrt_mod_p
+from .finitefield import sqrt_mod_p, trial_factor
 from .quadfield import QuadElem, format_elem, quad_sqrt
 
 CLOSURE_CAP = 10_000
@@ -60,9 +64,6 @@ class PreperGraph:
 
     def size(self) -> int:
         return len(self.vertices)
-
-    def cycle_vertices(self) -> set:
-        return {v for v in self.vertices if self.portraits[v][0] == 0}
 
     def to_record(self) -> dict:
         """JSON-ready dump: vertices, edges, portraits, flags.
@@ -121,6 +122,31 @@ def portrait(c: QuadElem, alpha: QuadElem) -> tuple[int, int]:
         step += 1
     first = seen[cur]
     return first, step - first
+
+
+def portraits_of(succ: dict) -> dict:
+    """(preperiod, eventual period) of every vertex of a finite functional graph.
+
+    Each walk stops at a vertex already decided, or at one on its own path,
+    which closes a cycle; the path then takes its portraits backwards.
+    """
+    out = {}
+    for start in succ:
+        path, index, v = [], {}, start
+        while v not in out and v not in index:
+            if v not in succ:
+                raise ValueError("not a functional graph: successor leaves the vertex set")
+            index[v] = len(path)
+            path.append(v)
+            v = succ[v]
+        if v in index:
+            cycle = path[index[v]:]
+            del path[index[v]:]
+            out.update((u, (0, len(cycle))) for u in cycle)
+        m, n = out[v]
+        for k, u in enumerate(reversed(path), 1):
+            out[u] = (m + k, n)
+    return out
 
 
 def _coerce_param(c: QuadElem, d: int | None) -> QuadElem:
@@ -201,17 +227,8 @@ def _smooth_factors(n: int) -> dict | None:
     A cofactor left below TRIAL_BOUND^2 is prime; None when a larger one is
     left, whose primality trial division does not prove.
     """
-    out, p = {}, 2
-    while p * p <= n and p < TRIAL_BOUND:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n >= TRIAL_BOUND * TRIAL_BOUND:
-        return None
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    factors, rest = trial_factor(n, TRIAL_BOUND)
+    return None if rest > 1 else factors
 
 
 def _digits(p: int, q: int, d: int, A: int, B: int, na: int, nb: int):
@@ -402,18 +419,15 @@ def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> P
     if not 1 <= n_max <= MAX_PERIOD:
         raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
     c = _coerce_param(c, d)
-    points = _box_points(c)
-    if points is None:
+    vertices = _box_points(c)
+    if vertices is None:
         per = periodic_points(c, None, n_max)
         vertices = _backward_closure(c, set().union(*per.values()))
-        portraits = {v: portrait(c, v) for v in vertices}
-    else:
-        portraits = {v: portrait(c, v) for v in points}
-        portraits = {v: mp for v, mp in portraits.items() if mp[1] <= n_max}
-    succ = {v: _apply(c, v) for v in portraits}
+    succ = {v: _apply(c, v) for v in vertices}
+    portraits = {v: mp for v, mp in portraits_of(succ).items() if mp[1] <= n_max}
     return PreperGraph(
         vertices=tuple(sorted(portraits, key=lambda v: v.sort_key())),
-        succ=succ,
+        succ={v: succ[v] for v in portraits},
         portraits=portraits,
         field=c.d,
         parameter=c,
@@ -422,20 +436,12 @@ def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> P
 
 
 def cycle_structure(graph: PreperGraph) -> tuple[int, ...]:
-    """Nondecreasing list of the lengths of the disjoint cycles."""
-    lengths = []
-    seen = set()
-    for v in graph.cycle_vertices():
-        if v in seen:
-            continue
-        cyc = [v]
-        cur = graph.succ[v]
-        while cur != v:
-            cyc.append(cur)
-            cur = graph.succ[cur]
-        seen |= set(cyc)
-        lengths.append(len(cyc))
-    return tuple(sorted(lengths))
+    """Nondecreasing list of the lengths of the disjoint cycles.
+
+    A cycle of length n is n vertices of portrait (0, n).
+    """
+    on_cycles = Counter(n for m, n in graph.portraits.values() if m == 0)
+    return tuple(n for n in sorted(on_cycles) for _ in range(on_cycles[n] // n))
 
 
 def admissible_flags(graph: PreperGraph, c: QuadElem) -> AdmissibilityReport:
@@ -451,9 +457,7 @@ def admissible_flags(graph: PreperGraph, c: QuadElem) -> AdmissibilityReport:
     for v in graph.vertices:
         in_deg[graph.succ[v]] = in_deg.get(graph.succ[v], 0) + 1
     degrees_ok = all(in_deg.get(v, 0) in (0, 2) for v in graph.vertices)
-    counts = {}
-    for length in cycle_structure(graph):
-        counts[length] = counts.get(length, 0) + 1
+    counts = Counter(cycle_structure(graph))
     cycles_ok = all(length == 1 or mult <= dn_rn(length)[1] for length, mult in counts.items())
     structural_admissible = degrees_ok and cycles_ok
     fixed = counts.get(1, 0)

@@ -18,6 +18,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+from .finitefield import factorize
+
 
 D_LIMIT = 10**12  # QuadElem factors d by trial division, up to sqrt|d|; callers cap |d| here
 
@@ -27,21 +29,11 @@ def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, m) with n = s^2 * m and m squarefree (sign kept on m)."""
     if n == 0:
         return 1, 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    s, m, p = 1, 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                m *= p
-        p += 1 if p == 2 else 2
-    m *= n
-    return s, sign * m
+    s, m = 1, -1 if n < 0 else 1
+    for p, e in factorize(abs(n)).items():
+        s *= p ** (e // 2)
+        m *= p ** (e % 2)
+    return s, m
 
 
 def fraction_sqrt(q: Fraction) -> Fraction | None:

@@ -8,26 +8,21 @@ fallback to the dynatomic path cannot make the comparison vacuous.
 """
 
 import random
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from quaddyn import orbit
 from quaddyn.graphcat import _TABLE
-from quaddyn.orbit import build_graph, periodic_points, portrait
+from quaddyn.orbit import build_graph, periodic_points, portrait, portraits_of
 from quaddyn.quadfield import QuadElem, parse_elem, quad_sqrt
 
 F = Fraction
 FIELDS = (-1, -2, -3, -7, -11, 2, 5)
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=40)
-
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quaddyn-hypothesis")
 
 
 def closure(c, points):
@@ -191,3 +186,35 @@ def test_large_odd_valuation_denominators_are_empty(d, p, k, s, u, v):
     c = QuadElem(F(u * p + 1, w), F(v, w), d)
     with mock.patch.object(orbit, "_smooth_factors", side_effect=AssertionError("factored")):
         assert build_graph(c).size() == 0
+
+
+def brute_portrait(succ, v):
+    """(preperiod, period) of v from its first 2 |succ| iterates."""
+    orbit = [v]
+    for _ in range(2 * len(succ)):
+        orbit.append(succ[orbit[-1]])
+    m = next(k for k in range(len(orbit)) if orbit[k] in orbit[k + 1:])
+    return m, next(p for p in range(1, len(orbit)) if orbit[m + p] == orbit[m])
+
+
+maps = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+
+
+@DETERMINISTIC
+@given(maps)
+def test_portraits_of_matches_iteration(images):
+    succ = dict(enumerate(images))
+    assert portraits_of(succ) == {v: brute_portrait(succ, v) for v in succ}
+
+
+def test_catalog_witnesses_build_without_portrait():
+    """The box path takes every portrait from one walk over the successor map."""
+    with mock.patch.object(orbit, "portrait", side_effect=AssertionError("portrait called")):
+        for label, d, c_text, size in _TABLE:
+            assert build_graph(parse_elem(c_text, d), d).size() == size, label
+
+
+def test_smooth_factors_stop_at_the_trial_bound():
+    assert orbit._smooth_factors(65537 * 65539) is None
+    assert orbit._smooth_factors(3 * 65537) == {3: 1, 65537: 1}

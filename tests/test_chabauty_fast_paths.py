@@ -13,14 +13,11 @@ oracle expands the powers of L = (1+i)T + (i-1)U with exact Fractions and
 reduces the sums at the end.
 """
 
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 import chabauty_oracle
 from quaddyn.chabauty import (
@@ -40,10 +37,6 @@ from quaddyn.chabauty import (
 )
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
-
-# Hypothesis caches the constants of the source files at collection time, even
-# with database=None; keep that cache out of the checkout
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quaddyn-hypothesis")
 
 
 # --- oracles ------------------------------------------------------------------

@@ -7,24 +7,21 @@ over FFElem objects, and find the exponent of E(F_q) from the order of
 every point.
 """
 
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from ff_oracle import enumerate_points, group_structure
 from quaddyn.curves import (
     HypCurve,
     WeierstrassCurve,
-    _factorize,
     _good_reduction,
     count_points_ff,
     elliptic_group_structure,
 )
+from quaddyn.finitefield import factorize as _factorize
 from quaddyn.polys import QQ, UniPoly
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -32,10 +29,6 @@ DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_exa
 count_fields = st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13, 23]), st.sampled_from([1, 2]))
 structure_fields = st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.sampled_from([1, 2]))
 small = st.integers(-3, 3).map(Fraction)
-
-# Hypothesis caches the constants of the source files at collection time, even
-# with database=None; keep that cache out of the checkout
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quaddyn-hypothesis")
 
 
 def good_curve(p: int, **model) -> HypCurve:

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from ff_oracle import FiniteField
-from quaddyn.finitefield import is_prime, reduce_fraction, sqrt_mod_p
+from quaddyn.finitefield import is_prime, reduce_fraction, sqrt_mod_p, trial_factor
 from fractions import Fraction
 
 
@@ -76,3 +78,27 @@ def test_f4_has_modulus_t2_t_1():
     assert field.modulus == (1, 1)
     t = field(0, 1)
     assert t * t + t + field.one() == field.zero()
+
+
+def sieve(n: int) -> bytearray:
+    """is_prime flags for 0..n-1 by the sieve of Eratosthenes."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytearray(len(range(p * p, n, p)))
+    return flags
+
+
+@pytest.mark.parametrize("bound", [None, 2, 3, 4, 7, 30, 60])
+def test_trial_factor_against_a_sieve(bound):
+    limit = 4000
+    prime = sieve(limit)
+    for n in range(1, limit):
+        factors, rest = trial_factor(n, bound)
+        assert rest * math.prod(p**e for p, e in factors.items()) == n
+        assert all(prime[p] and e > 0 for p, e in factors.items())
+        if bound is None:
+            assert rest == 1
+        else:
+            assert all(rest % p for p in range(2, bound))
+            assert rest == 1 or rest >= bound * bound

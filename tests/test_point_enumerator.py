@@ -8,14 +8,11 @@ b-invariants for Weierstrass models, and as a resultant for f-models.
 """
 
 import math
-import tempfile
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from quaddyn.curves import (
     HypCurve,
@@ -32,10 +29,6 @@ DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_exa
 
 fields = st.tuples(st.sampled_from([2, 3, 5, 7, 11]), st.sampled_from([1, 2]))
 small = st.integers(-3, 3).map(Fraction)
-
-# Hypothesis caches the constants of the source files at collection time, even
-# with database=None; keep that cache out of the checkout
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "quaddyn-hypothesis")
 
 
 def brute_force_count(curve: HypCurve, p: int, deg: int) -> int:
