@@ -89,11 +89,10 @@ def _survey_params(d: int, height: int):
                     yield c
 
 
-def _survey_one(task: tuple) -> tuple:
-    d, c_text, n_max, catalog_path = task
+def _survey_one(task: tuple) -> str:
+    a, b, d, n_max, catalog_path = task
     catalog = load_catalog(catalog_path) if catalog_path else None
-    graph = build_graph(parse_elem(c_text, d), d, n_max)
-    return c_text, classify(graph, catalog)
+    return classify(build_graph(QuadElem(a, b, d), d, n_max), catalog)
 
 
 def cmd_survey(args) -> int:
@@ -103,7 +102,7 @@ def cmd_survey(args) -> int:
             raise ValueError(f"{name} must be >= 1, got {value}")
     expected = {-1: QI_LABELS, -3: QW_LABELS}.get(args.d)
     params = sorted(_survey_params(args.d, args.height), key=lambda e: e.sort_key())
-    tasks = [(args.d, format_elem(c), args.n_max, args.catalog) for c in params]
+    tasks = [(c.a, c.b, c.d, args.n_max, args.catalog) for c in params]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -113,9 +112,9 @@ def cmd_survey(args) -> int:
         results = [_survey_one(task) for task in tasks]
     rows = []
     histogram: dict = {}
-    for c_text, label in results:
+    for c, label in zip(params, results):
         flagged = expected is not None and label not in expected
-        rows.append({"c": c_text, "label": label, "flagged": flagged})
+        rows.append({"c": format_elem(c), "label": label, "flagged": flagged})
         histogram[label] = histogram.get(label, 0) + 1
     record = {
         "schema": "quaddyn/survey/v1",
@@ -217,7 +216,11 @@ def cmd_curve(args) -> int:
         orders = jacobian_orders(curve, args.p)
         record["order_p"], record["order_p2"] = orders
     elif args.action == "torsion-bound":
-        primes = [int(p) for p in args.primes.split(",")]
+        try:
+            primes = [int(p) for p in args.primes.split(",")]
+        except ValueError:
+            message = f"--primes must be comma-separated integers, got {args.primes!r}"
+            raise ValueError(message) from None
         record["primes"] = primes
         record["bound"] = torsion_bound(curve, primes, args.deg)
     elif args.action == "structure":

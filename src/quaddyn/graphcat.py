@@ -140,6 +140,8 @@ def load_catalog(path: str) -> tuple[CatalogEntry, ...]:
             raw = json.load(fh)
     except OSError as err:
         raise ValueError(f"cannot read catalog {path}: {err.strerror}") from None
+    except ValueError as err:  # json.JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"catalog {path} is not valid JSON: {err}") from None
     if not isinstance(raw, list) or not all(isinstance(row, dict) for row in raw):
         raise ValueError(f"catalog is not a list of objects: {path}")
     try:

@@ -10,6 +10,12 @@ integer whose square the denominator of c divides.  Each such candidate is
 iterated until its orbit repeats (preperiodic) or leaves the candidate set
 (not preperiodic).
 
+portrait decides one orbit by the same bounds, with no factoring: a
+preperiodic x = a + b sqrt(d) has 2 w x in Z[sqrt(d)], w the lcm of the
+denominators of c, and a^2 + |d| b^2 <= 2 + sqrt(8 (c.a^2 + |d| c.b^2))
+(_escapes).  Finitely many points pass both tests, so every orbit repeats or
+fails one, which proves it is not preperiodic: no step or size cap is needed.
+
 When trial division below TRIAL_BOUND leaves a cofactor of the denominator
 that it does not prove prime (square roots modulo an unfactored number are
 as hard as factoring it), or the box or the coset classes hold more than
@@ -40,7 +46,6 @@ from .finitefield import sqrt_mod_p, trial_factor
 from .quadfield import QuadElem, format_elem, quad_sqrt
 
 CLOSURE_CAP = 10_000
-ORBIT_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -96,29 +101,39 @@ class PreperGraph:
         }
 
 
-def _apply(c: QuadElem, v: QuadElem) -> QuadElem:
-    return v * v + c
+def _escape_limits(c: QuadElem) -> tuple[int, Fraction]:
+    """(2 w, 8 n(c)) for _escapes: the constants that depend on c alone."""
+    return 2 * math.lcm(c.a.denominator, c.b.denominator), 8 * (c.a**2 + abs(c.d) * c.b**2)
 
 
-_HEIGHT_BITS = 1000  # preperiodic orbits stay tiny; escape doubles bits per step
+def _escapes(c: QuadElem, v: QuadElem, limits: tuple | None = None) -> bool:
+    """True only when v is provably not preperiodic for f_c.
 
-
-def _escaped(v: QuadElem) -> bool:
-    return any(
-        q.numerator.bit_length() > _HEIGHT_BITS or q.denominator.bit_length() > _HEIGHT_BITS
-        for q in (v.a, v.b)
-    )
+    n(z) = a^2 + |d| b^2 for z = a + b sqrt(d); w is the lcm of c's
+    denominators.  A preperiodic v has v_P(v) >= min(0, v_P(c)/2) at every
+    prime P, so w v lies in O_K and 2 w v in Z[sqrt(d)].  At the place sigma
+    where |sigma(v)| is largest, |sigma(v)|^2 >= n(v) and |sigma(c)|^2 <= 2 n(c),
+    while R_sigma = (1 + sqrt(1 + 4 |sigma(c)|))/2 has R_sigma^2 <= 2 + 2 |sigma(c)|.
+    So (n(v) - 2)^2 > 8 n(c) with n(v) > 2 gives |sigma(v)| > R_sigma, past
+    which the orbit grows without bound.
+    """
+    scale, bound = limits or _escape_limits(c)
+    if (scale * v.a).denominator > 1 or (scale * v.b).denominator > 1:
+        return True
+    n = v.a**2 + abs(v.d) * v.b**2
+    return n > 2 and (n - 2) ** 2 > bound
 
 
 def portrait(c: QuadElem, alpha: QuadElem) -> tuple[int, int]:
-    """Minimal (preperiod, eventual period) of alpha under f_c, by iteration."""
+    """Minimal (preperiod, eventual period) of alpha, iterated until it repeats or escapes."""
+    limits = _escape_limits(c)
     seen = {}
     cur, step = alpha, 0
     while cur not in seen:
         seen[cur] = step
-        if step > ORBIT_CAP or _escaped(cur):
+        if _escapes(c, cur, limits):
             raise RuntimeError(f"orbit of {alpha!r} does not repeat: not preperiodic")
-        cur = _apply(c, cur)
+        cur = cur * cur + c
         step += 1
     first = seen[cur]
     return first, step - first
@@ -423,7 +438,7 @@ def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> P
     if vertices is None:
         per = periodic_points(c, None, n_max)
         vertices = _backward_closure(c, set().union(*per.values()))
-    succ = {v: _apply(c, v) for v in vertices}
+    succ = {v: v * v + c for v in vertices}
     portraits = {v: mp for v, mp in portraits_of(succ).items() if mp[1] <= n_max}
     return PreperGraph(
         vertices=tuple(sorted(portraits, key=lambda v: v.sort_key())),

@@ -115,6 +115,12 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
      "error: output degree d_n 2^(m-1) = 54*2^4 exceeds 432 for the specialized form"),
     (("dynatomic", "--n", "1", "--m", "1000000000000"),
      "error: output degree d_n 2^(m-1) = 2*2^999999999999 exceeds 108 for the symbolic form"),
+    (("curve", "X0_5", "torsion-bound", "--primes", "3,x"),
+     "error: --primes must be comma-separated integers, got '3,x'\n"),
+    (("curve", "X0_5", "torsion-bound", "--primes", ""),
+     "error: --primes must be comma-separated integers, got ''\n"),
+    (("curve", "X0_5", "torsion-bound", "--primes", "3,,5"),
+     "error: --primes must be comma-separated integers, got '3,,5'\n"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -181,6 +187,14 @@ def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
     code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {message}: {path}\n"
+
+
+def test_catalog_that_is_not_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text('[{"label": "3(2)", "d": -1,')
+    code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: catalog {path} is not valid JSON: ") and err.count("\n") == 1
 
 
 def test_dynatomic_text_and_json(capsys):

@@ -1,0 +1,74 @@
+"""portrait decides every orbit by the exact escape test, with no step or size cap.
+
+_escapes(c, v) is True only when v is provably not preperiodic.  The box
+engine's _box_points(c), which holds every preperiodic point of every
+period, is the independent oracle: portrait must decide each point in it
+and reject each point outside it.
+"""
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quaddyn import orbit
+from quaddyn.cli import main
+from quaddyn.orbit import _escapes, build_graph, cycle_structure, portrait
+from quaddyn.quadfield import QuadElem, format_elem
+
+F = Fraction
+FIELDS = (-1, -2, -3, -7, -11, 2, 5)
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+# x = 1/M with M = (10^20 + 39)^16: c = x - x^2 has a 2,128-bit denominator,
+# and the 1,064-bit M is left to the dynatomic fallback, since trial division
+# cannot clear it; a cap of 1,000 bits on coordinates would reject x itself
+HUGE = (10**20 + 39) ** 16
+
+
+@pytest.mark.parametrize("d", [-1, -3, 5])
+def test_fixed_points_with_a_1064_bit_denominator(capsys, d):
+    x = QuadElem(F(1, HUGE), 0, d)
+    c = x - x * x
+    assert orbit._box_points(c) is None
+    graph = build_graph(c, None, 2)
+    assert graph.size() == 4 and set(graph.vertices) == {x, 1 - x, -x, x - 1}
+    assert cycle_structure(graph) == (1, 1)
+    code = main(["graph", "--d", str(d), "--c", format_elem(c), "--n-max", "2", "--json"])
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    assert code == 0 and err == ""
+    assert len(record["vertices"]) == 4 and record["cycle_structure"] == [1, 1]
+    if d == -1:
+        assert record["label"] == "4(1,1)"
+
+
+heights = st.integers(-6, 6)
+denominators = st.integers(1, 6)
+numerators = st.integers(-24, 24)
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FIELDS), heights, denominators, heights, denominators,
+       numerators, numerators, heights, denominators, heights, denominators)
+def test_portrait_decides_exactly_the_box_points(d, u, w, v, z, s, t, p, q, r, k):
+    c = QuadElem(F(u, w), F(v, z), d)
+    box = orbit._box_points(c)
+    assert box is not None
+    graph = build_graph(c, None, 6)
+    for vertex in graph.vertices:
+        assert not _escapes(c, vertex)
+        assert portrait(c, vertex) == graph.portraits[vertex]
+    # one point v with 2 w v in Z[sqrt(d)], which passes the denominator test,
+    # where the size test and the orbit decide, and one point anywhere
+    scale = 2 * math.lcm(c.a.denominator, c.b.denominator)
+    for point in (QuadElem(F(s, scale), F(t, scale), d), QuadElem(F(p, q), F(r, k), d)):
+        if point in box:
+            assert not _escapes(c, point)
+            portrait(c, point)
+        else:
+            with pytest.raises(RuntimeError, match="does not repeat: not preperiodic"):
+                portrait(c, point)

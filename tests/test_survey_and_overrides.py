@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from quaddyn.cli import QI_LABELS, QW_LABELS, main
 from quaddyn.chabauty import full_theorem, transcript
 from quaddyn.graphcat import classify, load_catalog
@@ -42,6 +44,18 @@ def test_parallel_survey_matches_sequential(capsys):
         "--jobs", "2", "--json",
     )
     assert code == 0 and par == seq
+
+
+@pytest.mark.parametrize("d", ["-3", "-4"])
+def test_parallel_survey_matches_sequential_at_height_three(capsys, d):
+    """Byte for byte, text and JSON; d = -4 names Q(i) with b scaled by 2."""
+    argv = ["survey", "--d", d, "--height", "3", "--n-max", "4"]
+    for mode in ([], ["--json"]):
+        outputs = []
+        for jobs in ([], ["--jobs", "2"]):
+            code = main(argv + mode + jobs)
+            outputs.append((code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_catalog_override(tmp_path, capsys):
