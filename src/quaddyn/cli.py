@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import __version__
 from .curves import WeierstrassCurve, get_curve
 from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
-from .graphcat import canonical_code, classify, load_catalog, to_dot
+from .graphcat import _classify, classify, load_catalog, to_dot
 from .orbit import build_graph
 from .polys import format_poly, poly_to_json
 from .quadfield import D_LIMIT, QuadElem, format_elem, parse_elem
@@ -53,10 +53,10 @@ def cmd_graph(args) -> int:
     _check_d(args.d)
     c = parse_elem(args.c, args.d)
     graph = build_graph(c, args.d, args.n_max)
-    label = classify(graph, load_catalog(args.catalog) if args.catalog else None)
+    label, code = _classify(graph, load_catalog(args.catalog) if args.catalog else None)
     record = graph.to_record()
     record["label"] = label
-    record["code"] = canonical_code(graph)
+    record["code"] = code
     if args.include_infinity:
         record["note"] = "the fixed point at infinity is omitted from the vertex list"
     if args.dot:
@@ -256,8 +256,11 @@ def cmd_chabauty(args) -> int:
         print(f"pipeline failure: {err}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(record, fh, indent=2, sort_keys=True)
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(record, fh, indent=2, sort_keys=True)
+        except OSError as err:
+            raise ValueError(f"cannot write {args.out}: {err.strerror}") from None
     if args.json:
         _emit_json(record)
     else:

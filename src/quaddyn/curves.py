@@ -20,6 +20,7 @@ c-parametrizations; load_registry() deserializes them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .factor import _add, _deriv, _gcd, _mul, factor_rational, roots_in_quadfield
+from .factor import _add, _deriv, _gcd, _mul, low_degree_rational_factors
 from .finitefield import factorize, is_prime, reduce_fraction, smallest_nonresidue
 from .polys import QQ, UniPoly
 from .quadfield import QuadElem, fraction_sqrt
@@ -428,36 +429,38 @@ def weierstrass_and_2torsion(curve: HypCurve, d: int) -> tuple[list, list]:
     Classes are returned as tuples of curve points ((), the zero class,
     included); a pair is K-rational when both members are, or when the two
     members are conjugate over K, i.e. they come from a rational quadratic
-    factor of f with no root in K.  Irreducible factors of degree >= 3
+    factor of f with no root in K.  Both come from the factors of f over Q
+    of degree <= 2: a linear factor gives a rational point; a quadratic
+    factor gives two points in K when its discriminant over d is a square,
+    and one conjugate pair otherwise.  Irreducible factors of degree >= 3
     contribute nothing for the curves in the registry (their Jacobians gain
     no quadratic 2-torsion, matching the finite-field bounds).
     """
     if curve.genus() != 2 or curve.f is None:
         raise ValueError("expects a genus-2 curve in y^2 = f form")
     f = curve.f
-    points: list[CurvePoint] = []
-    if f.degree() % 2 == 1:
-        points.append(CurvePoint.infinity(0))
-    for root in roots_in_quadfield(f, d):
-        points.append(CurvePoint.affine(root, QuadElem(0, 0, root.d)))
-    classes: list[tuple] = [()]
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            classes.append((points[a], points[b]))
-    for factor, _mult in factor_rational(f).factors:
-        if factor.degree() != 2:
+    d = QuadElem(0, 1, d).d
+    roots: list[QuadElem] = []
+    conjugate_pairs: list[tuple] = []
+    for factor in low_degree_rational_factors(f):
+        if factor.degree() == 1:
+            roots.append(QuadElem(-factor.coeffs[0], 0, d))
             continue
         t, n = -factor.coeffs[1], factor.coeffs[0]
         disc = t * t - 4 * n
-        if fraction_sqrt(disc) is not None or fraction_sqrt(disc / d) is not None:
-            continue  # roots lie in K; already covered by point pairs
+        s = fraction_sqrt(disc / d)
+        if s is not None:
+            roots += [QuadElem(t / 2, s / 2, d), QuadElem(t / 2, -s / 2, d)]
+            continue
         dd = _squarefree_of_fraction(disc)
         s = fraction_sqrt(disc / dd)
-        r1 = QuadElem(t / 2, s / 2, dd)
-        r2 = QuadElem(t / 2, -s / 2, dd)
         zero = QuadElem(0, 0, dd)
-        classes.append((CurvePoint.affine(r1, zero), CurvePoint.affine(r2, zero)))
-    return points, classes
+        conjugate_pairs.append((CurvePoint.affine(QuadElem(t / 2, s / 2, dd), zero),
+                                CurvePoint.affine(QuadElem(t / 2, -s / 2, dd), zero)))
+    points = [CurvePoint.infinity(0)] if f.degree() % 2 == 1 else []
+    roots.sort(key=lambda r: r.sort_key())
+    points += [CurvePoint.affine(r, QuadElem(0, 0, d)) for r in roots]
+    return points, [(), *itertools.combinations(points, 2), *conjugate_pairs]
 
 
 def _squarefree_of_fraction(q: Fraction) -> int:

@@ -1,16 +1,17 @@
-"""Factorization of univariate polynomials over Q, and root-finding in Q(sqrt(d)).
+"""The factors of degree <= 2 over Q, and root-finding in Q(sqrt(d)).
 
-The factorization pipeline is classical: content/primitive split, Yun
-squarefree decomposition (with a modular integer-poly gcd underneath),
-factorization modulo a good prime (distinct-degree then equal-degree
-splitting), quadratic Hensel lifting up to a Mignotte-style bound, and
-factor recombination by subset search in order of subset size.
+One engine answers both questions.  low_degree_rational_factors takes the
+squarefree part of f over Z (a modular integer-poly gcd), picks the first
+good prime p >= 5, and splits off only the degree-1 and degree-2 parts of f
+mod p (gcds with x^p - x and x^(p^2) - x, then an equal-degree split of the
+quadratic block); the rest stays one block.  The blocks are Hensel-lifted to
+a power of p past a root-size bound, and the factors over Z are recombined
+from single lifted factors and from pairs of lifted linears by exact
+division.  Higher-degree factors are never split.
 
 Root-finding in K = Q(sqrt(d)) works through the norm polynomial: candidates
 come from the degree-<=2 rational factors of P * conj(P), formed and split
-over Z; multiplicities are read off by repeated exact division over K.  Only
-the low-degree factors are lifted and recombined on that path, which keeps
-dynatomic-sized inputs fast.
+over Z; multiplicities are read off by repeated exact division over K.
 
 Internally, polynomials are plain lists of Python ints (constant term first,
 no trailing zeros) and one kernel serves Z[x], F_p[x] and (Z/p^k)[x]:
@@ -25,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .finitefield import is_prime
@@ -130,27 +130,8 @@ def _eval(a, x, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# factorization over F_p
+# the degree-1 and degree-2 part over F_p
 # ---------------------------------------------------------------------------
-
-
-def _distinct_degree(f, p):
-    """Split monic squarefree f into (product, degree) blocks."""
-    blocks = []
-    h = [0, 1]
-    fstar = list(f)
-    d = 0
-    while len(fstar) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _powmod(h, p, fstar, p)
-        g = _gcd(_sub(h, [0, 1]), fstar, p)
-        if len(g) > 1:
-            blocks.append((g, d))
-            fstar = _divmod(fstar, g, p)[0]
-            h = _divmod(h, fstar, p)[1]
-    if len(fstar) > 1:
-        blocks.append((fstar, len(fstar) - 1))
-    return blocks
 
 
 def _equal_degree(f, d: int, p, rng: random.Random):
@@ -170,20 +151,27 @@ def _equal_degree(f, d: int, p, rng: random.Random):
             return left + right
 
 
-def factor_mod_p(f, p: int) -> list:
-    """Monic irreducible factors over F_p of f (deterministic seed).
+def _partial_split_mod_p(f, p: int):
+    """(linears, quadratics, rest) of monic squarefree f over F_p.
 
-    f must have lc(f) prime to p and be squarefree mod p; else ValueError.
+    Only the degree-1 and degree-2 parts are split off; the cofactor stays a
+    single block, so no equal-degree work is wasted on high-degree content.
     """
-    fm = _mod(f, p)
-    if not f or f[-1] % p == 0 or len(_gcd(fm, _deriv(fm), p)) != 1:
-        raise ValueError(f"f needs a unit leading coefficient and a squarefree reduction mod {p}")
-    rng = random.Random(0xD15C0 + p + 31 * len(f))
-    fm = _monic(fm, p)
-    out = []
-    for block, d in _distinct_degree(fm, p):
-        out.extend(_equal_degree(block, d, p, rng))
-    return sorted(out)
+    fm = _monic(_mod(f, p), p)
+    h = _powmod([0, 1], p, fm, p)
+    g1 = _gcd(_sub(h, [0, 1]), fm, p)
+    rest = _divmod(fm, g1, p)[0]
+    linears = sorted([p - r if r else 0, 1] for r in range(p) if _eval(g1, r, p) == 0)
+    assert len(linears) == len(g1) - 1, "linear block failed to split into roots"
+    quads = []
+    if len(rest) - 1 >= 2:
+        h = _powmod(h, p, rest, p)  # x^(p^2) mod rest
+        g2 = _gcd(_sub(h, [0, 1]), rest, p)
+        rest = _divmod(rest, g2, p)[0]
+        if len(g2) > 1:
+            rng = random.Random(0xF00D + p)
+            quads = sorted(_equal_degree(g2, 2, p, rng))
+    return linears, quads, rest
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +267,6 @@ def z_gcd(a, b):
         if cand and _zdivexact(a, cand) is not None and _zdivexact(b, cand) is not None:
             return cand
     raise AssertionError("unreachable")
-
-
-def z_squarefree_decomposition(f):
-    """Yun's algorithm on a primitive f in Z[x]: list of (factor_i, i)."""
-    out = []
-    g = z_gcd(f, _deriv(f))
-    w = _zdivexact(f, g)
-    y = _zdivexact(_deriv(f), g)
-    z = _sub(y, _deriv(w))
-    i = 1
-    while len(w) > 1:
-        a = z_gcd(w, z)
-        if len(a) > 1:
-            out.append((a, i))
-        w = _zdivexact(w, a)
-        y = _zdivexact(z, a)
-        z = _sub(y, _deriv(w))
-        i += 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,76 +369,8 @@ def _recombine(f, lifted, indices, big: int):
 
 
 # ---------------------------------------------------------------------------
-# Zassenhaus over Z
+# factors of degree <= 2 over Q
 # ---------------------------------------------------------------------------
-
-
-def _pick_prime(f, tries: int = 6):
-    """Good primes p >= 5 (squarefree reduction), fewest modular factors first."""
-    found = []
-    for p in _good_primes(f):
-        factors = factor_mod_p(f, p)
-        found.append((len(factors), p, factors))
-        if len(factors) == 1 or len(found) >= tries:
-            break
-    _, p, factors = min(found, key=lambda rec: rec[:2])
-    return p, factors
-
-
-def zassenhaus(f) -> list:
-    """Irreducible factors (primitive, positive lc) of a primitive squarefree f."""
-    if len(f) - 1 <= 1:
-        return [list(f)]
-    p, mod_factors = _pick_prime(f)
-    if len(mod_factors) == 1:
-        return [list(f)]
-    n = len(f) - 1
-    height = max(abs(c) for c in f)
-    # |coeff of lc * factor| <= 2^n sqrt(n+1) height |lc|, rounded up
-    bound = 2 * (1 << n) * (math.isqrt(n + 1) + 1) * height * abs(f[-1]) + 1
-    k = _lift_exponent(p, bound)
-    big = p**k
-    lifted = _hensel_lift(f, mod_factors, p, k)
-    result = []
-    active = list(range(len(lifted)))
-    fcur = list(f)
-    size = 1
-    while 2 * size <= len(active):
-        progress = True
-        while progress:
-            progress = False
-            for subset in itertools.combinations(active, size):
-                found = _recombine(fcur, lifted, subset, big)
-                if found is None:
-                    continue
-                result.append(found[0])
-                fcur = _zprimitive(found[1])[1]
-                active = [i for i in active if i not in subset]
-                progress = True
-                break
-        size += 1
-    if len(fcur) > 1:
-        result.append(fcur)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# public API over Q
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FactorList:
-    """content * prod(factor^multiplicity) == the factored polynomial."""
-
-    content: Fraction
-    factors: tuple  # ((monic UniPoly over Q, multiplicity), ...)
-
-    def product(self) -> UniPoly:
-        out = UniPoly.const(QQ, self.content)
-        for poly, mult in self.factors:
-            out = out * poly**mult
-        return out
 
 
 def _to_int_poly(f: UniPoly) -> tuple[Fraction, list]:
@@ -487,51 +388,6 @@ def _from_int_poly(zs) -> tuple[UniPoly, Fraction]:
     poly = UniPoly(QQ, [Fraction(c) for c in zs])
     lead = poly.lc()
     return poly * (1 / lead), lead
-
-
-def factor_rational(f: UniPoly) -> FactorList:
-    """Complete irreducible factorization over Q."""
-    if f.ring != QQ:
-        raise ValueError("factor_rational expects a polynomial over Q")
-    if f.is_zero():
-        raise ValueError("cannot factor the zero polynomial")
-    scale, prim = _to_int_poly(f)
-    if len(prim) == 1:
-        return FactorList(scale * prim[0], ())
-    content = scale
-    pieces = []
-    for sq_part, mult in z_squarefree_decomposition(prim):
-        for irr in zassenhaus(sq_part):
-            monic, lead = _from_int_poly(irr)
-            content *= lead**mult
-            pieces.append((monic, mult))
-    pieces.sort(key=lambda fm: (fm[0].degree(), fm[0].coeffs))
-    out = FactorList(content, tuple(pieces))
-    assert out.product() == f, "factorization does not reproduce the input"
-    return out
-
-
-def _partial_split_mod_p(f, p: int):
-    """(linears, quadratics, rest) of monic squarefree f over F_p.
-
-    Only the degree-1 and degree-2 parts are split off; the cofactor stays a
-    single block, so no equal-degree work is wasted on high-degree content.
-    """
-    fm = _monic(_mod(f, p), p)
-    h = _powmod([0, 1], p, fm, p)
-    g1 = _gcd(_sub(h, [0, 1]), fm, p)
-    rest = _divmod(fm, g1, p)[0]
-    linears = sorted([p - r if r else 0, 1] for r in range(p) if _eval(g1, r, p) == 0)
-    assert len(linears) == len(g1) - 1, "linear block failed to split into roots"
-    quads = []
-    if len(rest) - 1 >= 2:
-        h = _powmod(h, p, rest, p)  # x^(p^2) mod rest
-        g2 = _gcd(_sub(h, [0, 1]), rest, p)
-        rest = _divmod(rest, g2, p)[0]
-        if len(g2) > 1:
-            rng = random.Random(0xF00D + p)
-            quads = sorted(_equal_degree(g2, 2, p, rng))
-    return linears, quads, rest
 
 
 def low_degree_rational_factors(f: UniPoly, max_degree: int = 2) -> list:
@@ -666,44 +522,3 @@ def roots_in_quadfield(f: UniPoly, d: int | None = None) -> list[QuadElem]:
         roots.extend([cand] * mult)
     roots.sort(key=lambda r: r.sort_key())
     return roots
-
-
-# ---------------------------------------------------------------------------
-# irreducibility certificates (consumed by the test suite)
-# ---------------------------------------------------------------------------
-
-
-def certify_irreducible(f: UniPoly) -> tuple[bool, str]:
-    """Certificate that monic f is irreducible over Q.
-
-    degree <= 3: rational-root / discriminant arguments; degree >= 4: a
-    repeated factor (gcd with the derivative over Z) refutes at once, else a
-    modular degree-pattern witness across three good primes, falling back to
-    the uniqueness of the Hensel-lifted factorization.
-    """
-    n = f.degree()
-    if n <= 0:
-        return False, "constant"
-    if n == 1:
-        return True, "linear"
-    if n == 2:
-        t, c0 = -f.coeffs[1], f.coeffs[0]
-        disc = t * t - 4 * c0
-        return fraction_sqrt(disc) is None, "discriminant"
-    if n == 3:
-        return not rational_roots(f), "rational-root"
-    _, prim = _to_int_poly(f)
-    if len(z_gcd(prim, _deriv(prim))) > 1:
-        return False, "not squarefree"
-    patterns = []
-    for p in itertools.islice(_good_primes(prim), 3):
-        degs = sorted(len(g) - 1 for g in factor_mod_p(prim, p))
-        reachable = {0}
-        for dg in degs:
-            reachable |= {r + dg for r in reachable}
-        patterns.append(reachable)
-    feasible = set.intersection(*patterns)
-    if not any(0 < k < n for k in feasible):
-        return True, "degree-pattern"
-    factors = zassenhaus(prim)
-    return len(factors) == 1, "hensel-uniqueness"

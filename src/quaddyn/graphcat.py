@@ -102,22 +102,29 @@ class CatalogEntry:
         return f"CatalogEntry({self.label})"
 
 
-def _entries_from_rows(rows) -> tuple[CatalogEntry, ...]:
+def _entries_from_rows(rows, path: str | None = None) -> tuple[CatalogEntry, ...]:
+    """Catalog entries from (label, d, c text, expected vertex count) rows.
+
+    A witness that fails the checks is a bug in the builtin table
+    (RuntimeError), and a bad file for a catalog read from path (ValueError).
+    """
     from .quadfield import parse_elem
+
+    def failure(message: str) -> Exception:
+        if path is None:
+            return RuntimeError(f"catalog integrity failure: {message}")
+        return ValueError(f"catalog integrity failure: {message}: {path}")
 
     entries = []
     for label, d, c_text, expected in rows:
         c = parse_elem(c_text, d)
         graph = build_graph(c, d)
         if expected is not None and graph.size() != expected:
-            raise RuntimeError(
-                f"catalog integrity failure: witness {label} gave {graph.size()} vertices, "
-                f"expected {expected}"
-            )
+            raise failure(f"witness {label} gave {graph.size()} vertices, expected {expected}")
         entries.append(CatalogEntry(label, canonical_code(graph), (d, c)))
     codes = [e.code for e in entries]
     if len(set(codes)) != len(codes):
-        raise RuntimeError("catalog integrity failure: duplicate canonical codes")
+        raise failure("duplicate canonical codes")
     return tuple(entries)
 
 
@@ -154,7 +161,7 @@ def load_catalog(path: str) -> tuple[CatalogEntry, ...]:
                 raise ValueError(f"catalog row with a non-{kind.__name__} {key!r}: {path}")
         if abs(row[1]) > D_LIMIT:
             raise ValueError(f"catalog row with |d| above 10^12: {path}")
-    return _entries_from_rows(rows)
+    return _entries_from_rows(rows, path)
 
 
 def _structure_label(graph: PreperGraph) -> str:
@@ -169,11 +176,16 @@ def classify(graph: PreperGraph, catalog: tuple | None = None) -> str:
     and cycle structure) under variant letters, the next free letter is used,
     e.g. a near-miss of 10(2,1,1)a comes out as "10(2,1,1)b?".
     """
+    return _classify(graph, catalog)[0]
+
+
+def _classify(graph: PreperGraph, catalog: tuple | None) -> tuple[str, str]:
+    """(classify's label, the canonical code it was looked up by)."""
     entries = builtin_catalog() if catalog is None else catalog
     code = canonical_code(graph)
     for entry in entries:
         if entry.code == code:
-            return entry.label
+            return entry.label, code
     base = _structure_label(graph)
     taken = set()
     for entry in entries:
@@ -182,20 +194,19 @@ def classify(graph: PreperGraph, catalog: tuple | None = None) -> str:
         elif entry.label.startswith(base) and len(entry.label) == len(base) + 1:
             taken.add(entry.label[-1])
     if not taken:
-        return base + "?"
+        return base + "?", code
     letter = next(ch for ch in "abcdefghij" if ch not in taken)
-    return base + letter + "?"
+    return base + letter + "?", code
 
 
 def to_dot(graph: PreperGraph) -> str:
     """Deterministic DOT output; vertices sorted by (norm, trace, text)."""
     if not graph.vertices:
         return "digraph G {}"
-    order = sorted(graph.vertices, key=lambda v: v.sort_key())
     lines = ["digraph G {"]
-    for v in order:
+    for v in graph.vertices:
         lines.append(f'    "{format_elem(v)}";')
-    for v in order:
+    for v in graph.vertices:
         lines.append(f'    "{format_elem(v)}" -> "{format_elem(graph.succ[v])}";')
     lines.append("}")
     return "\n".join(lines)

@@ -60,7 +60,7 @@ class AdmissibilityReport:
 class PreperGraph:
     """Finite functional digraph of the K-rational preperiodic points of f_c."""
 
-    vertices: tuple[QuadElem, ...]
+    vertices: tuple[QuadElem, ...]  # sorted by QuadElem.sort_key
     succ: dict  # vertex -> f_c(vertex)
     portraits: dict  # vertex -> (preperiod m, eventual period n)
     field: int
@@ -80,18 +80,18 @@ class PreperGraph:
         def text(v):
             return format_elem(v, style)
 
-        order = sorted(self.vertices, key=lambda v: v.sort_key())
-        flags = admissible_flags(self, self.parameter)
+        cycles = cycle_structure(self)
+        flags = _admissible_flags(self, self.parameter, cycles)
         return {
             "schema": "quaddyn/graph/v1",
             "d": self.field,
             "c": text(self.parameter),
             "n_max": self.n_max_used,
             "complete_for_periods_le": self.n_max_used,
-            "vertices": [text(v) for v in order],
-            "edges": [[text(v), text(self.succ[v])] for v in order],
-            "portraits": {text(v): list(self.portraits[v]) for v in order},
-            "cycle_structure": list(cycle_structure(self)),
+            "vertices": [text(v) for v in self.vertices],
+            "edges": [[text(v), text(self.succ[v])] for v in self.vertices],
+            "portraits": {text(v): list(self.portraits[v]) for v in self.vertices},
+            "cycle_structure": list(cycles),
             "flags": {
                 "admissible": flags.admissible,
                 "strongly_admissible": flags.strongly_admissible,
@@ -461,6 +461,11 @@ def cycle_structure(graph: PreperGraph) -> tuple[int, ...]:
 
 def admissible_flags(graph: PreperGraph, c: QuadElem) -> AdmissibilityReport:
     """Vertex criterion and structural criterion, required to agree."""
+    return _admissible_flags(graph, c, cycle_structure(graph))
+
+
+def _admissible_flags(graph: PreperGraph, c: QuadElem, cycles: tuple) -> AdmissibilityReport:
+    """admissible_flags, given the graph's cycle_structure."""
     zero = QuadElem(0, 0, c.d)
     zero_in = zero in set(graph.vertices)
     quarter = c == Fraction(1, 4)
@@ -472,7 +477,7 @@ def admissible_flags(graph: PreperGraph, c: QuadElem) -> AdmissibilityReport:
     for v in graph.vertices:
         in_deg[graph.succ[v]] = in_deg.get(graph.succ[v], 0) + 1
     degrees_ok = all(in_deg.get(v, 0) in (0, 2) for v in graph.vertices)
-    counts = Counter(cycle_structure(graph))
+    counts = Counter(cycles)
     cycles_ok = all(length == 1 or mult <= dn_rn(length)[1] for length, mult in counts.items())
     structural_admissible = degrees_ok and cycles_ok
     fixed = counts.get(1, 0)

@@ -17,7 +17,8 @@ from quaddyn.curves import (
     weierstrass_and_2torsion,
 )
 from quaddyn.dynatomic import dn_rn, dynatomic, gen_dynatomic, verify_factorizations
-from quaddyn.factor import factor_rational, roots_in_quadfield
+from quaddyn.factor import roots_in_quadfield
+from factor_oracle import factor_rational
 from ff_oracle import FiniteField, jacobian_order_enumerated
 from quaddyn.graphcat import canonical_code, classify
 from quaddyn.jacobian import JacModel, order3_certify, point_order, rebase_at

@@ -121,6 +121,8 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
      "error: --primes must be comma-separated integers, got ''\n"),
     (("curve", "X0_5", "torsion-bound", "--primes", "3,,5"),
      "error: --primes must be comma-separated integers, got '3,,5'\n"),
+    (("chabauty", "--disk", "P0", "--out", "/nonexistent-quaddyn/x.json"),
+     "error: cannot write /nonexistent-quaddyn/x.json: No such file or directory\n"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -180,6 +182,10 @@ def test_catalog_row_without_a_key_exits_1(tmp_path, capsys, key):
     ([{"label": "3(2)", "d": -1, "c": "-1", "vertices": "3"}], "catalog row with a non-int 'vertices'"),
     ([{"label": "3(2)", "d": 10**20 + 39, "c": "-1"}], "catalog row with |d| above 10^12"),
     ([{"label": "3(2)", "d": -(10**12 + 1), "c": "-1"}], "catalog row with |d| above 10^12"),
+    ([{"label": "0", "d": -1, "c": "2"}, {"label": "0b", "d": -1, "c": "3"}],
+     "catalog integrity failure: duplicate canonical codes"),
+    ([{"label": "3(2)", "d": -1, "c": "-1", "vertices": 4}],
+     "catalog integrity failure: witness 3(2) gave 3 vertices, expected 4"),
 ])
 def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
     path = tmp_path / "catalog.json"
@@ -187,6 +193,17 @@ def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
     code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {message}: {path}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_with_a_catalog_that_fails_its_checks_exits_1(tmp_path, capsys, jobs):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"label": "3(2)", "d": -1, "c": "-1", "vertices": 4}]))
+    code, out, err = run(capsys, "survey", "--d", "-1", "--height", "1", "--jobs", jobs,
+                         "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert err == ("error: catalog integrity failure: witness 3(2) gave 3 vertices, "
+                   f"expected 4: {path}\n")
 
 
 def test_catalog_that_is_not_json_exits_1(tmp_path, capsys):

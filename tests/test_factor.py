@@ -10,13 +10,15 @@ from quaddyn.factor import (
     _hensel_lift,
     _mul,
     _norm_over_z,
-    certify_irreducible,
-    factor_mod_p,
-    factor_rational,
     low_degree_rational_factors,
     rational_roots,
     roots_in_quadfield,
     z_gcd,
+)
+from factor_oracle import (
+    certify_irreducible,
+    factor_mod_p,
+    factor_rational,
     z_squarefree_decomposition,
 )
 from ff_oracle import FFRing, FiniteField
