@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -79,14 +80,13 @@ def cmd_graph(args) -> int:
 
 
 def _survey_params(d: int, height: int):
-    seen = set()
+    # each c = (u + v sqrt(d))/w of the box once: its representative with
+    # gcd(u, v, w) = 1 lies in the box whenever another one does
     for w in range(1, height + 1):
         for u in range(-height, height + 1):
             for v in range(-height, height + 1):
-                c = QuadElem(Fraction(u, w), Fraction(v, w), d)
-                if c not in seen:
-                    seen.add(c)
-                    yield c
+                if math.gcd(u, v, w) == 1:
+                    yield QuadElem(Fraction(u, w), Fraction(v, w), d)
 
 
 def _survey_one(task: tuple) -> str:

@@ -7,8 +7,8 @@ F_{p^2} as pairs a0 + a1 t with t^2 = n (n the smallest non-residue) at odd
 p and t^2 = t + 1 at p = 2.  One enumerator gives every F_q point count: at
 odd p each x carries 1 + chi(F(x)) points of (2y + h)^2 = F(x), where the
 quadratic character chi of F_{p^2} is that of the norm in F_p, so a count
-needs only a table of squares mod p; point lists (structures only) use a
-table of square roots over F_q.  Jacobian orders follow from the zeta
+needs only a table of squares mod p; structures draw points lazily, one
+square root in F_q at a time.  Jacobian orders follow from the zeta
 relations.  An elliptic group structure Z/n1 x Z/n2 is read from Sylow
 subgroups: n1 | q - 1 by the Weil pairing, so only a prime ell | q - 1 with
 ell^2 | #E(F_q) can divide n1, and its share is found from the exponent of
@@ -29,9 +29,16 @@ from functools import lru_cache
 from importlib import resources
 
 from .factor import _add, _deriv, _gcd, _mul, low_degree_rational_factors
-from .finitefield import factorize, is_prime, reduce_fraction, smallest_nonresidue
+from .finitefield import (
+    factorize,
+    is_prime,
+    reduce_fraction,
+    smallest_nonresidue,
+    sqrt_mod_p,
+    sqrt_mod_p2,
+)
 from .polys import QQ, UniPoly
-from .quadfield import QuadElem, fraction_sqrt
+from .quadfield import QuadElem, quadratic_roots
 
 Q_LIMIT = 10**6
 
@@ -223,16 +230,43 @@ class _Fq:
         return ((a[0] + self.m1 * a[1]) * n % p, -a[1] * n % p)
 
 
-def _enumerate(curve: HypCurve, p: int, deg: int, points: list | None = None) -> int:
+def _fibre(field: _Fq, sx, rx) -> list:
+    """The y in F_q with y^2 + sx y = rx, by a scan of F_q (q = 2 or 4)."""
+    return [y for y in field.elements() if field.mul(y, field.add(y, sx)) == rx]
+
+
+def _affine_points(curve: HypCurve, field: _Fq):
+    """The affine points (x, y) of y^2 + s(x) y = r(x) over field, generated lazily.
+
+    At odd p, y = (t - s(x))/2 for each square root t of F(x) = s(x)^2 + 4 r(x),
+    from sqrt_mod_p at deg 1 and sqrt_mod_p2 in F_p[sqrt(m0)] at deg 2.  At
+    p = 2 the fibres over F_2 or F_4 are scanned.
+    """
+    p = field.p
+    s = curve.h if curve.has_h_model() else UniPoly(QQ, ())
+    if p == 2:  # an f-model has bad reduction at 2, so r = g
+        for x, sx, rx in zip(field.elements(), field.values(s), field.values(curve.g)):
+            yield from ((x, y) for y in _fibre(field, sx, rx))
+        return
+    half = field.of(Fraction(1, 2))
+    for x, v, sx in zip(field.elements(), field.values(curve.completed_square()), field.values(s)):
+        if field.deg == 2:
+            ts = sqrt_mod_p2(p, field.m0, *v)
+        else:
+            r = sqrt_mod_p(v, p)
+            ts = () if r is None else {r, -r % p}
+        for t in ts:
+            yield (x, field.mul(field.sub(t, sx), half))
+
+
+def _enumerate(curve: HypCurve, p: int, deg: int) -> int:
     """#X(F_q), q = p^deg, of y^2 + s(x) y = r(x): (s, r) = (h, g), or (0, f).
 
     At odd p, (2y + s)^2 = F(x) with F = s^2 + 4r, so x carries as many
     points as F(x) has square roots in F_q: the count of square roots of
-    N(F(x)) in F_p, read from a table of size p.  At p = 2 the fibres over
-    F_2 or F_4 are scanned.  The points at infinity are those of the chart
-    v^2 + s_n v = r_2n with n = genus + 1.  When points is a list, the
-    affine points (x, y) are appended to it; at odd p they come from a table
-    of the square roots in F_q.
+    N(F(x)) in F_p, read from a table of size p.  At p = 2 the affine points
+    are counted from the fibre scan of _affine_points.  The points at
+    infinity are those of the chart v^2 + s_n v = r_2n with n = genus + 1.
     """
     q = p**deg
     if q > Q_LIMIT:
@@ -241,37 +275,15 @@ def _enumerate(curve: HypCurve, p: int, deg: int, points: list | None = None) ->
     if not _good_reduction(curve, p):
         raise ValueError(f"{curve!r} has bad reduction at {p}")
     n = curve.genus() + 1
-    s = curve.h if curve.has_h_model() else UniPoly(QQ, ())
-    if p == 2:  # an f-model has bad reduction at 2, so r = g
-        add, mul, elems = field.add, field.mul, list(field.elements())
-
-        def fibre(sx, rx):
-            return [y for y in elems if mul(y, add(y, sx)) == rx]
-
-        total = len(fibre(field.of(curve.h.coeff(n)), field.of(curve.g.coeff(2 * n))))
-        for x, sx, rx in zip(elems, field.values(s), field.values(curve.g)):
-            ys = fibre(sx, rx)
-            total += len(ys)
-            if points is not None:
-                points.extend((x, y) for y in ys)
-        return total
+    if p == 2:
+        at_infinity = _fibre(field, field.of(curve.h.coeff(n)), field.of(curve.g.coeff(2 * n)))
+        return len(at_infinity) + sum(1 for _ in _affine_points(curve, field))
     F = curve.completed_square()
-    fx = field.values(F)
     roots_mod_p = [0] * p
     for t in range(p):
         roots_mod_p[t * t % p] += 1
     total = roots_mod_p[field.norm(field.of(F.coeff(2 * n)))]
-    if points is None:
-        return total + sum(roots_mod_p[field.norm(v)] for v in fx)
-    roots: dict = {}
-    for t in field.elements():
-        roots.setdefault(field.mul(t, t), []).append(t)
-    half = field.of(Fraction(1, 2))
-    for x, v, sx in zip(field.elements(), fx, field.values(s)):
-        ts = roots.get(v, ())
-        total += len(ts)
-        points.extend((x, field.mul(field.sub(t, sx), half)) for t in ts)
-    return total
+    return total + sum(roots_mod_p[field.norm(v)] for v in field.values(F))
 
 
 def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
@@ -345,7 +357,7 @@ def _ec_mul(field: _Fq, curve_a: tuple, k: int, P):
     return out
 
 
-def _sylow_exponent(field: _Fq, curve_a: tuple, points: list, m: int, ell: int, size: int) -> int:
+def _sylow_exponent(field: _Fq, curve_a: tuple, points, m: int, ell: int, size: int) -> int:
     """Exponent of the ell-Sylow subgroup S = m E(F_q), of order size.
 
     S is grown as a set from the images m P of the points: each image not yet
@@ -386,13 +398,11 @@ def elliptic_group_structure(curve: WeierstrassCurve, p: int, deg: int = 1) -> t
     n = _enumerate(curve, p, deg)
     sylow = {ell: v for ell, v in factorize(n).items() if v >= 2 and (p**deg - 1) % ell == 0}
     n1 = 1
-    if sylow:
-        pts: list = []
-        _enumerate(curve, p, deg, pts)
-        curve_a = tuple(field.of(v) for v in curve.a)
-        for ell, v in sylow.items():
-            size = ell**v
-            n1 *= size // _sylow_exponent(field, curve_a, pts, n // size, ell, size)
+    curve_a = tuple(field.of(v) for v in curve.a)
+    for ell, v in sylow.items():
+        size = ell**v
+        points = _affine_points(curve, field)
+        n1 *= size // _sylow_exponent(field, curve_a, points, n // size, ell, size)
     exponent = n // n1
     assert exponent % n1 == 0, "group is not of rank <= 2 (bug)"
     return (n1, exponent)
@@ -447,16 +457,13 @@ def weierstrass_and_2torsion(curve: HypCurve, d: int) -> tuple[list, list]:
             roots.append(QuadElem(-factor.coeffs[0], 0, d))
             continue
         t, n = -factor.coeffs[1], factor.coeffs[0]
-        disc = t * t - 4 * n
-        s = fraction_sqrt(disc / d)
-        if s is not None:
-            roots += [QuadElem(t / 2, s / 2, d), QuadElem(t / 2, -s / 2, d)]
+        pair = quadratic_roots(t, n, d)
+        if pair is not None:
+            roots += pair
             continue
-        dd = _squarefree_of_fraction(disc)
-        s = fraction_sqrt(disc / dd)
+        dd = _squarefree_of_fraction(t * t - 4 * n)
         zero = QuadElem(0, 0, dd)
-        conjugate_pairs.append((CurvePoint.affine(QuadElem(t / 2, s / 2, dd), zero),
-                                CurvePoint.affine(QuadElem(t / 2, -s / 2, dd), zero)))
+        conjugate_pairs.append(tuple(CurvePoint.affine(r, zero) for r in quadratic_roots(t, n, dd)))
     points = [CurvePoint.infinity(0)] if f.degree() % 2 == 1 else []
     roots.sort(key=lambda r: r.sort_key())
     points += [CurvePoint.affine(r, QuadElem(0, 0, d)) for r in roots]

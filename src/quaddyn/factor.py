@@ -2,12 +2,13 @@
 
 One engine answers both questions.  low_degree_rational_factors takes the
 squarefree part of f over Z (a modular integer-poly gcd), picks the first
-good prime p >= 5, and splits off only the degree-1 and degree-2 parts of f
-mod p (gcds with x^p - x and x^(p^2) - x, then an equal-degree split of the
-quadratic block); the rest stays one block.  The blocks are Hensel-lifted to
-a power of p past a root-size bound, and the factors over Z are recombined
-from single lifted factors and from pairs of lifted linears by exact
-division.  Higher-degree factors are never split.
+good prime p >= 5, and splits off only the degree-1 and degree-2 factors of
+f mod p (gcds with x^p - x and x^(p^2) - x, then an equal-degree split of
+the quadratic block); the cofactor is never split or lifted.  Each small
+factor g is lifted on its own to p^k, past a root-size bound, by Newton's
+method on the root x of f in (Z/p^k)[x]/(g); the lift is that root's minimal
+polynomial.  The factors over Z are recombined from single lifted factors
+and from pairs of lifted linears by exact division.
 
 Root-finding in K = Q(sqrt(d)) works through the norm polynomial: candidates
 come from the degree-<=2 rational factors of P * conj(P), formed and split
@@ -17,7 +18,7 @@ Internally, polynomials are plain lists of Python ints (constant term first,
 no trailing zeros) and one kernel serves Z[x], F_p[x] and (Z/p^k)[x]:
 _add, _sub, _mul and _deriv work over Z, and _mod(a, m) reduces where
 arithmetic mod m is meant.  _divmod, _monic, _powmod and _eval take the
-modulus m (a prime p, or p^k while Hensel lifting); _gcd takes a prime.
+modulus m (a prime p, or p^k while lifting); _gcd takes a prime.
 The public API speaks UniPoly.
 """
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .finitefield import is_prime
 from .polys import QQ, QuadField, UniPoly
-from .quadfield import QuadElem, fraction_sqrt
+from .quadfield import QuadElem, quadratic_roots
 
 # ---------------------------------------------------------------------------
 # polynomials as int lists (constant term first, no trailing zeros)
@@ -152,10 +153,11 @@ def _equal_degree(f, d: int, p, rng: random.Random):
 
 
 def _partial_split_mod_p(f, p: int):
-    """(linears, quadratics, rest) of monic squarefree f over F_p.
+    """(linears, quadratics): the monic irreducible factors of degree 1 and 2
+    of squarefree f over F_p.
 
-    Only the degree-1 and degree-2 parts are split off; the cofactor stays a
-    single block, so no equal-degree work is wasted on high-degree content.
+    The cofactor is never split, so no equal-degree work is wasted on
+    high-degree content.
     """
     fm = _monic(_mod(f, p), p)
     h = _powmod([0, 1], p, fm, p)
@@ -167,11 +169,10 @@ def _partial_split_mod_p(f, p: int):
     if len(rest) - 1 >= 2:
         h = _powmod(h, p, rest, p)  # x^(p^2) mod rest
         g2 = _gcd(_sub(h, [0, 1]), rest, p)
-        rest = _divmod(rest, g2, p)[0]
         if len(g2) > 1:
             rng = random.Random(0xF00D + p)
             quads = sorted(_equal_degree(g2, 2, p, rng))
-    return linears, quads, rest
+    return linears, quads
 
 
 # ---------------------------------------------------------------------------
@@ -270,78 +271,48 @@ def z_gcd(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting and recombination
+# Newton lifting and recombination
 # ---------------------------------------------------------------------------
 
 
-def _hensel_step(f, g, h, s, t, m: int, mm: int):
-    """One quadratic step: from factorization mod m to mod mm, where
-    m | mm | m*m (h monic)."""
-    assert mm % m == 0 and m * m % mm == 0, "Hensel step target must lie between m and m*m"
-    e = _mod(_sub(f, _mul(g, h)), mm)
-    q, r = _divmod(_mul(s, e), h, mm)
-    g1 = _mod(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
-    h1 = _mod(_add(h, r), mm)
-    b = _mod(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), mm)
-    c, d = _divmod(_mul(s, b), h1, mm)
-    s1 = _mod(_sub(s, d), mm)
-    t1 = _mod(_sub(t, _add(_mul(t, b), _mul(c, g1))), mm)
-    assert _mod(_sub(f, _mul(g1, h1)), mm) == [], "Hensel step lost exactness"
-    return g1, h1, s1, t1
+def _lift(f, g, big: int, p: int):
+    """The monic factor of f mod big = p^k that reduces to g mod p.
 
-
-def _hensel_lift(f, factors, p: int, target: int):
-    """Lift monic factors mod p of f (f = lc * prod factors mod p) to mod p^target.
-
-    Returns the list of monic lifted factors mod p^target, in input order.
+    g is a linear or irreducible quadratic factor of f mod p, and f is
+    squarefree mod p.  Newton's method lifts the root rho = x of f in
+    (Z/m)[x]/(g), for m = p, p^2, ... up to big: f'(rho) is a unit, and it is
+    inverted as conj / N.  The conjugate of x is -g_1 - x (the identity when
+    g is linear).  The factor is rho's minimal polynomial, x - rho or
+    x^2 - Tr(rho) x + N(rho); the lift of a factor mod p is unique.
     """
-    lc = f[-1]
-    modulus = p**target
 
-    def lift_pair(fcur, fac_list):
-        if len(fac_list) == 1:
-            return [_monic(fcur, modulus)]
-        mid = len(fac_list) // 2
-        g = [fcur[-1] % p]
-        for fac in fac_list[:mid]:
-            g = _mod(_mul(g, fac), p)
-        h = [1]
-        for fac in fac_list[mid:]:
-            h = _mod(_mul(h, fac), p)
-        s, t = _bezout_mod_p(g, h, p)
-        m = p
-        gl, hl, sl, tl = g, h, s, t
-        while m < modulus:
-            # the last step stops at p^target, not at m*m
-            mm = min(m * m, modulus)
-            gl, hl, sl, tl = _hensel_step(fcur, gl, hl, sl, tl, m, mm)
-            m = mm
-        return lift_pair(gl, fac_list[:mid]) + lift_pair(hl, fac_list[mid:])
+    def mul(a, b, m):
+        return _divmod(_mul(a, b), g, m)[1]
 
-    lifted = lift_pair(_mod(f, modulus), factors)
-    check = [lc % modulus]
-    for fac in lifted:
-        check = _mod(_mul(check, fac), modulus)
-    assert check == _mod(f, modulus), "multifactor Hensel lift failed"
-    return lifted
+    def conj(a):
+        if len(g) == 2:
+            return a
+        a0, a1 = (a + [0, 0])[:2]
+        return _trim([a0 - a1 * g[1], -a1])
 
+    def value(h, rho, m):
+        out = []
+        for c in reversed(h):
+            out = _mod(_add(mul(out, rho, m), [c]), m)
+        return out
 
-def _bezout_mod_p(g, h, p):
-    """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g."""
-    hp = _mod(h, p)
-    r0, r1 = _mod(g, p), hp
-    s0, s1 = [1], []
-    while r1:
-        q, r = _divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _mod(_sub(s0, _mul(q, s1)), p)
-    if len(r0) != 1:
-        raise ValueError("factors are not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    s = _divmod([c * inv for c in s0], hp, p)[1]
-    t, rem = _divmod(_sub([1], _mul(s, g)), hp, p)
-    assert not rem, "Bezout construction failed"
-    return s, t
+    df, rho, m = _deriv(f), _divmod([0, 1], g, p)[1], p
+    while m < big:
+        m = min(m * m, big)
+        slope = value(df, rho, m)
+        bar = conj(slope)
+        inv = pow(mul(slope, bar, m)[0], -1, m)
+        rho = _mod(_sub(rho, mul(value(f, rho, m), [c * inv for c in bar], m)), m)
+    if len(g) == 2:
+        return _mod([-(rho or [0])[0], 1], big)
+    bar = conj(rho)
+    trace, norm = _mod(_add(rho, bar), big), mul(rho, bar, big)
+    return _mod([(norm or [0])[0], -(trace or [0])[0], 1], big)
 
 
 def _lift_exponent(p: int, bound: int) -> int:
@@ -418,7 +389,7 @@ def _low_degree_factors(f, max_degree: int) -> list:
     if len(sqfree) == 2:
         return [sqfree]
     p = next(_good_primes(sqfree))
-    linears, quads, rest = _partial_split_mod_p(sqfree, p)
+    linears, quads = _partial_split_mod_p(sqfree, p)
     if not linears and not quads:
         return []
     lc = sqfree[-1]
@@ -429,8 +400,7 @@ def _low_degree_factors(f, max_degree: int) -> list:
     bound = 2 * abs(lc) * (root_bound + 1) ** 2 + 1
     k = _lift_exponent(p, bound)
     big = p**k
-    blocks = linears + quads + ([rest] if len(rest) > 1 else [])
-    lifted = _hensel_lift(sqfree, blocks, p, k)
+    lifted = [_lift(sqfree, g, big, p) for g in linears + quads]
     found = []
     free = []
     for i in range(len(linears)):
@@ -498,13 +468,7 @@ def roots_in_quadfield(f: UniPoly, d: int | None = None) -> list[QuadElem]:
         if len(g) == 2:
             candidates.append(QuadElem(Fraction(-g[0], g[1]), 0, dd))
         else:
-            t, n = Fraction(-g[1], g[2]), Fraction(g[0], g[2])
-            disc = t * t - 4 * n
-            s = fraction_sqrt(disc / dd)
-            if s is None:
-                continue
-            candidates.append(QuadElem(t / 2, s / 2, dd))
-            candidates.append(QuadElem(t / 2, -s / 2, dd))
+            candidates += quadratic_roots(Fraction(-g[1], g[2]), Fraction(g[0], g[2]), dd) or ()
     roots: list[QuadElem] = []
     xgen = UniPoly.gen(field, f.var)
     for cand in candidates:

@@ -3,8 +3,8 @@
 Factorization and primality by trial division (the one factoring loop of the
 package), the Legendre symbol, the smallest quadratic non-residue (which
 fixes the model F_p[t]/(t^2 - n) of F_{p^2} used by the curve layer), square
-roots mod p, and the reduction of a rational mod p.  Elements are plain ints
-in [0, p).
+roots mod p and in F_p[sqrt(d)], and the reduction of a rational mod p.
+Elements are plain ints in [0, p), or pairs of them.
 """
 
 from __future__ import annotations
@@ -84,6 +84,35 @@ def sqrt_mod_p(a: int, p: int) -> int | None:
         m, c = idx, b * b % p
         t, r = t * c % p, r * b % p
     return min(r, p - r)
+
+
+def sqrt_mod_p2(p: int, d: int, a0: int, b0: int):
+    """The square roots A + B sqrt(d) of a0 + b0 sqrt(d) in F_p[sqrt(d)], p odd.
+
+    That is, the (A, B) mod p with A^2 + d B^2 = a0 and 2AB = b0.  With d a
+    non-residue this is F_{p^2}; when p | d and a0 = b0 = 0 the p roots
+    (0, B) are generated lazily.  Any root has (A^2 - d B^2)^2 = a0^2 - d b0^2,
+    so A^2 = (a0 +- r)/2 for a square root r of that norm; B follows from
+    2AB = b0, or from d B^2 = a0 when A = 0.
+    """
+    if d % p == 0 == a0 == b0:  # the ramified prime: A = 0, any B
+        return ((0, b) for b in range(p))
+    r = sqrt_mod_p(a0 * a0 - d * b0 * b0, p)
+    if r is None:
+        return []
+    out = set()
+    for h in {(a0 + r) * (p + 1) // 2 % p, (a0 - r) * (p + 1) // 2 % p}:
+        root = sqrt_mod_p(h, p)
+        for A in () if root is None else {root, -root % p}:
+            if A:
+                bs = (b0 * pow(2 * A, -1, p) % p,)
+            elif d % p:
+                b = sqrt_mod_p(a0 * pow(d, -1, p), p)
+                bs = () if b is None else (b, -b % p)
+            else:
+                bs = ()
+            out |= {(A, b) for b in bs if (A * A + d * b * b - a0) % p == 0 == (2 * A * b - b0) % p}
+    return sorted(out)
 
 
 def reduce_fraction(x, p: int) -> int:

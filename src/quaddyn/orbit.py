@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .factor import roots_in_quadfield
-from .finitefield import sqrt_mod_p, trial_factor
+from .finitefield import sqrt_mod_p2, trial_factor
 from .quadfield import QuadElem, format_elem, quad_sqrt
 
 CLOSURE_CAP = 10_000
@@ -257,7 +257,7 @@ def _digits(p: int, q: int, d: int, A: int, B: int, na: int, nb: int):
     """
     if q == 1:
         if p > 2:
-            return _roots_mod_p(p, d, -na % p, -nb % p)
+            return sqrt_mod_p2(p, d, -na % p, -nb % p)
         return [(s, t) for s in (0, 1) for t in (0, 1) if (s + d * t + na) % 2 == 0 == nb % 2]
     rows = ((2 * A % p, 2 * d * B % p, -(A * A + d * B * B + na) // q % p),
             (2 * B % p, 2 * A % p, -(2 * A * B + nb) // q % p))
@@ -277,33 +277,6 @@ def _digits(p: int, q: int, d: int, A: int, B: int, na: int, nb: int):
     if u:
         return ((s0, t) for t in range(p))
     return ((s, t) for s in range(p) for t in range(p))
-
-
-def _roots_mod_p(p: int, d: int, a0: int, b0: int):
-    """(A, B) mod an odd prime p with A^2 + d B^2 = a0 and 2AB = b0.
-
-    Any root has (A^2 - d B^2)^2 = a0^2 - d b0^2, so A^2 = (a0 +- r)/2 for a
-    square root r of that norm; B follows from 2AB = b0, or from d B^2 = a0
-    when A = 0.
-    """
-    if d % p == 0 == a0 == b0:  # y lies in the prime over the ramified p: A = 0, any B
-        return ((0, b) for b in range(p))
-    r = sqrt_mod_p(a0 * a0 - d * b0 * b0, p)
-    if r is None:
-        return []
-    out = set()
-    for h in {(a0 + r) * (p + 1) // 2 % p, (a0 - r) * (p + 1) // 2 % p}:
-        root = sqrt_mod_p(h, p)
-        for A in () if root is None else {root, -root % p}:
-            if A:
-                bs = (b0 * pow(2 * A, -1, p) % p,)
-            elif d % p:
-                b = sqrt_mod_p(a0 * pow(d, -1, p), p)
-                bs = () if b is None else (b, -b % p)
-            else:
-                bs = ()
-            out |= {(A, b) for b in bs if (A * A + d * b * b - a0) % p == 0 == (2 * A * b - b0) % p}
-    return sorted(out)
 
 
 def _square_root_classes(p: int, e: int, d: int, na: int, nb: int) -> list | None:

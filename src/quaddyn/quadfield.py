@@ -50,6 +50,18 @@ def fraction_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def quadratic_roots(t: Fraction, n: Fraction, d: int) -> tuple | None:
+    """The roots (t +- s sqrt(d))/2 in Q(sqrt(d)) of x^2 - t x + n over Q.
+
+    They lie in Q(sqrt(d)) when (t^2 - 4n)/d = s^2 is a rational square;
+    else None.
+    """
+    s = fraction_sqrt((t * t - 4 * n) / d)
+    if s is None:
+        return None
+    return QuadElem(t / 2, s / 2, d), QuadElem(t / 2, -s / 2, d)
+
+
 class QuadElem:
     """Element a + b*sqrt(d) of Q(sqrt(d)), d squarefree, d != 0, 1."""
 

@@ -7,8 +7,10 @@ content/primitive split, Yun squarefree decomposition, factorization modulo a
 good prime (distinct-degree then equal-degree splitting), Hensel lifting up
 to a Mignotte-style bound, and recombination by subset search in order of
 subset size.  It shares the int-list kernel of quaddyn.factor (arithmetic in
-Z[x] and F_p[x], the Hensel lift, the recombination test) but none of the
-degree-<=2 split.
+Z[x] and F_p[x], the recombination test) but none of the degree-<=2 split.
+The multifactor Hensel lift here (a binary tree of Bezout-based quadratic
+steps) is also the oracle for quaddyn.factor._lift, which lifts one small
+factor at a time by Newton's method on its root.
 
 - factor_rational is the complete factorization, with multiplicities;
 - certify_irreducible gives an irreducibility certificate;
@@ -26,16 +28,17 @@ from fractions import Fraction
 
 from quaddyn.curves import CurvePoint, HypCurve
 from quaddyn.factor import (
+    _add,
     _deriv,
     _divmod,
     _equal_degree,
     _from_int_poly,
     _gcd,
     _good_primes,
-    _hensel_lift,
     _lift_exponent,
     _mod,
     _monic,
+    _mul,
     _powmod,
     _recombine,
     _sub,
@@ -114,6 +117,76 @@ def _pick_prime(f, tries: int = 6):
             break
     _, p, factors = min(found, key=lambda rec: rec[:2])
     return p, factors
+
+
+def _hensel_step(f, g, h, s, t, m: int, mm: int):
+    """One quadratic step: from factorization mod m to mod mm, where
+    m | mm | m*m (h monic)."""
+    assert mm % m == 0 and m * m % mm == 0, "Hensel step target must lie between m and m*m"
+    e = _mod(_sub(f, _mul(g, h)), mm)
+    q, r = _divmod(_mul(s, e), h, mm)
+    g1 = _mod(_add(g, _add(_mul(t, e), _mul(q, g))), mm)
+    h1 = _mod(_add(h, r), mm)
+    b = _mod(_sub(_add(_mul(s, g1), _mul(t, h1)), [1]), mm)
+    c, d = _divmod(_mul(s, b), h1, mm)
+    s1 = _mod(_sub(s, d), mm)
+    t1 = _mod(_sub(t, _add(_mul(t, b), _mul(c, g1))), mm)
+    assert _mod(_sub(f, _mul(g1, h1)), mm) == [], "Hensel step lost exactness"
+    return g1, h1, s1, t1
+
+
+def _hensel_lift(f, factors, p: int, target: int):
+    """Lift monic factors mod p of f (f = lc * prod factors mod p) to mod p^target.
+
+    Returns the list of monic lifted factors mod p^target, in input order.
+    """
+    lc = f[-1]
+    modulus = p**target
+
+    def lift_pair(fcur, fac_list):
+        if len(fac_list) == 1:
+            return [_monic(fcur, modulus)]
+        mid = len(fac_list) // 2
+        g = [fcur[-1] % p]
+        for fac in fac_list[:mid]:
+            g = _mod(_mul(g, fac), p)
+        h = [1]
+        for fac in fac_list[mid:]:
+            h = _mod(_mul(h, fac), p)
+        s, t = _bezout_mod_p(g, h, p)
+        m = p
+        gl, hl, sl, tl = g, h, s, t
+        while m < modulus:
+            # the last step stops at p^target, not at m*m
+            mm = min(m * m, modulus)
+            gl, hl, sl, tl = _hensel_step(fcur, gl, hl, sl, tl, m, mm)
+            m = mm
+        return lift_pair(gl, fac_list[:mid]) + lift_pair(hl, fac_list[mid:])
+
+    lifted = lift_pair(_mod(f, modulus), factors)
+    check = [lc % modulus]
+    for fac in lifted:
+        check = _mod(_mul(check, fac), modulus)
+    assert check == _mod(f, modulus), "multifactor Hensel lift failed"
+    return lifted
+
+
+def _bezout_mod_p(g, h, p):
+    """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g."""
+    hp = _mod(h, p)
+    r0, r1 = _mod(g, p), hp
+    s0, s1 = [1], []
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mod(_sub(s0, _mul(q, s1)), p)
+    if len(r0) != 1:
+        raise ValueError("factors are not coprime mod p")
+    inv = pow(r0[0], -1, p)
+    s = _divmod([c * inv for c in s0], hp, p)[1]
+    t, rem = _divmod(_sub([1], _mul(s, g)), hp, p)
+    assert not rem, "Bezout construction failed"
+    return s, t
 
 
 def zassenhaus(f) -> list:

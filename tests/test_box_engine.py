@@ -82,7 +82,11 @@ def _seven_digit_params():
     def large():
         return F(rng.randint(10**6, 10**7 - 1) * rng.choice((-1, 1)), rng.randint(10**6, 10**7 - 1))
 
-    return [QuadElem(large(), large(), d) for d in FIELDS]
+    return [QuadElem(large(), large(), d) for d in FIELDS] + [
+        parse_elem("222195/60817 + 907787/532085*sqrt(-3)", -3),
+        parse_elem("-307122/30041 - 45290/219243*sqrt(-2)", -2),
+        parse_elem("-58727/301925 + 277079/76757*sqrt(2)", 2),
+    ]
 
 
 @pytest.mark.parametrize("c", _seven_digit_params(), ids=str)

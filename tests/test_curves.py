@@ -181,3 +181,31 @@ def test_reduction_at_2_is_exact():
     assert _good_reduction(e, 2)
     for deg in (1, 2):
         assert count_points_ff(e, 2, deg) == elliptic_count(WeierstrassCurve(0, 0, 1, 0, 0), 2, deg)
+
+
+# (p, structure over F_p, structure over F_{p^2}) at every good p <= 50
+STRUCTURES = {
+    "E17": [(2, (1, 4), (1, 8)), (3, (1, 4), (4, 4)), (5, (1, 8), (2, 16)), (7, (1, 4), (4, 12)),
+            (11, (1, 12), (12, 12)), (13, (2, 8), (4, 48)), (19, (2, 12), (8, 48)),
+            (23, (1, 20), (4, 140)), (29, (1, 24), (6, 144)), (31, (1, 28), (4, 252)),
+            (37, (1, 40), (2, 720)), (41, (1, 48), (6, 288)), (43, (2, 20), (8, 240)),
+            (47, (2, 24), (48, 48))],
+    "E40": [(3, (1, 4), (4, 4)), (7, (1, 12), (4, 12)), (11, (2, 4), (8, 16)),
+            (13, (1, 16), (2, 96)), (17, (1, 16), (2, 160)), (19, (2, 8), (8, 48)),
+            (23, (1, 20), (4, 140)),
+            (29, (2, 16), (4, 224)), (31, (2, 20), (8, 120)), (37, (1, 32), (2, 704)),
+            (41, (2, 24), (12, 144)), (43, (1, 52), (4, 468)), (47, (1, 44), (4, 572))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_elliptic_structures_at_every_good_prime_up_to_50(name):
+    curve = get_curve(name).curve
+    primes = [p for p in range(2, 51) if all(p % q for q in range(2, p))]
+    table = STRUCTURES[name]
+    assert [p for p, _, _ in table] == [p for p in primes if _good_reduction(curve, p)]
+    for p, over_p, over_p2 in table:
+        assert elliptic_group_structure(curve, p, 1) == over_p, p
+        assert elliptic_group_structure(curve, p, 2) == over_p2, p
+        assert over_p[0] * over_p[1] == elliptic_count(curve, p, 1)
+        assert over_p2[0] * over_p2[1] == elliptic_count(curve, p, 2)

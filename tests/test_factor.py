@@ -7,7 +7,6 @@ import pytest
 
 from quaddyn.dynatomic import dynatomic, specialize
 from quaddyn.factor import (
-    _hensel_lift,
     _mul,
     _norm_over_z,
     low_degree_rational_factors,
@@ -16,6 +15,7 @@ from quaddyn.factor import (
     z_gcd,
 )
 from factor_oracle import (
+    _hensel_lift,
     certify_irreducible,
     factor_mod_p,
     factor_rational,

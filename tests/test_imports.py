@@ -1,9 +1,12 @@
-"""Every name a quaddyn module imports is used in that module.
+"""Every name a quaddyn module imports is used in that module, and no module
+imports from the tests.
 
 A function moved to another module (or to a test oracle) tends to leave its
 imports behind; this catches them.  The file is parsed, not imported.  The
 package's __init__ re-exports names on purpose, and `from __future__`
-imports are directives, so both are exempt.
+imports are directives, so both are exempt.  The oracles in tests/ import
+quaddyn, never the other way round: an oracle the engine depends on would
+check nothing.
 """
 
 import ast
@@ -41,3 +44,34 @@ def test_the_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == [], f"unused imports in {path.name}"
+
+
+def oracle_imports(source: str) -> list:
+    """(line, module) of each import from tests/ or from an *_oracle module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            parts = [part for part in module.split(".") if part]
+            if parts and (parts[0] == "tests" or any(part.endswith("_oracle") for part in parts)):
+                out.append((node.lineno, module))
+                break
+    return out
+
+
+def test_the_check_finds_an_oracle_import():
+    source = ("import math\nfrom factor_oracle import zassenhaus\nimport tests.ff_oracle\n"
+              "from tests import helpers\nfrom . import chabauty_oracle\nfrom .factor import _lift\n")
+    assert oracle_imports(source) == [(2, "factor_oracle"), (3, "tests.ff_oracle"),
+                                      (4, "tests"), (5, ".chabauty_oracle")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_an_oracle(path):
+    assert oracle_imports(path.read_text()) == [], f"{path.name} imports from the tests"
