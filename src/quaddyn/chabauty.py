@@ -502,7 +502,7 @@ def _ord2_or_inf(x: int) -> int:
 class BiTruncSeries:
     """Bivariate polynomial over Z/2^prec in (T, U), total degree capped."""
 
-    __slots__ = ("terms", "prec", "cap")
+    __slots__ = ("terms", "prec", "cap", "_rows")
 
     def __init__(self, terms: dict, prec: int = DISK_PREC, cap: int = SERIES_DEGREE):
         m = 1 << prec
@@ -514,6 +514,7 @@ class BiTruncSeries:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "prec", prec)
         object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, *args):
         raise AttributeError("BiTruncSeries is immutable")
@@ -522,11 +523,20 @@ class BiTruncSeries:
         return self.terms.get((i, j), 0)
 
     def eval(self, t_val: int, u_val: int) -> int:
-        m = 1 << self.prec
+        rows = self._rows
+        if rows is None:  # rows[j][i] = coefficient of T^i U^j, built on the first call
+            rows = [[] for _ in range(1 + max((j for _, j in self.terms), default=-1))]
+            for (i, j), v in self.terms.items():
+                rows[j].extend([0] * (i + 1 - len(rows[j])))
+                rows[j][i] = v
+            object.__setattr__(self, "_rows", rows)
         acc = 0
-        for (i, j), c in self.terms.items():
-            acc = (acc + c * pow(t_val, i, m) * pow(u_val, j, m)) % m
-        return acc
+        for row in reversed(rows):
+            p = 0
+            for c in reversed(row):
+                p = p * t_val + c
+            acc = acc * u_val + p
+        return acc % (1 << self.prec)
 
     def partial(self, var: int) -> "BiTruncSeries":
         out = {}

@@ -79,14 +79,26 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _survey_params(d: int, height: int):
-    # each c = (u + v sqrt(d))/w of the box once: its representative with
-    # gcd(u, v, w) = 1 lies in the box whenever another one does
-    for w in range(1, height + 1):
-        for u in range(-height, height + 1):
-            for v in range(-height, height + 1):
-                if math.gcd(u, v, w) == 1:
-                    yield QuadElem(Fraction(u, w), Fraction(v, w), d)
+def _survey_params(d: int, height: int) -> list:
+    """Each c = (u + v sqrt(d))/w of the box once, in QuadElem.sort_key order.
+
+    The representative with gcd(u, v, w) = 1 lies in the box whenever another
+    one does.  sort_key is (norm, trace, text).  With L = lcm(1..height) and
+    s = L/w, the norm times L^2 is (u^2 - d v^2) s^2 and the trace times L/2
+    is u s, both integers.  Equal norm and trace leave only v against -v: for
+    u != 0 the text "a + ..." sorts before "a - ...", and for u = 0 the stem
+    "-..." sorts first.
+    """
+    L = math.lcm(*range(1, height + 1))
+
+    def key(t):
+        u, v, w = t
+        s = L // w
+        return (u * u - d * v * v) * s * s, u * s, -v if u else v
+
+    triples = sorted(((u, v, w) for w in range(1, height + 1) for u in range(-height, height + 1)
+                      for v in range(-height, height + 1) if math.gcd(u, v, w) == 1), key=key)
+    return [QuadElem(Fraction(u, w), Fraction(v, w), d) for u, v, w in triples]
 
 
 def _survey_one(task: tuple) -> str:
@@ -101,7 +113,7 @@ def cmd_survey(args) -> int:
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     expected = {-1: QI_LABELS, -3: QW_LABELS}.get(args.d)
-    params = sorted(_survey_params(args.d, args.height), key=lambda e: e.sort_key())
+    params = _survey_params(args.d, args.height)
     tasks = [(c.a, c.b, c.d, args.n_max, args.catalog) for c in params]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -77,15 +77,14 @@ class HypCurve:
         self.g = g
         self.h = h if h is not None else (None if f is not None else UniPoly(QQ, ()))
         self.name = name
-        F = self.completed_square()
+        F = f if f is not None else g * 4 + self.h * self.h
         if F.is_zero() or not F.squarefree_part() == F.monic():
             raise ValueError("defining data is not squarefree")
+        self._square = F
 
     def completed_square(self) -> UniPoly:
         """The sextic/quintic F with (2y + h)^2 = F; equals f for f-models."""
-        if self.f is not None:
-            return self.f
-        return self.g * 4 + self.h * self.h
+        return self._square
 
     def genus(self) -> int:
         return (self.completed_square().degree() - 1) // 2

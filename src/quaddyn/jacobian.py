@@ -12,6 +12,16 @@ repeatedly subtracts div(y - w(x)) for a cubic w congruent to v mod u whose
 top coefficients are chosen to steer poles into whichever infinite point is
 in surplus.  Every division along the way is exact and asserted.
 
+Composition and reduction run on a private kernel of ints.  An element of
+K = Q(sqrt(d)) is a normalized triple (a, b, c) meaning (a + b sqrt(d))/c,
+with c > 0 and gcd(a, b, c) = 1; over Q, b = 0 and the kernel takes d = 0.
+A normalized triple is unique, so equal elements are equal tuples.  A
+polynomial is a list of triples, lowest degree first, with no zero leading
+coefficient.  JacModel converts f and s to this form once; a DivClass keeps
+its Mumford pair in it and builds the public UniPoly fields u and v on first
+access.  The UniPoly versions of the Cantor routines, over QuadElem and
+Fraction, are the oracle in tests/jacobian_oracle.py.
+
 Base fields are exact and of characteristic 0 (Q or Q(sqrt(d))); curves
 needing good reduction at 2 are handled upstream by completing the square,
 which for the pipeline's curve reproduces the original sextic.
@@ -20,8 +30,9 @@ which for the pipeline's curve reproduces the original sextic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .polys import QuadField, UniPoly
+from .polys import ExactnessError, QuadField, UniPoly
 from .quadfield import QuadElem, fraction_sqrt, quad_sqrt
 
 
@@ -30,6 +41,144 @@ def _ring_sqrt(ring, value):
         return quad_sqrt(value)
     root = fraction_sqrt(Fraction(value))
     return root
+
+
+# -- the kernel: elements of K as int triples, polynomials as lists of them ----
+
+
+def _norm(a: int, b: int, c: int) -> tuple:
+    g = gcd(a, b, c)
+    if c < 0:
+        g = -g
+    return (a // g, b // g, c // g)
+
+
+def _add(x, y) -> tuple:
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    if c1 == c2:
+        return _norm(a1 + a2, b1 + b2, c1)
+    return _norm(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2)
+
+
+def _mul(x, y, d: int) -> tuple:
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    return _norm(a1 * a2 + d * b1 * b2, a1 * b2 + a2 * b1, c1 * c2)
+
+
+def _inv(x, d: int) -> tuple:
+    a, b, c = x
+    n = a * a - d * b * b
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return _norm(c * a, -c * b, n)
+
+
+def _trim(p: list) -> list:
+    while p and not (p[-1][0] or p[-1][1]):
+        p.pop()
+    return p
+
+
+def _padd(p, q) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for k, y in enumerate(q):
+        out[k] = _add(out[k], y)
+    return _trim(out)
+
+
+def _neg(x) -> tuple:
+    return (-x[0], -x[1], x[2])
+
+
+def _pneg(p) -> list:
+    return [(-a, -b, c) for a, b, c in p]
+
+
+def _psub(p, q) -> list:
+    return _padd(p, _pneg(q))
+
+
+def _pscale(p, s, d: int) -> list:
+    return [_mul(x, s, d) for x in p]
+
+
+def _conv(p, q, k: int, d: int) -> tuple:
+    """Coefficient k of p * q, summed over one running denominator, then normalized."""
+    A, B, C = 0, 0, 1
+    for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1):
+        a1, b1, c1 = p[i]
+        a2, b2, c2 = q[k - i]
+        a, b, c = a1 * a2 + d * b1 * b2, a1 * b2 + a2 * b1, c1 * c2
+        if c == C:
+            A, B = A + a, B + b
+        else:
+            A, B, C = A * c + a * C, B * c + b * C, C * c
+    return _norm(A, B, C)
+
+
+def _pmul(p, q, d: int) -> list:
+    if not p or not q:
+        return []
+    return [_conv(p, q, k, d) for k in range(len(p) + len(q) - 1)]
+
+
+def _pdivrem(p, q, d: int) -> tuple[list, list]:
+    """(quotient, remainder) of p by a nonzero q."""
+    n = len(q) - 1
+    dq = len(p) - len(q)
+    if dq < 0:
+        return [], list(p)
+    inv = None if q[-1] == (1, 0, 1) else _inv(q[-1], d)
+    rem = list(p)
+    quot = [(0, 0, 1)] * (dq + 1)
+    for k in range(dq, -1, -1):
+        top = rem[k + n]
+        if not (top[0] or top[1]):
+            continue
+        t = top if inv is None else _mul(top, inv, d)
+        quot[k] = t
+        ta, tb, tc = t
+        for j in range(n):  # rem[k + n] - t * lc(q) is 0 by the choice of t
+            a2, b2, c2 = q[j]
+            a, b, c = ta * a2 + d * tb * b2, ta * b2 + a2 * tb, tc * c2
+            ra, rb, rc = rem[k + j]
+            rem[k + j] = _norm(ra * c - a * rc, rb * c - b * rc, rc * c)
+    return quot, _trim(rem[:n])
+
+
+def _pmod(p, q, d: int) -> list:
+    return _pdivrem(p, q, d)[1]
+
+
+def _pexact(p, q, d: int) -> list:
+    quot, rem = _pdivrem(p, q, d)
+    if rem:
+        raise ExactnessError("inexact division in the divisor-class kernel")
+    return quot
+
+
+def _pmonic(p, d: int) -> list:
+    if p[-1] == (1, 0, 1):
+        return p
+    return _pscale(p, _inv(p[-1], d), d)
+
+
+def _triple(c) -> tuple:
+    """A Fraction, int or QuadElem as a normalized triple."""
+    a, b = (c.a, c.b) if isinstance(c, QuadElem) else (Fraction(c), Fraction(0))
+    den = lcm(a.denominator, b.denominator)
+    return (a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den)
+
+
+def _peval(p, x, d: int) -> tuple:
+    out = (0, 0, 1)
+    for c in reversed(p):
+        out = _add(_mul(out, x, d), c)
+    return out
 
 
 class JacModel:
@@ -45,24 +194,54 @@ class JacModel:
             raise ValueError("leading coefficient is not a square; infinite points not rational")
         self.s = s
         self.x = UniPoly.gen(self.ring, f.var)
+        self._d = self.ring.d if isinstance(self.ring, QuadField) else 0
+        self._f = self._kernel(f)
+        self._s = _triple(s)
 
     def const(self, value) -> UniPoly:
         if not isinstance(value, QuadElem):
             value = self.ring.of(value)
         return UniPoly.const(self.ring, value, self.f.var)
 
+    def _kernel(self, p: UniPoly) -> list:
+        if p.ring != self.ring:
+            raise ValueError("polynomials over different rings or variables")
+        return [_triple(c) for c in p.coeffs]
+
+    def _elem(self, c) -> tuple:
+        """A base-field element (QuadElem, Fraction or int) as a triple."""
+        if isinstance(c, QuadElem) and c.b and c.d != self._d:
+            raise ValueError(f"{c!r} is not in the base field {self.ring!r}")
+        return _triple(c)
+
+    def _poly(self, p) -> UniPoly:
+        """A kernel polynomial as a UniPoly over the model's ring."""
+        d = self._d
+        if d == 0:
+            coeffs = [Fraction(a, c) for a, _b, c in p]
+        else:
+            coeffs = [QuadElem(Fraction(a, c), Fraction(b, c), d) for a, b, c in p]
+        return UniPoly(self.ring, coeffs, self.f.var)
+
     def on_curve(self, x, y) -> bool:
-        return self.f.eval(x) == y * y
+        y = self._elem(y)
+        return _peval(self._f, self._elem(x), self._d) == _mul(y, y, self._d)
 
     def zero(self) -> "DivClass":
-        return DivClass(self, _one(self.f), _zero(self), 1, 1)
+        return DivClass(self, [(1, 0, 1)], [], 1, 1)
 
     def from_mumford(self, u: UniPoly, v: UniPoly, nplus: int = 0, nminus: int = 0) -> "DivClass":
-        u = u.monic()
-        v = v % u if u.degree() > 0 else _zero(self)
-        if not (self.f - v * v).divrem(u)[1].is_zero():
+        if u.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return self._mumford(self._kernel(u), self._kernel(v), nplus, nminus)
+
+    def _mumford(self, u, v, nplus: int, nminus: int) -> "DivClass":
+        d = self._d
+        u = _pmonic(u, d)
+        v = _pmod(v, u, d) if len(u) > 1 else []
+        if _pmod(_psub(self._f, _pmul(v, v, d)), u, d):
             raise ValueError("v^2 is not congruent to f mod u: divisor not on the curve")
-        if u.degree() + nplus + nminus != 2:
+        if len(u) - 1 + nplus + nminus != 2:
             raise ValueError("normal form needs total effective degree 2")
         return DivClass(self, u, v, nplus, nminus)
 
@@ -77,37 +256,28 @@ class JacModel:
         for (x, y) in affs:
             if not self.on_curve(x, y):
                 raise ValueError(f"({x}, {y}) is not on the curve")
-        if len(affs) == 0:
+        d, f = self._d, self._f
+        pts = [(self._elem(x), self._elem(y)) for x, y in affs]
+        if len(pts) == 0:
             if nplus == 1 and nminus == 1:
                 return self.zero()
-            return DivClass(self, _one(self.f), _zero(self), nplus, nminus)
-        X = self.x
-        if len(affs) == 1:
-            x1, y1 = affs[0]
-            u = X - self.const(x1)
-            return DivClass(self, u, self.const(y1), nplus, nminus)
-        (x1, y1), (x2, y2) = affs
+            return DivClass(self, [(1, 0, 1)], [], nplus, nminus)
+        if len(pts) == 1:
+            (x1, y1), = pts
+            return DivClass(self, [_neg(x1), (1, 0, 1)], _trim([y1]), nplus, nminus)
+        (x1, y1), (x2, y2) = pts
         if x1 == x2:
             if y1 != y2:
                 return self.zero()  # {P, iota P}
-            if _is_zero_scalar(y1):
+            if not (y1[0] or y1[1]):
                 return self.zero()  # Weierstrass point doubled
-            u = (X - self.const(x1)) ** 2
-            slope = self.f.derivative().eval(x1) / (y1 + y1)
-            v = self.const(y1) + self.const(slope) * (X - self.const(x1))
-            return self.from_mumford(u, v)
-        u = (X - self.const(x1)) * (X - self.const(x2))
-        slope = (y2 - y1) / (x2 - x1)
-        v = self.const(y1) + self.const(slope) * (X - self.const(x1))
-        return self.from_mumford(u, v)
-
-
-def _zero(model) -> UniPoly:
-    return UniPoly(model.ring, (), model.f.var)
-
-
-def _one(a: UniPoly) -> UniPoly:
-    return UniPoly.const(a.ring, a.ring.one, a.var)
+            df = [_norm(k * a, k * b, c) for k, (a, b, c) in enumerate(f) if k]
+            slope = _mul(_peval(df, x1, d), _inv(_add(y1, y1), d), d)
+        else:
+            slope = _mul(_add(y2, _neg(y1)), _inv(_add(x2, _neg(x1)), d), d)
+        u = [_mul(x1, x2, d), _neg(_add(x1, x2)), (1, 0, 1)]
+        v = _trim([_add(y1, _neg(_mul(slope, x1, d))), slope])
+        return self._mumford(u, v, 0, 0)
 
 
 def _is_zero_scalar(y) -> bool:
@@ -116,62 +286,77 @@ def _is_zero_scalar(y) -> bool:
     return y == 0
 
 
-def _xgcd(a: UniPoly, b: UniPoly):
+def _xgcd(a, b, d: int):
     """(g monic, x, y) with x*a + y*b = g, over a field."""
-    ring = a.ring
     r0, r1 = a, b
-    s0, s1 = _one(a), UniPoly(ring, (), a.var)
-    t0, t1 = UniPoly(ring, (), a.var), _one(a)
-    while not r1.is_zero():
-        q, r = r0.divrem(r1)
+    s0, s1 = [(1, 0, 1)], []
+    t0, t1 = [], [(1, 0, 1)]
+    while r1:
+        q, r = _pdivrem(r0, r1, d)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, d))
+        t0, t1 = t1, _psub(t0, _pmul(q, t1, d))
+    if not r0:
         return r0, s0, t0
-    lead = ring.inv(r0.lc())
-    return r0 * lead, s0 * lead, t0 * lead
+    lead = _inv(r0[-1], d)
+    return _pscale(r0, lead, d), _pscale(s0, lead, d), _pscale(t0, lead, d)
 
 
 class DivClass:
-    __slots__ = ("model", "u", "v", "nplus", "nminus")
+    """A class in normal form; u and v are kernel polynomials inside, UniPolys outside."""
 
-    def __init__(self, model: JacModel, u: UniPoly, v: UniPoly, nplus: int, nminus: int):
+    __slots__ = ("model", "nplus", "nminus", "_u", "_v", "_polys")
+
+    def __init__(self, model: JacModel, u, v, nplus: int, nminus: int):
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
         object.__setattr__(self, "nplus", nplus)
         object.__setattr__(self, "nminus", nminus)
+        object.__setattr__(self, "_u", tuple(u))
+        object.__setattr__(self, "_v", tuple(v))
+        object.__setattr__(self, "_polys", None)
 
     def __setattr__(self, *args):
         raise AttributeError("DivClass is immutable")
 
+    def _pair(self) -> tuple[UniPoly, UniPoly]:
+        if self._polys is None:
+            object.__setattr__(self, "_polys", (self.model._poly(self._u), self.model._poly(self._v)))
+        return self._polys
+
+    @property
+    def u(self) -> UniPoly:
+        return self._pair()[0]
+
+    @property
+    def v(self) -> UniPoly:
+        return self._pair()[1]
+
     def is_zero(self) -> bool:
-        return self.u.degree() == 0 and self.nplus == 1 and self.nminus == 1
+        return len(self._u) == 1 and self.nplus == 1 and self.nminus == 1
 
     def __eq__(self, other):
         if not isinstance(other, DivClass):
             return NotImplemented
         return (
-            self.model.f == other.model.f
-            and self.u == other.u
-            and self.v == other.v
+            (self.model is other.model or self.model.f == other.model.f)
+            and self._u == other._u
+            and self._v == other._v
             and self.nplus == other.nplus
             and self.nminus == other.nminus
         )
 
     def __hash__(self):
-        return hash((self.u, self.v, self.nplus, self.nminus))
+        return hash((self._u, self._v, self.nplus, self.nminus))
 
     def __neg__(self):
-        return DivClass(self.model, self.u, -self.v % self.u if self.u.degree() else self.v,
-                        self.nminus, self.nplus)
+        # v is reduced mod u, so -v is too
+        return DivClass(self.model, self._u, _pneg(self._v), self.nminus, self.nplus)
 
     def __add__(self, other: "DivClass") -> "DivClass":
-        if self.model.f != other.model.f:
-            raise ValueError("classes on different curves")
         model = self.model
-        (u3, v3), cancelled = _compose(model, (self.u, self.v), (other.u, other.v))
+        if other.model is not model and model.f != other.model.f:
+            raise ValueError("classes on different curves")
+        (u3, v3), cancelled = _compose(model, (self._u, self._v), (other._u, other._v))
         mplus = self.nplus + other.nplus + cancelled
         mminus = self.nminus + other.nminus + cancelled
         return _reduce(model, u3, v3, mplus, mminus, 2)
@@ -203,70 +388,73 @@ class DivClass:
 
 
 def _compose(model, a1, a2):
-    """Cantor composition of semi-reduced affine parts; returns ((u, v), deg d)."""
+    """Cantor composition of semi-reduced affine parts in kernel form; returns ((u, v), deg d)."""
     u1, v1 = a1
     u2, v2 = a2
-    if u1.degree() == 0:
+    if len(u1) == 1:
         return (u2, v2), 0
-    if u2.degree() == 0:
+    if len(u2) == 1:
         return (u1, v1), 0
-    d1, e1, e2 = _xgcd(u1, u2)
-    vsum = v1 + v2
-    if vsum.is_zero():
-        d, c1, c2 = d1, _one(u1), UniPoly(model.ring, (), u1.var)
+    d, f = model._d, model._f
+    d1, e1, e2 = _xgcd(u1, u2, d)
+    vsum = _padd(v1, v2)
+    if not vsum:
+        g, c1, c2 = d1, [(1, 0, 1)], []
     else:
-        d, c1, c2 = _xgcd(d1, vsum)
-    u = (u1 * u2).exact_div(d * d).monic()
-    num = c1 * (e1 * u1 * v2 + e2 * u2 * v1) + c2 * (v1 * v2 + model.f)
-    v = num.exact_div(d) % u if u.degree() > 0 else _zero(model)
-    assert (model.f - v * v).divrem(u)[1].is_zero() if u.degree() else True, "compose broke Mumford"
-    return (u, v), d.degree()
+        g, c1, c2 = _xgcd(d1, vsum, d)
+    u = _pmonic(_pexact(_pmul(u1, u2, d), _pmul(g, g, d), d), d)
+    num = _padd(_pmul(c1, _padd(_pmul(_pmul(e1, u1, d), v2, d), _pmul(_pmul(e2, u2, d), v1, d)), d),
+                _pmul(c2, _padd(_pmul(v1, v2, d), f), d))
+    v = _pmod(_pexact(num, g, d), u, d) if len(u) > 1 else []
+    assert len(u) == 1 or not _pmod(_psub(f, _pmul(v, v, d)), u, d), "compose broke Mumford"
+    return (u, v), len(g) - 1
 
 
-def _build_w(model, u: UniPoly, v: UniPoly, sigma: int) -> UniPoly:
+def _build_w(model, u, v, sigma: int) -> list:
     """w == v mod u, deg w <= 3, leading coefficient sigma*s, top of f - w^2 killed."""
-    n = u.degree()
+    n = len(u) - 1
     if n == 4:
         return v
-    x = model.x
-    lead = model.s if sigma > 0 else -model.s
-    w = v + model.const(lead) * x ** (3 - n) * u
+    d = model._d
+    lead = model._s if sigma > 0 else _neg(model._s)
+    inv_2lead = _inv(_add(lead, lead), d)
+    w = _padd(v, [(0, 0, 1)] * (3 - n) + _pscale(u, lead, d))
     for t in range(3 - n):
         m = 3 - n - 1 - t
-        G = model.f - w * w
-        coeff = G.coeff(5 - t)
-        a = coeff / (lead + lead)
-        w = w + model.const(a) * x**m * u
+        coeff = _add(model._f[5 - t], _neg(_conv(w, w, 5 - t, d)))  # of f - w^2
+        w = _padd(w, [(0, 0, 1)] * m + _pscale(u, _mul(coeff, inv_2lead, d), d))
     return w
 
 
 def _reduce(model, u, v, mplus, mminus, kappa) -> DivClass:
+    """Reduce a kernel-form pair with pole counts to the normal form."""
+    d, s = model._d, model._s
     for _ in range(8):
         c = min(mplus, mminus, kappa - 1)
         mplus -= c
         mminus -= c
         kappa -= c
         if kappa == 1:
-            assert u.degree() + mplus + mminus == 2, "reduction bookkeeping broke"
+            assert len(u) - 1 + mplus + mminus == 2, "reduction bookkeeping broke"
             return DivClass(model, u, v, mplus, mminus)
         sigma = 1 if mplus >= mminus else -1
         w = _build_w(model, u, v, sigma)
-        G = model.f - w * w
-        assert not G.is_zero(), "f is a square (not squarefree)"
-        unew = G.exact_div(u).monic()
-        vnew = (-w) % unew if unew.degree() > 0 else _zero(model)
-        g0 = G.degree()
-        w3 = w.coeff(3)
-        if w3 == model.s:
+        G = _psub(model._f, _pmul(w, w, d))
+        assert G, "f is a square (not squarefree)"
+        unew = _pmonic(_pexact(G, u, d), d)
+        vnew = _pmod(_pneg(w), unew, d) if len(unew) > 1 else []
+        g0 = len(G) - 1
+        w3 = w[3] if len(w) > 3 else (0, 0, 1)
+        if w3 == s:
             pplus, pminus = g0 - 3, 3
-        elif w3 == -model.s:
+        elif w3 == _neg(s):
             pplus, pminus = 3, g0 - 3
         else:
             assert g0 == 6
             pplus = pminus = 3
         mplus += pplus
         mminus += pminus
-        kappa += unew.degree()
+        kappa += len(unew) - 1
         u, v = unew, vnew
     raise AssertionError("reduction failed to terminate (bug)")
 

@@ -326,3 +326,14 @@ def test_the_recurrence_refuses_what_it_cannot_solve_over_z(g, h, y0, match):
 def test_an_unknown_disk_raises():
     with pytest.raises(ValueError, match="disk must be one of"):
         disk_differentials("P1", 32)
+
+
+@DETERMINISTIC
+@given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)), st.integers(-999, 999),
+                       max_size=40),
+       st.integers(1, 12), st.integers(-300, 300), st.integers(-300, 300))
+def test_series_evaluation_equals_one_pow_per_term(terms, prec, t, u):
+    # eval runs Horner's rule on the rows of the series; the oracle reduces each power
+    series = BiTruncSeries(terms, prec, 12)
+    assert series.eval(t, u) == _eval_oracle(series.terms, prec, t, u)
+    assert series.partial(0).eval(t, u) == _eval_oracle(_partial_oracle(series.terms, 0), prec, t, u)

@@ -1,0 +1,26 @@
+"""What a command's start-up imports, checked in a fresh interpreter.
+
+The benchmark's setup_s is the start-up a user's first command pays: the CLI
+import plus the curve registry or the graph catalog.  quaddyn.jacobian and
+quaddyn.chabauty load on use, so neither may be imported by then.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("setup", ["from quaddyn.curves import load_registry; load_registry()",
+                                   "from quaddyn.graphcat import builtin_catalog; builtin_catalog()"])
+def test_start_up_imports_neither_the_jacobian_nor_chabauty(setup):
+    code = (f"import sys\nimport quaddyn.cli\n{setup}\n"
+            "print([m for m in ('quaddyn.jacobian', 'quaddyn.chabauty') if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
