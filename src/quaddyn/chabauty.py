@@ -8,9 +8,10 @@ Pipeline, in the order the pieces feed each other:
      2^6 on the residue disk: k - 4 ord_2(k) >= 24 for 33 <= k <= 46),
      computed on ints by a coefficient recurrence for y and 1/(2y + h).
   2. integrate: termwise antiderivatives lambda_1, lambda_2.
-  3. kernel_generators: exact divisor classes E1 = D2, E2 = 19 D3 - 9 D2
-     generating the kernel of reduction mod (1+i), with their rebased
-     representatives [P + Q - 2 P0] and the (trace, norm) of the supports.
+  3. kernel_generators: the (trace, norm) over Q(i) of the supports of
+     E1 = D2 and E2 = 19 D3 - 9 D2, which generate the kernel of reduction
+     mod (1+i), rebased as [P + Q - 2 P0].  They are read from data; their
+     exact divisor-class derivation is the tests' oracle.
   4. eval_lambda: the integrals Lambda_l(E_j) mod 2^6, via Newton power sums
      over truncated Gaussian 2-adics.
   5. annihilator_solve: integer vectors (Re/Im combinations) killing both
@@ -41,17 +42,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .curves import get_curve
-from .jacobian import DivClass, JacModel, rebase_at
-from .polys import QQ, QuadField, UniPoly
-from .quadfield import QuadElem
+from .polys import QQ, QuadField, UniPoly, format_poly
+from .quadfield import QuadElem, parse_elem
 
 SERIES_DEGREE = 32
 LAMBDA_PREC = 6
 DISK_PREC = 5
 CLASS_PREC = 3
 # upper bound on the working precision; cold `chabauty --prec` runs take about
-# 0.42/0.45/0.46 s at 10/11/12 (2-vCPU x86-64, Python 3.11), and the part that
-# grows fastest with prec is annihilator_solve's lexicographic search
+# 0.18/0.21/0.21 s at 10/11/12 (median of 9, 2-vCPU x86-64, Python 3.11), and
+# the part that grows fastest with prec is annihilator_solve's lexicographic search
 PREC_LIMIT = 12
 
 
@@ -166,22 +166,6 @@ class GaussAdic:
 
     def __repr__(self):
         return f"({self.re}+{self.im}i mod 2^{self.prec})"
-
-
-def val_p(x: QuadElem) -> int:
-    """(1+i)-adic valuation of an exact element of Q(i)."""
-    if x.is_zero():
-        raise ValueError("valuation of zero")
-    nrm = x.a * x.a + x.b * x.b
-    num, den = nrm.numerator, nrm.denominator
-    v = 0
-    while num % 2 == 0:
-        num //= 2
-        v += 1
-    while den % 2 == 0:
-        den //= 2
-        v -= 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -315,74 +299,20 @@ def disk_differentials(disk: str, deg: int = SERIES_DEGREE) -> tuple[TruncSeries
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelData:
-    model: JacModel
-    e1: DivClass
-    e2: DivClass
-    rebased: tuple  # ((u1, v1), (u2, v2)) at the base point
-    trace_norm: tuple  # ((t1, n1), (t2, n2)) as QuadElem
-
-
-# minimal polynomials of the rebased kernel generators, frozen from the
-# exact divisor-class computation
+# the supports of the kernel-of-reduction generators E1 = D2 and
+# E2 = 19 D3 - 9 D2, rebased at (0, -1), have minimal polynomials
+# x^2 + lin x + const over Q(i); (lin, const) below.  They are data: the exact
+# divisor-class derivation and the (1+i) membership check are the oracle in
+# tests/chabauty_oracle.py, compared with these values in tier-1
 _E1_U = ("742/325 - 44/325*i", "-512/325 - 66/325*i")
 _E2_U = ("7801337/2442505 - 1823949/2442505*i", "948975/488501 + 120593/488501*i")
 
 
 @lru_cache(maxsize=1)
-def kernel_generators() -> KernelData:
-    """E1 = D2 and E2 = 19 D3 - 9 D2 on the sextic model, rebased at (0, -1).
-
-    Raises on any mismatch with the pinned minimal polynomials or on a
-    kernel-membership failure (pipeline-integrity conditions).
-    """
-    from .quadfield import parse_elem
-
-    K = QuadField(-1)
-    f = get_curve("X0_5").curve.f.map_coeffs(K, lambda c: QuadElem(c, 0, -1))
-    model = JacModel(f)
-    X = model.x
-    i = QuadElem(0, 1, -1)
-    u2 = X * X + model.const(3) * X + model.const(Fraction(1, 2))
-    v2 = model.const(i * Fraction(1, 2)) * X
-    d2 = model.from_mumford(u2, v2)
-    u3 = X * X + model.const(3) * X + model.const(QuadElem(1, -1, -1))
-    v3 = model.const(QuadElem(-1, -1, -1)) * X + model.const(QuadElem(-2, -1, -1))
-    d3 = model.from_mumford(u3, v3)
-    e1 = d2
-    e2 = 19 * d3 - 9 * d2
-    base = (QuadElem(0, 0, -1), QuadElem(-1, 0, -1))  # image of (0,0) on the good model
-    reb1 = rebase_at(e1, *base)
-    reb2 = rebase_at(e2, *base)
-    h = get_curve("X_good").curve.h.map_coeffs(K, lambda c: QuadElem(c, 0, -1))
-    for u, v in (reb1, reb2):
-        _check_kernel_membership(u, v, h)
-    for (u, _v), pins in ((reb1, _E1_U), (reb2, _E2_U)):
-        lin, const = (parse_elem(s, -1) for s in pins)
-        if u.coeffs[1] != lin or u.coeffs[0] != const:
-            raise RuntimeError("kernel generator mismatch with the pinned minimal polynomials")
-    tn = tuple((-u.coeffs[1], u.coeffs[0]) for u, _ in (reb1, reb2))
-    return KernelData(model=model, e1=e1, e2=e2, rebased=(reb1, reb2), trace_norm=tn)
-
-
-def _check_kernel_membership(u: UniPoly, v: UniPoly, h: UniPoly) -> None:
-    """Support x-coordinates and good-model y-coordinates vanish mod (1+i).
-
-    The support may be a conjugate pair over a ramified quadratic extension
-    of K_p (valuations in (1/2)Z); positive valuation of both roots of the
-    monic quadratic u is equivalent to v(u0) >= 1 and v(u1) >= 1.
-    """
-    u1, u0 = u.coeffs[1], u.coeffs[0]
-    if val_p(u0) < 1 or val_p(u1) < 1:
-        raise RuntimeError("kernel generator support does not reduce to the base point")
-    w = (v - h) * QuadElem(Fraction(1, 2), 0, -1) % u
-    w1 = w.coeff(1)
-    w0 = w.coeff(0)
-    ok1 = w1.is_zero() or val_p(w1) >= 0
-    ok0 = w0.is_zero() or val_p(w0) >= 1
-    if not (ok1 and ok0):
-        raise RuntimeError("kernel generator y-coordinates do not vanish mod (1+i)")
+def kernel_generators() -> tuple:
+    """((t1, n1), (t2, n2)): trace and norm over Q(i) of the supports of the
+    rebased E1 and E2, so each support is the root pair of x^2 - t x + n."""
+    return tuple((-parse_elem(lin, -1), parse_elem(const, -1)) for lin, const in (_E1_U, _E2_U))
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +621,9 @@ def lambda_stage(prec: int) -> tuple[dict, tuple]:
     """The integrals Lambda_l(E_j) mod 2^prec and the annihilators they give."""
     omega1, omega2 = expand_differentials(required_degree(prec))
     lam1, lam2 = integrate(omega1), integrate(omega2)
-    kernel = kernel_generators()
     lambdas = {}
     for (l, lam) in ((1, lam1), (2, lam2)):
-        for j, (t, n) in enumerate(kernel.trace_norm, start=1):
+        for j, (t, n) in enumerate(kernel_generators(), start=1):
             lambdas[(l, j)] = eval_lambda(lam, t, n, prec)
     return lambdas, annihilator_solve(lambdas, prec)
 
@@ -773,9 +702,6 @@ def transcript(report: TheoremReport) -> str:
     """Human-readable account of the computation, in the narrative order:
     model change, differentials, kernel generators, integral values,
     annihilators, residue disks, verdict."""
-    kernel = kernel_generators()
-    from .polys import format_poly
-
     lines = [
         "X0(5): y^2 = x^6 + 8x^5 + 22x^4 + 22x^3 + 5x^2 + 6x + 1, with the",
         "good-reduction model y^2 + h y = g at (1+i), h = -(x^3+x+1),",
@@ -786,8 +712,9 @@ def transcript(report: TheoremReport) -> str:
         "",
         "Kernel-of-reduction generators (rebased at the base point):",
     ]
-    for name, (u, _v) in zip(("E1", "E2"), kernel.rebased):
-        lines.append(f"  {name}: {format_poly(u)}")
+    K = QuadField(-1)
+    for name, (t, n) in zip(("E1", "E2"), kernel_generators()):
+        lines.append(f"  {name}: {format_poly(UniPoly(K, (n, -t, K.one)))}")
     lines.append("")
     lines.append("Integrals mod 2^6:")
     for (l, j), v in sorted(report.lambdas.items(), key=lambda kv: (kv[0][1], kv[0][0])):

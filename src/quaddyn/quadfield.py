@@ -277,12 +277,12 @@ class _Parser:
     def expect(self, tok):
         got = self.take()
         if got != tok:
-            raise ValueError(f"expected {tok!r}, got {got!r}")
+            raise ValueError(f"bad field-element syntax: expected {tok!r}, got {_describe(got)}")
 
     def parse(self):
         value = self.expr()
         if self.peek() is not None:
-            raise ValueError(f"trailing input: {self.tokens[self.pos:]}")
+            raise ValueError(f"bad field-element syntax: unexpected {self.peek()!r}")
         return value
 
     def expr(self):
@@ -328,6 +328,8 @@ class _Parser:
             s = fraction_sqrt(Fraction(n))
             if s is not None:
                 return Fraction(s)
+            if abs(n) > D_LIMIT:
+                raise ValueError(f"sqrt() argument must be at most 10^12 in absolute value, got {n}")
             return QuadElem(0, 1, n)
         if tok == "i":
             self.take()
@@ -335,10 +337,14 @@ class _Parser:
         if tok == "w":
             self.take()
             return QuadElem(Fraction(-1, 2), Fraction(1, 2), -3)
-        if tok is None:
-            raise ValueError("unexpected end of input")
+        if tok is None or not tok[0].isdigit():
+            raise ValueError(f"bad field-element syntax: unexpected {_describe(tok)}")
         self.take()
         return Fraction(tok)
+
+
+def _describe(tok) -> str:
+    return "end of input" if tok is None else repr(tok)
 
 
 def parse_elem(text: str, d: int | None = None) -> QuadElem:

@@ -1,19 +1,29 @@
-"""Fraction oracle for the Chabauty differentials.
+"""Oracles for the Chabauty pipeline: the differentials and the kernel
+generators.
 
 quaddyn.chabauty expands omega_1 and omega_2 on each residue disk by a
 coefficient recurrence on plain ints.  The oracle here shares none of that
 arithmetic: FractionSeries is a TruncSeries with the ring operations over Q,
 the branch y of y^2 + h y = g comes from series Newton iteration, and
 1/(2y + h) from the series inverse.
+
+quaddyn.chabauty reads the (trace, norm) of the kernel-of-reduction
+generators as data.  kernel_generators_oracle derives them by exact
+divisor-class arithmetic in quaddyn.jacobian and checks that both supports
+reduce to the base point mod (1+i).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from quaddyn.chabauty import TruncSeries
+from quaddyn.chabauty import _E1_U, _E2_U, TruncSeries
 from quaddyn.curves import get_curve
-from quaddyn.polys import QQ, UniPoly
+from quaddyn.jacobian import DivClass, JacModel, rebase_at
+from quaddyn.polys import QQ, QuadField, UniPoly
+from quaddyn.quadfield import QuadElem
 
 
 class FractionSeries(TruncSeries):
@@ -91,3 +101,83 @@ def disk_differentials(disk: str, deg: int) -> tuple[FractionSeries, FractionSer
         base = branch_series(gt, ht, 1, deg)[1]
         return -FractionSeries([0, 1], deg) * base, -base
     raise ValueError("disk must be one of P0, P2, P4")
+
+
+def val_p(x: QuadElem) -> int:
+    """(1+i)-adic valuation of an exact element of Q(i)."""
+    if x.is_zero():
+        raise ValueError("valuation of zero")
+    nrm = x.a * x.a + x.b * x.b
+    num, den = nrm.numerator, nrm.denominator
+    v = 0
+    while num % 2 == 0:
+        num //= 2
+        v += 1
+    while den % 2 == 0:
+        den //= 2
+        v -= 1
+    return v
+
+
+@dataclass(frozen=True)
+class KernelData:
+    model: JacModel
+    e1: DivClass
+    e2: DivClass
+    rebased: tuple  # ((u1, v1), (u2, v2)) at the base point
+    trace_norm: tuple  # ((t1, n1), (t2, n2)) as QuadElem
+
+
+@lru_cache(maxsize=1)
+def kernel_generators_oracle() -> KernelData:
+    """E1 = D2 and E2 = 19 D3 - 9 D2 on the sextic model, rebased at (0, -1).
+
+    Raises on any mismatch with the pinned minimal polynomials or on a
+    kernel-membership failure (pipeline-integrity conditions).
+    """
+    from quaddyn.quadfield import parse_elem
+
+    K = QuadField(-1)
+    f = get_curve("X0_5").curve.f.map_coeffs(K, lambda c: QuadElem(c, 0, -1))
+    model = JacModel(f)
+    X = model.x
+    i = QuadElem(0, 1, -1)
+    u2 = X * X + model.const(3) * X + model.const(Fraction(1, 2))
+    v2 = model.const(i * Fraction(1, 2)) * X
+    d2 = model.from_mumford(u2, v2)
+    u3 = X * X + model.const(3) * X + model.const(QuadElem(1, -1, -1))
+    v3 = model.const(QuadElem(-1, -1, -1)) * X + model.const(QuadElem(-2, -1, -1))
+    d3 = model.from_mumford(u3, v3)
+    e1 = d2
+    e2 = 19 * d3 - 9 * d2
+    base = (QuadElem(0, 0, -1), QuadElem(-1, 0, -1))  # image of (0,0) on the good model
+    reb1 = rebase_at(e1, *base)
+    reb2 = rebase_at(e2, *base)
+    h = get_curve("X_good").curve.h.map_coeffs(K, lambda c: QuadElem(c, 0, -1))
+    for u, v in (reb1, reb2):
+        check_kernel_membership(u, v, h)
+    for (u, _v), pins in ((reb1, _E1_U), (reb2, _E2_U)):
+        lin, const = (parse_elem(s, -1) for s in pins)
+        if u.coeffs[1] != lin or u.coeffs[0] != const:
+            raise RuntimeError("kernel generator mismatch with the pinned minimal polynomials")
+    tn = tuple((-u.coeffs[1], u.coeffs[0]) for u, _ in (reb1, reb2))
+    return KernelData(model=model, e1=e1, e2=e2, rebased=(reb1, reb2), trace_norm=tn)
+
+
+def check_kernel_membership(u: UniPoly, v: UniPoly, h: UniPoly) -> None:
+    """Support x-coordinates and good-model y-coordinates vanish mod (1+i).
+
+    The support may be a conjugate pair over a ramified quadratic extension
+    of K_p (valuations in (1/2)Z); positive valuation of both roots of the
+    monic quadratic u is equivalent to v(u0) >= 1 and v(u1) >= 1.
+    """
+    u1, u0 = u.coeffs[1], u.coeffs[0]
+    if val_p(u0) < 1 or val_p(u1) < 1:
+        raise RuntimeError("kernel generator support does not reduce to the base point")
+    w = (v - h) * QuadElem(Fraction(1, 2), 0, -1) % u
+    w1 = w.coeff(1)
+    w0 = w.coeff(0)
+    ok1 = w1.is_zero() or val_p(w1) >= 0
+    ok0 = w0.is_zero() or val_p(w0) >= 1
+    if not (ok1 and ok0):
+        raise RuntimeError("kernel generator y-coordinates do not vanish mod (1+i)")

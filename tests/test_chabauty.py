@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from chabauty_oracle import FractionSeries
+from chabauty_oracle import FractionSeries, check_kernel_membership, kernel_generators_oracle, val_p
 from quaddyn.chabauty import (
     GaussAdic,
     TruncSeries,
@@ -18,8 +18,9 @@ from quaddyn.chabauty import (
     kernel_generators,
     required_degree,
     to_good_model,
-    val_p,
 )
+from quaddyn.curves import get_curve
+from quaddyn.polys import QuadField, UniPoly
 from quaddyn.quadfield import QuadElem
 
 F = Fraction
@@ -156,21 +157,66 @@ def test_integrate_zero_is_zero():
 
 
 def test_kernel_generators_pinned():
-    kd = kernel_generators()
-    (t1, n1), (t2, n2) = kd.trace_norm
+    (t1, n1), (t2, n2) = kernel_generators()
     assert t1 == q(F(-742, 325), F(44, 325))
     assert n1 == q(F(-512, 325), F(-66, 325))
     assert n2 == q(F(948975, 488501), F(120593, 488501))
+    kd = kernel_generators_oracle()
     assert not kd.e1.is_zero() and not kd.e2.is_zero()
+
+
+def test_kernel_generators_equal_the_exact_derivation():
+    data = kernel_generators()
+    assert data == kernel_generators_oracle().trace_norm
+    assert all(x.d == -1 for pair in data for x in pair)
+
+
+def _good_h():
+    K = QuadField(-1)
+    return get_curve("X_good").curve.h.map_coeffs(K, lambda c: QuadElem(c, 0, -1))
+
+
+def test_kernel_membership_check_passes_for_the_generators():
+    for u, v in kernel_generators_oracle().rebased:
+        check_kernel_membership(u, v, _good_h())
+
+
+def test_kernel_membership_check_rejects_d1_and_d3():
+    # rebased at (0, -1), the supports of D1 = [2 inf+] and D3 reduce to x = 1
+    from quaddyn.jacobian import rebase_at
+
+    model = kernel_generators_oracle().model
+    X = model.x
+    d1 = model.from_points("inf+", "inf+")
+    d3 = model.from_mumford(X * X + model.const(3) * X + model.const(q(1, -1)),
+                            model.const(q(-1, -1)) * X + model.const(q(-2, -1)))
+    for cls in (d1, d3):
+        u, v = rebase_at(cls, q(0), q(-1))
+        with pytest.raises(RuntimeError, match="does not reduce to the base point"):
+            check_kernel_membership(u, v, _good_h())
+
+
+@pytest.mark.parametrize("v1, v0, ok", [(-2, -5, False), (-3, -3, False), (-3, -1, True)])
+def test_kernel_membership_check_tests_the_y_coordinates(v1, v0, ok):
+    # u = x^2 + 2x + 2 has roots -1 +- i, both of valuation 1, and
+    # (v - h)/2 = ((v1 + 3) x + v0 + 5)/2 mod u: w1 = 1/2 is not integral,
+    # w0 = 1 is a unit, w0 = 2 vanishes mod (1+i)
+    K = QuadField(-1)
+    u = UniPoly(K, (q(2), q(2), q(1)))
+    v = UniPoly(K, (q(v0), q(v1)))
+    if ok:
+        check_kernel_membership(u, v, _good_h())
+    else:
+        with pytest.raises(RuntimeError, match="y-coordinates do not vanish"):
+            check_kernel_membership(u, v, _good_h())
 
 
 def test_lambda_values_and_linearity():
     omega1, omega2 = expand_differentials()
     lam1, lam2 = integrate(omega1), integrate(omega2)
-    kd = kernel_generators()
     values = {}
     for (l, lam) in ((1, lam1), (2, lam2)):
-        for j, (t, n) in enumerate(kd.trace_norm, start=1):
+        for j, (t, n) in enumerate(kernel_generators(), start=1):
             ga = eval_lambda(lam, t, n, 6)
             values[(l, j)] = ga
             exact = GaussAdic.from_exact(eval_lambda_exact(lam, t, n), 6)
@@ -183,7 +229,8 @@ def test_lambda_values_and_linearity():
     # doubled class's own rebased (trace, norm)
     from quaddyn.jacobian import rebase_at
 
-    doubled = kd.e1 + kd.e1
+    e1 = kernel_generators_oracle().e1
+    doubled = e1 + e1
     u, _ = rebase_at(doubled, q(0), q(-1))
     t, n = -u.coeffs[1], u.coeffs[0]
     for lam, l in ((lam1, 1), (lam2, 2)):
@@ -202,9 +249,8 @@ def test_trivial_divisor_evaluates_to_zero():
 def test_annihilator_solve_pinned_and_scaled():
     omega1, omega2 = expand_differentials()
     lam1, lam2 = integrate(omega1), integrate(omega2)
-    kd = kernel_generators()
     values = {
-        (l, j): eval_lambda(lam, *kd.trace_norm[j - 1], 6)
+        (l, j): eval_lambda(lam, *kernel_generators()[j - 1], 6)
         for (l, lam) in ((1, lam1), (2, lam2))
         for j in (1, 2)
     }
@@ -261,11 +307,10 @@ def test_hensel_criterion_newton_spot_check():
     # iteration for the class (0,0): it must converge to a unique root
     prec = 8
     deg = required_degree(prec)
-    kd = kernel_generators()
     lam1 = integrate(disk_differentials("P0", deg)[0])
     lam2 = integrate(disk_differentials("P0", deg)[1])
     values = {
-        (l, j): eval_lambda(lam, *kd.trace_norm[j - 1], prec)
+        (l, j): eval_lambda(lam, *kernel_generators()[j - 1], prec)
         for (l, lam) in ((1, lam1), (2, lam2))
         for j in (1, 2)
     }

@@ -123,6 +123,22 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
      "error: --primes must be comma-separated integers, got '3,,5'\n"),
     (("chabauty", "--disk", "P0", "--out", "/nonexistent-quaddyn/x.json"),
      "error: cannot write /nonexistent-quaddyn/x.json: No such file or directory\n"),
+    (("graph", "--d", "-1", "--c", "sqrt(10000000000000000000000000000000000007)"),
+     "error: sqrt() argument must be at most 10^12 in absolute value, got "
+     "10000000000000000000000000000000000007\n"),
+    (("graph", "--d", "-1", "--c", "1 + sqrt(-1000000000001)"),
+     "error: sqrt() argument must be at most 10^12 in absolute value, got -1000000000001\n"),
+    (("dynatomic", "--n", "2", "--d", "-1", "--c", "sqrt(10000000000000000000000000000000000007)"),
+     "error: sqrt() argument must be at most 10^12 in absolute value"),
+    (("graph", "--d", "-1", "--c", "sqrt()"), "error: bad field-element syntax: unexpected ')'\n"),
+    (("graph", "--d", "-1", "--c", ")"), "error: bad field-element syntax: unexpected ')'\n"),
+    (("graph", "--d", "-1", "--c", "*i"), "error: bad field-element syntax: unexpected '*'\n"),
+    (("graph", "--d", "-1", "--c", "((1)"),
+     "error: bad field-element syntax: expected ')', got end of input\n"),
+    (("graph", "--d", "-1", "--c", "1 +"), "error: bad field-element syntax: unexpected end of input\n"),
+    (("graph", "--d", "-1", "--c", "1 2"), "error: bad field-element syntax: unexpected '2'\n"),
+    (("dynatomic", "--n", "2", "--d", "-1", "--c", "sqrt(2"),
+     "error: bad field-element syntax: expected ')', got end of input\n"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -193,6 +209,19 @@ def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
     code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
     assert code == 1 and out == ""
     assert err == f"error: {message}: {path}\n"
+
+
+@pytest.mark.parametrize("c, message", [
+    ("sqrt(10000000000000000000000000000000000007)",
+     "sqrt() argument must be at most 10^12 in absolute value"),
+    ("*i", "bad field-element syntax: unexpected '*'"),
+])
+def test_catalog_witness_that_does_not_parse_exits_1(tmp_path, capsys, c, message):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([{"label": "0", "d": -1, "c": c}]))
+    code, out, err = run(capsys, "graph", "--d", "-1", "--c", "0", "--catalog", str(path))
+    assert code == 1 and out == ""
+    assert message in err and "Fraction" not in err
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

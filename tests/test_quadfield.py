@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ff_oracle import FiniteField, reduce_quad
 from quaddyn.quadfield import (
@@ -170,3 +172,21 @@ def test_fraction_sqrt():
     assert fraction_sqrt(F(9, 4)) == F(3, 2)
     assert fraction_sqrt(F(2)) is None
     assert fraction_sqrt(F(-1)) is None
+
+
+# every non-square d in [-60, 60] and the primes just inside |d| <= 10^12; the
+# d with squarefree part -3, where the two styles differ, and the large primes
+# are drawn as often as the rest together, which sampled_from alone does not do
+ROUND_TRIP_DS = st.one_of(
+    st.sampled_from([d for d in range(-60, 61) if d < 0 or math.isqrt(d) ** 2 != d]),
+    st.sampled_from([-3, -12, -27, -48]),
+    st.sampled_from([999999999989, -999999999989]),
+)
+SMALL_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(ROUND_TRIP_DS, SMALL_FRACTIONS, SMALL_FRACTIONS, st.sampled_from(["sqrt", "w"]))
+def test_parse_format_round_trip_for_every_d(d, a, b, style):
+    x = QuadElem(a, b, d)
+    assert parse_elem(format_elem(x, style), d) == x

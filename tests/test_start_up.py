@@ -2,7 +2,9 @@
 
 The benchmark's setup_s is the start-up a user's first command pays: the CLI
 import plus the curve registry or the graph catalog.  quaddyn.jacobian and
-quaddyn.chabauty load on use, so neither may be imported by then.
+quaddyn.chabauty load on use, so neither may be imported by then.  The
+Chabauty proof reads its kernel generators as data, so a chabauty command
+never loads quaddyn.jacobian.
 """
 
 import os
@@ -24,3 +26,14 @@ def test_start_up_imports_neither_the_jacobian_nor_chabauty(setup):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_chabauty_runs_without_the_jacobian():
+    code = ("import contextlib, io, sys\nimport quaddyn.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = quaddyn.cli.main(['chabauty', '--json'])\n"
+            "print(rc, 'quaddyn.chabauty' in sys.modules, 'quaddyn.jacobian' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0 True False"
