@@ -43,7 +43,7 @@ from functools import lru_cache
 
 from .curves import get_curve
 from .polys import QQ, QuadField, UniPoly, format_poly
-from .quadfield import QuadElem, parse_elem
+from .quadfield import QuadElem, _triple, parse_elem
 
 SERIES_DEGREE = 32
 LAMBDA_PREC = 6
@@ -76,20 +76,15 @@ class GaussAdic:
 
     @staticmethod
     def from_exact(x, prec: int = LAMBDA_PREC) -> "GaussAdic":
-        """Exact rational (pair) to the residue ring; denominators must be odd."""
-        if isinstance(x, QuadElem):
-            if x.d != -1:
-                raise ValueError("Gaussian 2-adics take values from Q(i)")
-            a, b = x.a, x.b
-        else:
-            a, b = Fraction(x), Fraction(0)
+        """A QuadElem, Fraction or int to the residue ring; denominators must be odd."""
+        if isinstance(x, QuadElem) and x.d != -1:
+            raise ValueError("Gaussian 2-adics take values from Q(i)")
+        a, b, w = _triple(x)
+        if w % 2 == 0:
+            raise ValueError(f"{x} is not integral at (1+i)")
         m = 1 << prec
-        for q in (a, b):
-            if q.denominator % 2 == 0:
-                raise ValueError(f"{x} is not integral at (1+i)")
-        re = a.numerator * pow(a.denominator, -1, m) % m
-        im = b.numerator * pow(b.denominator, -1, m) % m
-        return GaussAdic(re, im, prec)
+        inv = pow(w, -1, m)
+        return GaussAdic(a * inv % m, b * inv % m, prec)
 
     def _coerce(self, other):
         if isinstance(other, GaussAdic):

@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
@@ -27,7 +26,7 @@ from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
 from .graphcat import _classify, classify, load_catalog, to_dot
 from .orbit import build_graph
 from .polys import format_poly, poly_to_json
-from .quadfield import D_LIMIT, QuadElem, format_elem, parse_elem
+from .quadfield import D_LIMIT, QuadElem, _norm, _quad, format_elem, parse_elem
 
 QI_LABELS = frozenset({
     "0", "3(2)", "4(1,1)", "4(2)", "5(1,1)a", "5(1,1)b", "5(2)a", "6(1,1)",
@@ -98,13 +97,15 @@ def _survey_params(d: int, height: int) -> list:
 
     triples = sorted(((u, v, w) for w in range(1, height + 1) for u in range(-height, height + 1)
                       for v in range(-height, height + 1) if math.gcd(u, v, w) == 1), key=key)
-    return [QuadElem(Fraction(u, w), Fraction(v, w), d) for u, v, w in triples]
+    root = QuadElem(0, 1, d)  # s sqrt(m) with m squarefree; refuses a square d
+    s, m = root.triple[1], root.d
+    return [_quad(_norm(u, s * v, w), m) for u, v, w in triples]
 
 
 def _survey_one(task: tuple) -> str:
-    a, b, d, n_max, catalog_path = task
+    c, n_max, catalog_path = task
     catalog = load_catalog(catalog_path) if catalog_path else None
-    return classify(build_graph(QuadElem(a, b, d), d, n_max), catalog)
+    return classify(build_graph(c, c.d, n_max), catalog)
 
 
 def cmd_survey(args) -> int:
@@ -114,7 +115,7 @@ def cmd_survey(args) -> int:
             raise ValueError(f"{name} must be >= 1, got {value}")
     expected = {-1: QI_LABELS, -3: QW_LABELS}.get(args.d)
     params = _survey_params(args.d, args.height)
-    tasks = [(c.a, c.b, c.d, args.n_max, args.catalog) for c in params]
+    tasks = [(c, args.n_max, args.catalog) for c in params]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .finitefield import factorize
 from .polys import QQ, PolyRing, QuadField, UniPoly
-from .quadfield import QuadElem
+from .quadfield import _norm, _quad
 
 MAX_PERIOD = 6  # d(7) = 126 is feasible but nothing in the pipeline needs it
 
@@ -113,13 +112,11 @@ def specialize(poly_cx: UniPoly, c) -> UniPoly:
     common denominator of their rational coefficients p_j.  Each x-coefficient
     sum_j p_j c^j is then (A + B sqrt(d)) / (D w^J), where
     A + B sqrt(d) = sum_j (D p_j) (u + v sqrt(d))^j w^(J-j).  The powers are
-    built once as integer pairs and shared by all x-coefficients; the one
-    division happens when the QuadElem coefficients are built.
+    built once as integer pairs and shared by all x-coefficients; each
+    coefficient is the triple (A, B, D w^J), normalized.
     """
     d = c.d
-    w = math.lcm(c.a.denominator, c.b.denominator)
-    u = c.a.numerator * (w // c.a.denominator)
-    v = c.b.numerator * (w // c.b.denominator)
+    u, v, w = c.triple
     top = max((p.degree() for p in poly_cx.coeffs), default=0)
     den = math.lcm(*(q.denominator for p in poly_cx.coeffs for q in p.coeffs))
     powers = []  # (u + v sqrt(d))^j w^(J-j) as integer pairs
@@ -136,7 +133,7 @@ def specialize(poly_cx: UniPoly, c) -> UniPoly:
                 n = q.numerator * (den // q.denominator)
                 a += n * pa
                 b += n * pb
-        coeffs.append(QuadElem(Fraction(a, scale), Fraction(b, scale), d))
+        coeffs.append(_quad(_norm(a, b, scale), d))
     return UniPoly(QuadField(d), coeffs, "x")
 
 

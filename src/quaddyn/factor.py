@@ -435,9 +435,10 @@ def _norm_over_z(f: UniPoly) -> list:
     L^2 (A^2 - d B^2), formed with the int-list kernel; it is L A when B = 0,
     whose rational roots and low-degree factors are already those of f.
     """
-    den = math.lcm(*(q.denominator for c in f.coeffs for q in (c.a, c.b)))
-    a = _trim([c.a.numerator * (den // c.a.denominator) for c in f.coeffs])
-    b = _trim([c.b.numerator * (den // c.b.denominator) for c in f.coeffs])
+    triples = [c.triple for c in f.coeffs]
+    den = math.lcm(*(w for _, _, w in triples))
+    a = _trim([u * (den // w) for u, _, w in triples])
+    b = _trim([v * (den // w) for _, v, w in triples])
     if not b:
         return a
     return _sub(_mul(a, a), [f.ring.d * c for c in _mul(b, b)])

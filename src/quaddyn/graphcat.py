@@ -105,8 +105,9 @@ class CatalogEntry:
 def _entries_from_rows(rows, path: str | None = None) -> tuple[CatalogEntry, ...]:
     """Catalog entries from (label, d, c text, expected vertex count) rows.
 
-    A witness that fails the checks is a bug in the builtin table
-    (RuntimeError), and a bad file for a catalog read from path (ValueError).
+    A witness that does not parse or fails the checks is a bug in the
+    builtin table (RuntimeError), and a bad file for a catalog read from
+    path (ValueError).
     """
     from .quadfield import parse_elem
 
@@ -117,7 +118,10 @@ def _entries_from_rows(rows, path: str | None = None) -> tuple[CatalogEntry, ...
 
     entries = []
     for label, d, c_text, expected in rows:
-        c = parse_elem(c_text, d)
+        try:
+            c = parse_elem(c_text, d)
+        except (ValueError, ZeroDivisionError) as err:
+            raise failure(str(err)) from None
         graph = build_graph(c, d)
         if expected is not None and graph.size() != expected:
             raise failure(f"witness {label} gave {graph.size()} vertices, expected {expected}")

@@ -43,7 +43,7 @@ from fractions import Fraction
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .factor import roots_in_quadfield
 from .finitefield import sqrt_mod_p2, trial_factor
-from .quadfield import QuadElem, format_elem, quad_sqrt
+from .quadfield import QuadElem, _norm, _quad, format_elem, quad_sqrt
 
 CLOSURE_CAP = 10_000
 
@@ -101,9 +101,10 @@ class PreperGraph:
         }
 
 
-def _escape_limits(c: QuadElem) -> tuple[int, Fraction]:
-    """(2 w, 8 n(c)) for _escapes: the constants that depend on c alone."""
-    return 2 * math.lcm(c.a.denominator, c.b.denominator), 8 * (c.a**2 + abs(c.d) * c.b**2)
+def _escape_limits(c: QuadElem) -> tuple[int, int, int]:
+    """(2 w, 8 w^2 n(c), w^2) for _escapes: the constants that depend on c alone."""
+    a, b, w = c.triple
+    return 2 * w, 8 * (a * a + abs(c.d) * b * b), w * w
 
 
 def _escapes(c: QuadElem, v: QuadElem, limits: tuple | None = None) -> bool:
@@ -117,11 +118,12 @@ def _escapes(c: QuadElem, v: QuadElem, limits: tuple | None = None) -> bool:
     So (n(v) - 2)^2 > 8 n(c) with n(v) > 2 gives |sigma(v)| > R_sigma, past
     which the orbit grows without bound.
     """
-    scale, bound = limits or _escape_limits(c)
-    if (scale * v.a).denominator > 1 or (scale * v.b).denominator > 1:
+    scale, bound, wc2 = limits or _escape_limits(c)
+    a, b, w = v.triple
+    if scale % w:  # scale * v lies in Z[sqrt(d)] exactly when v's denominator w divides scale
         return True
-    n = v.a**2 + abs(v.d) * v.b**2
-    return n > 2 and (n - 2) ** 2 > bound
+    n, w2 = a * a + abs(v.d) * b * b, w * w  # n(v) = n / w2
+    return n > 2 * w2 and (n - 2 * w2) ** 2 * wc2 > bound * w2 * w2
 
 
 def portrait(c: QuadElem, alpha: QuadElem) -> tuple[int, int]:
@@ -170,7 +172,7 @@ def _coerce_param(c: QuadElem, d: int | None) -> QuadElem:
         return c
     normalized = QuadElem(0, 1, d).d
     if c.is_rational():
-        return QuadElem(c.a, 0, normalized)
+        return _quad(c.triple, normalized)
     if c.d != normalized:
         raise ValueError(f"c lives in Q(sqrt({c.d})), not Q(sqrt({d}))")
     return c
@@ -331,7 +333,7 @@ def _box_points(c: QuadElem) -> set | None:
     when the dynatomic path has to decide.
     """
     d = c.d
-    w = math.lcm(c.a.denominator, c.b.denominator)
+    ca, cb, w = c.triple
     # an odd prime p not dividing d with v_p(w) odd has a prime above it with
     # v_P(c) < 0 odd, so no point is preperiodic
     odd, g = w, math.gcd(w, 2 * d)
@@ -347,7 +349,7 @@ def _box_points(c: QuadElem) -> set | None:
     exps = {p: (k + 1) // 2 for p, k in near.items()} | far
     exps[2] = exps.get(2, 0) + 1
     D = math.prod(p**k for p, k in exps.items())
-    na, nb = int(c.a * D * D), int(c.b * D * D)
+    na, nb = ca * D * D // w, cb * D * D // w
 
     b_max, a_max, a_range = _escape_box(d, D, na, nb)
 
@@ -399,7 +401,7 @@ def _box_points(c: QuadElem) -> set | None:
                     verdict = y is not None and status[y] is not False
                     for v in path:
                         status[v] = verdict
-    return {QuadElem(Fraction(A, D), Fraction(B, D), d) for (A, B), pre in status.items() if pre}
+    return {_quad(_norm(A, B, D), d) for (A, B), pre in status.items() if pre}
 
 
 def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> PreperGraph:

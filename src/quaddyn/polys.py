@@ -119,6 +119,9 @@ class UniPoly:
     def __setattr__(self, *args):
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self):
+        return UniPoly, (self.ring, self.coeffs, self.var)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod

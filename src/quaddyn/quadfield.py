@@ -1,10 +1,14 @@
 """Exact arithmetic in quadratic number fields Q(sqrt(d)).
 
-Elements are a + b*sqrt(d) with a, b arbitrary-precision rationals
-(fractions.Fraction) and d a squarefree integer, d != 0, 1.  Values are
+An element a + b*sqrt(d), d a squarefree integer other than 0 and 1, is
+stored as the normalized int triple (A, B, C) with a = A/C, b = B/C, C > 0
+and gcd(A, B, C) = 1, so equal elements of one field have equal triples.
+The operators run on the int kernels _norm, _add, _mul, _inv and _neg, which
+jacobian shares; a and b are Fractions read off the triple.  Values are
 immutable and hashable; all operations are pure functions.  Elements
 carrying different d never mix in one operation; plain ints and Fractions
-coerce to the rational element of the operand's field.
+coerce to the rational element of the operand's field.  The two-Fraction
+class this replaced is the oracle in tests/quadfield_oracle.py.
 
 Text syntax: "a+b*sqrt(d)" with rationals "p/q", plus the shorthands
 "i" (d = -1) and "w" (d = -3, w = (-1+sqrt(-3))/2).  parse_elem and
@@ -17,6 +21,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .finitefield import factorize
 
@@ -62,10 +67,59 @@ def quadratic_roots(t: Fraction, n: Fraction, d: int) -> tuple | None:
     return QuadElem(t / 2, s / 2, d), QuadElem(t / 2, -s / 2, d)
 
 
-class QuadElem:
-    """Element a + b*sqrt(d) of Q(sqrt(d)), d squarefree, d != 0, 1."""
+def _norm(a: int, b: int, c: int) -> tuple:
+    g = gcd(a, b, c)
+    if c < 0:
+        g = -g
+    return (a // g, b // g, c // g)
 
-    __slots__ = ("a", "b", "d")
+
+def _add(x, y) -> tuple:
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    if c1 == c2:
+        return _norm(a1 + a2, b1 + b2, c1)
+    return _norm(a1 * c2 + a2 * c1, b1 * c2 + b2 * c1, c1 * c2)
+
+
+def _mul(x, y, d: int) -> tuple:
+    a1, b1, c1 = x
+    a2, b2, c2 = y
+    return _norm(a1 * a2 + d * b1 * b2, a1 * b2 + a2 * b1, c1 * c2)
+
+
+def _inv(x, d: int) -> tuple:
+    a, b, c = x
+    n = a * a - d * b * b
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+    return _norm(c * a, -c * b, n)
+
+
+def _neg(x) -> tuple:
+    return (-x[0], -x[1], x[2])
+
+
+def _triple(c) -> tuple:
+    """A QuadElem, Fraction or int as a normalized triple."""
+    return c.triple if isinstance(c, QuadElem) else (c.numerator, 0, c.denominator)
+
+
+def _quad(t: tuple, d: int) -> "QuadElem":
+    """The element with normalized triple t of Q(sqrt(d)), d squarefree; nothing is checked."""
+    x = object.__new__(QuadElem)
+    object.__setattr__(x, "triple", t)
+    object.__setattr__(x, "d", d)
+    return x
+
+
+class QuadElem:
+    """Element (A + B*sqrt(d))/C of Q(sqrt(d)), d squarefree, d != 0, 1.
+
+    triple = (A, B, C) is normalized: C > 0 and gcd(A, B, C) = 1.
+    """
+
+    __slots__ = ("triple", "d")
 
     def __init__(self, a, b, d: int):
         if not isinstance(d, int):
@@ -73,126 +127,121 @@ class QuadElem:
         s, m = squarefree_split(d)
         if m in (0, 1):
             raise ValueError(f"d = {d} is a perfect square (or zero); not a quadratic field")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b) * s)
+        a, b = Fraction(a), Fraction(b) * s
+        (p, q), (r, t) = a.as_integer_ratio(), b.as_integer_ratio()
+        object.__setattr__(self, "triple", _norm(p * t, r * q, q * t))
         object.__setattr__(self, "d", m)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadElem is immutable")
 
+    def __reduce__(self):
+        return _quad, (self.triple, self.d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.triple[1], self.triple[2])
+
     # -- coercion ---------------------------------------------------------
 
-    def _pair(self, other):
-        """(self', other') in a common field; rational elements adapt."""
+    def _with(self, other):
+        """(x, y, d): the triples of self and other in one field; rational elements adapt.
+
+        None when other is not a field element.
+        """
+        x, d = self.triple, self.d
         if isinstance(other, QuadElem):
-            if other.d == self.d:
-                return self, other
-            if other.b == 0:
-                return self, QuadElem(other.a, 0, self.d)
-            if self.b == 0:
-                return QuadElem(self.a, 0, other.d), other
-            raise ValueError(f"mixed fields: sqrt({self.d}) vs sqrt({other.d})")
+            y = other.triple
+            if other.d != d and y[1]:
+                if x[1]:
+                    raise ValueError(f"mixed fields: sqrt({d}) vs sqrt({other.d})")
+                d = other.d
+            return x, y, d
         if isinstance(other, (int, Fraction)):
-            return self, QuadElem(other, 0, self.d)
-        return None, NotImplemented
+            return x, (other.numerator, 0, other.denominator), d
+        return None
 
     # -- ring/field structure ---------------------------------------------
 
     def __add__(self, other):
-        s, o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(s.a + o.a, s.b + o.b, s.d)
+        p = self._with(other)
+        return NotImplemented if p is None else _quad(_add(p[0], p[1]), p[2])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        s, o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(s.a - o.a, s.b - o.b, s.d)
+        p = self._with(other)
+        return NotImplemented if p is None else _quad(_add(p[0], _neg(p[1])), p[2])
 
     def __rsub__(self, other):
-        s, o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(o.a - s.a, o.b - s.b, s.d)
+        p = self._with(other)
+        return NotImplemented if p is None else _quad(_add(p[1], _neg(p[0])), p[2])
 
     def __mul__(self, other):
-        s, o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadElem(
-            s.a * o.a + s.d * s.b * o.b,
-            s.a * o.b + s.b * o.a,
-            s.d,
-        )
+        p = self._with(other)
+        return NotImplemented if p is None else _quad(_mul(p[0], p[1], p[2]), p[2])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return QuadElem(-self.a, -self.b, self.d)
+        return _quad(_neg(self.triple), self.d)
 
     def __truediv__(self, other):
-        s, o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = o.a * o.a - o.d * o.b * o.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        # 1/(a+b*sqrt(d)) = (a - b*sqrt(d)) / (a^2 - d*b^2)
-        return s * QuadElem(o.a / n, -o.b / n, s.d)
+        p = self._with(other)
+        return NotImplemented if p is None else _quad(_mul(p[0], _inv(p[1], p[2]), p[2]), p[2])
 
     def __rtruediv__(self, other):
-        s, o = self._pair(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / s
+        p = self._with(other)
+        return NotImplemented if p is None else _quad(_mul(p[1], _inv(p[0], p[2]), p[2]), p[2])
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return 1 / (self ** (-k))
-        out = QuadElem(1, 0, self.d)
-        base = self
+        out, base, d = (1, 0, 1), self.triple, self.d
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = _mul(out, base, d)
+            base = _mul(base, base, d)
             k >>= 1
-        return out
+        return _quad(out, d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
         if isinstance(other, QuadElem):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.d == other.d and self.a == other.a and self.b == other.b
+            return self.triple == other.triple and (self.d == other.d or not self.triple[1])
+        if isinstance(other, (int, Fraction)):
+            return self.triple == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        a, b, c = self.triple
+        if b:
+            return hash((a, b, c, self.d))
+        return hash(a) if c == 1 else hash(Fraction(a, c))
 
     # -- field theory ------------------------------------------------------
 
     def conj(self) -> "QuadElem":
-        return QuadElem(self.a, -self.b, self.d)
+        a, b, c = self.triple
+        return _quad((a, -b, c), self.d)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.d * self.b * self.b
+        a, b, c = self.triple
+        return Fraction(a * a - self.d * b * b, c * c)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.triple[0], self.triple[2])
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.triple == (0, 0, 1)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.triple[1]
 
     def sort_key(self):
         """Deterministic ordering key: (norm, trace, text)."""

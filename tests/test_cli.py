@@ -202,6 +202,11 @@ def test_catalog_row_without_a_key_exits_1(tmp_path, capsys, key):
      "catalog integrity failure: duplicate canonical codes"),
     ([{"label": "3(2)", "d": -1, "c": "-1", "vertices": 4}],
      "catalog integrity failure: witness 3(2) gave 3 vertices, expected 4"),
+    ([{"label": "0", "d": -1, "c": "1*"}],
+     "catalog integrity failure: bad field-element syntax: unexpected end of input"),
+    ([{"label": "0", "d": -1, "c": "1/0"}], "catalog integrity failure: division by zero"),
+    ([{"label": "0", "d": 4, "c": "1"}],
+     "catalog integrity failure: d = 4 is a perfect square (or zero); not a quadratic field"),
 ])
 def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
     path = tmp_path / "catalog.json"

@@ -75,3 +75,26 @@ def test_the_check_finds_an_oracle_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_no_module_imports_an_oracle(path):
     assert oracle_imports(path.read_text()) == [], f"{path.name} imports from the tests"
+
+
+def fraction_part_reads(source: str) -> list:
+    """(line, text) of each .numerator or .denominator read straight off an .a or .b.
+
+    QuadElem stores the normalized triple (A, B, C); a and b are Fractions
+    built from it on every read.  Outside quadfield, code that wants the
+    integers reads .triple instead of taking a Fraction apart.
+    """
+    return sorted((node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator")
+                  and isinstance(node.value, ast.Attribute) and node.value.attr in ("a", "b"))
+
+
+def test_the_check_finds_a_fraction_taken_apart():
+    source = "w = c.a.denominator\nn = q.numerator + c.ab.numerator\nm = (x.b).numerator * c.d\n"
+    assert fraction_part_reads(source) == [(1, "c.a.denominator"), (3, "x.b.numerator")]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.name != "quadfield.py"],
+                         ids=lambda path: path.name)
+def test_only_quadfield_takes_a_and_b_apart(path):
+    assert fraction_part_reads(path.read_text()) == [], f"{path.name} converts a QuadElem by hand"

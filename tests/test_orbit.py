@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from quaddyn.orbit import (
     periodic_points,
     portrait,
 )
+from quaddyn.polys import QQ, PolyRing, QuadField, UniPoly
 from quaddyn.quadfield import QuadElem, parse_elem
 
 F = Fraction
@@ -159,3 +162,18 @@ def test_graph_record_round_trip():
     assert record["schema"] == "quaddyn/graph/v1"
     assert len(record["vertices"]) == g.size()
     assert record["flags"]["zero_is_preperiodic"]
+
+
+def test_values_pickle_and_deep_copy():
+    # --jobs workers take each c as it is; slot classes that block __setattr__
+    # need their own __reduce__ for that
+    ring = PolyRing(QQ, "c")
+    values = [QuadElem(F(1, 3), F(-2, 5), d) for d in (-1, -3, 2, -4, 18, 999999999989)]
+    values += [UniPoly(QQ, [F(1, 2), 0, F(-3)]), UniPoly(QuadField(-3), [q(1, 2, -3), q(-1)]),
+               UniPoly(ring, [ring.gen(), ring.of(3)], "x"),
+               build_graph(parse_elem("-1/4+3/8*i", -1), -1)]
+    for value in values:
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert copied == value and type(copied) is type(value) and repr(copied) == repr(value)
+    x = QuadElem(F(1, 3), F(-2, 5), 2)
+    assert pickle.loads(pickle.dumps(x)).triple == x.triple and hash(copy.deepcopy(x)) == hash(x)
