@@ -17,11 +17,11 @@ Pipeline, in the order the pieces feed each other:
   5. annihilator_solve: integer vectors (Re/Im combinations) killing both
      generators mod 2^5, each the first hit of a lexicographic search over
      its support.
-  6. disk_series / certify_disk: bivariate series of the annihilating maps
-     on each residue disk (t = (1+i)(T+Ui)), common zeros mod 2^5 lifted
-     one bit at a time, and unique-lifting certification via the
-     quantitative two-variable Hensel criterion (value valuation
-     >= 2 ord_2(det J) + 1).
+  6. disk_series / certify_disk: each annihilating map on a residue disk
+     (t = (1+i)(T+Ui)) is Re H(T + Ui) for one polynomial H over Z[i],
+     read by Horner's rule; common zeros mod 2^5 lifted one bit at a time,
+     and unique-lifting certification via the quantitative two-variable
+     Hensel criterion (value valuation >= 2 ord_2(det J) + 1).
   7. full_theorem: assembles the verdict; a disk holding two certified
      2-adic solutions around a rational point still carries a single
      Q(i)-point, since a strictly quadratic point would bring its Galois
@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .curves import get_curve
 from .polys import QQ, QuadField, UniPoly, format_poly
@@ -199,11 +200,7 @@ def integrate(series: TruncSeries) -> TruncSeries:
 
 
 def _ord2(n: int) -> int:
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+    return (n & -n).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +316,10 @@ def eval_lambda(lam: TruncSeries, trace, norm, prec: int = LAMBDA_PREC) -> Gauss
     """sum_k lam_k (t(P)^k + t(Q)^k) mod 2^prec via Newton power sums.
 
     trace/norm are exact (QuadElem or rational).  The 1/k denominators of
-    lam are handled by exact division by 2^ord2(k) with the working
-    precision absorbing the loss.
+    lam are handled by exact division by 2^ord2(k); the working precision
+    carries cap.bit_length() guard bits, more than ord2(k) for every k <= cap.
     """
-    work = prec + 6
+    work = prec + lam.cap.bit_length()
     e1 = GaussAdic.from_exact(trace, work)
     e2 = GaussAdic.from_exact(norm, work)
     p_prev = GaussAdic(2, 0, work)  # p_0
@@ -342,6 +339,7 @@ def eval_lambda(lam: TruncSeries, trace, norm, prec: int = LAMBDA_PREC) -> Gauss
             inv = pow(odd, -1, 1 << work)
             scaled = GaussAdic(scaled.re * inv, scaled.im * inv, work)
         term = scaled.divide_exact_by_2pow(a)
+        assert term.prec >= prec, "term kept fewer than prec bits"
         total = total + GaussAdic(term.re, term.im, prec)
     return total
 
@@ -420,118 +418,88 @@ def _ord2_or_inf(x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bivariate disk series and certification
+# disk maps and certification
 # ---------------------------------------------------------------------------
 
 
-class BiTruncSeries:
-    """Bivariate polynomial over Z/2^prec in (T, U), total degree capped."""
+@dataclass(frozen=True)
+class DiskMap:
+    """mu(T, U) = Re H(T + U i) mod 2^prec for one polynomial H over Z[i].
 
-    __slots__ = ("terms", "prec", "cap", "_rows")
+    coeffs[k] = (Re h_k, Im h_k) mod 2^prec.  Values come from Horner's rule
+    at z = T + U i; since dz/dT = 1 and dz/dU = i, the partials are
+    Re H'(z) and Re(i H'(z)), disk maps again.
+    """
 
-    def __init__(self, terms: dict, prec: int = DISK_PREC, cap: int = SERIES_DEGREE):
-        m = 1 << prec
-        clean = {}
-        for key, val in terms.items():
-            v = val % m
-            if v:
-                clean[key] = v
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "_rows", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("BiTruncSeries is immutable")
-
-    def coeff(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
+    coeffs: tuple
+    prec: int
 
     def eval(self, t_val: int, u_val: int) -> int:
-        rows = self._rows
-        if rows is None:  # rows[j][i] = coefficient of T^i U^j, built on the first call
-            rows = [[] for _ in range(1 + max((j for _, j in self.terms), default=-1))]
-            for (i, j), v in self.terms.items():
-                rows[j].extend([0] * (i + 1 - len(rows[j])))
-                rows[j][i] = v
-            object.__setattr__(self, "_rows", rows)
-        acc = 0
-        for row in reversed(rows):
-            p = 0
-            for c in reversed(row):
-                p = p * t_val + c
-            acc = acc * u_val + p
-        return acc % (1 << self.prec)
+        mask = (1 << self.prec) - 1
+        re = im = 0
+        for a, b in reversed(self.coeffs):
+            re, im = (re * t_val - im * u_val + a) & mask, (re * u_val + im * t_val + b) & mask
+        return re
 
-    def partial(self, var: int) -> "BiTruncSeries":
-        out = {}
-        for (i, j), c in self.terms.items():
-            if var == 0 and i:
-                out[(i - 1, j)] = out.get((i - 1, j), 0) + i * c
-            if var == 1 and j:
-                out[(i, j - 1)] = out.get((i, j - 1), 0) + j * c
-        return BiTruncSeries(out, self.prec, self.cap)
+    def partial(self, var: int) -> "DiskMap":
+        m = 1 << self.prec
+        deriv = [(k * a % m, k * b % m) for k, (a, b) in enumerate(self.coeffs)][1:]
+        if var == 1:
+            deriv = [(-b % m, a) for a, b in deriv]
+        return DiskMap(tuple(deriv), self.prec)
 
-    def __repr__(self):
-        bits = [f"{c}*T^{i}U^{j}" for (i, j), c in sorted(self.terms.items())]
-        return " + ".join(bits) or "0"
+    def coeff(self, i: int, j: int) -> int:
+        """The coefficient of T^i U^j: Re(h_k C(k, j) i^j) with k = i + j."""
+        k = i + j
+        if k >= len(self.coeffs):
+            return 0
+        a, b = self.coeffs[k]
+        return comb(k, j) * (a, -b, -a, b)[j % 4] % (1 << self.prec)
 
 
-def _lambda_bivariate(lam: TruncSeries, prec: int = DISK_PREC):
-    """lambda((1+i)(T+Ui)) as a pair (Re, Im) of bivariate polys mod 2^prec.
+def _lambda_coefficients(omega, prec: int) -> list:
+    """g_k = lambda_k (1+i)^k = omega_{k-1} (1+i)^k / k mod 2^prec as (re, im)
+    pairs, k = 0..len(omega), from the integer coefficients of omega.
 
-    L = (1+i)T + (i-1)U = (1+i)(T + iU), so the degree-k part is
-    g_k (T + iU)^k with g_k = lambda_k (1+i)^k.  g_k is integral at (1+i)
-    for all k >= 1, so it is reduced mod 2^prec and the binomial expansion
-    runs on integer pairs.
+    Both coordinates of (1+i)^k are divisible by 2^(k // 2) >= 2^ord_2(k), so
+    the 2-part of k divides out exactly and its odd part is inverted mod 2^prec.
     """
     m = 1 << prec
-    re_terms, im_terms = {}, {}
+    out = [(0, 0)]
     w = (1, 0)  # (1+i)^k, exactly
-    for k in range(1, lam.cap + 1):
+    for k, c in enumerate(omega, start=1):
         w = (w[0] - w[1], w[0] + w[1])
-        ck = lam.coeffs[k]
-        if ck == 0:
-            continue
-        g = []
-        for x in w:
-            q = ck * x
-            if q.denominator % 2 == 0:
-                raise ValueError("non-integral coefficient after substitution (bug)")
-            g.append(q.numerator * pow(q.denominator, -1, m) % m)
-        r, s = g
-        binom = 1
-        for j in range(k + 1):
-            # coefficient of T^(k-j) U^j: g_k C(k, j) i^j
-            re_terms[(k - j, j)] = binom * r
-            im_terms[(k - j, j)] = binom * s
-            r, s = -s, r
-            binom = binom * (k - j) // (j + 1)
-    return (
-        BiTruncSeries(re_terms, prec, lam.cap),
-        BiTruncSeries(im_terms, prec, lam.cap),
-    )
+        a = _ord2(k)
+        re, im = c * w[0], c * w[1]
+        if re % (1 << a) or im % (1 << a):
+            raise ValueError("non-integral coefficient after substitution (bug)")
+        inv = pow(k >> a, -1, m)
+        out.append(((re >> a) * inv % m, (im >> a) * inv % m))
+    return out
+
+
+def _disk_maps(omegas, annihilators, prec: int) -> tuple:
+    """v0 Re lambda_1 + v1 Im lambda_1 + v2 Re lambda_2 + v3 Im lambda_2 at
+    t = (1+i)(T + U i), one DiskMap per vector (v0, v1, v2, v3); since
+    v0 Re w + v1 Im w = Re((v0 - v1 i) w), H = (v0 - v1 i) G1 + (v2 - v3 i) G2."""
+    m = 1 << prec
+    g1, g2 = (_lambda_coefficients(omega, prec) for omega in omegas)
+    maps = []
+    for v0, v1, v2, v3 in annihilators:
+        h = [((v0 * a + v1 * b + v2 * c + v3 * d) % m, (v0 * b - v1 * a + v2 * d - v3 * c) % m)
+             for (a, b), (c, d) in zip(g1, g2)]
+        while h and h[-1] == (0, 0):  # 2^(k // 2 - ord_2(k)) divides g_k: a zero tail
+            h.pop()
+        maps.append(DiskMap(tuple(h), prec))
+    return tuple(maps)
 
 
 def disk_series(disk: str, annihilators: tuple, prec: int = DISK_PREC,
-                deg: int = SERIES_DEGREE) -> tuple[BiTruncSeries, BiTruncSeries]:
+                deg: int = SERIES_DEGREE) -> tuple[DiskMap, DiskMap]:
     """(mu_1, mu_2) on a residue disk from the annihilator coefficient vectors."""
-    omega1, omega2 = disk_differentials(disk, deg)
-    lam1, lam2 = integrate(omega1), integrate(omega2)
-    re1, im1 = _lambda_bivariate(lam1, prec)
-    re2, im2 = _lambda_bivariate(lam2, prec)
-    parts = (re1, im1, re2, im2)
-    out = []
-    for vec in annihilators:
-        terms: dict = {}
-        for coeff, part in zip(vec, parts):
-            if coeff == 0:
-                continue
-            for key, val in part.terms.items():
-                terms[key] = terms.get(key, 0) + coeff * val
-        out.append(BiTruncSeries(terms, prec, deg))
-    mu1, mu2 = out
-    assert mu1.coeff(0, 0) == 0 and mu2.coeff(0, 0) == 0, "base point must be a solution"
+    omegas = ([c.numerator for c in omega.coeffs] for omega in disk_differentials(disk, deg))
+    mu1, mu2 = _disk_maps(omegas, annihilators, prec)
+    assert mu1.eval(0, 0) == 0 and mu2.eval(0, 0) == 0, "base point must be a solution"
     return mu1, mu2
 
 
@@ -555,7 +523,7 @@ class DiskCertificate:
         }
 
 
-def certify_disk(mu1: BiTruncSeries, mu2: BiTruncSeries, disk: str = "?") -> DiskCertificate:
+def certify_disk(mu1: DiskMap, mu2: DiskMap, disk: str = "?") -> DiskCertificate:
     """Lift the common zeros one bit at a time up to mod 2^prec, class them
     mod 2^CLASS_PREC, and certify unique lifting by the quantitative Hensel
     criterion."""
@@ -592,6 +560,7 @@ def certify_disk(mu1: BiTruncSeries, mu2: BiTruncSeries, disk: str = "?") -> Dis
     )
 
 
+@lru_cache(maxsize=32)
 def required_degree(prec: int) -> int:
     """Series degree so every discarded term has valuation >= 4 * prec.
 

@@ -1,5 +1,5 @@
-"""Oracles for the Chabauty pipeline: the differentials and the kernel
-generators.
+"""Oracles for the Chabauty pipeline: the differentials, the kernel
+generators and the disk maps.
 
 quaddyn.chabauty expands omega_1 and omega_2 on each residue disk by a
 coefficient recurrence on plain ints.  The oracle here shares none of that
@@ -11,6 +11,11 @@ quaddyn.chabauty reads the (trace, norm) of the kernel-of-reduction
 generators as data.  kernel_generators_oracle derives them by exact
 divisor-class arithmetic in quaddyn.jacobian and checks that both supports
 reduce to the base point mod (1+i).
+
+quaddyn.chabauty reads each annihilating map on a residue disk off one
+polynomial over Z[i] by Horner's rule.  The oracle here expands
+lambda((1+i)(T+Ui)) binomially into bivariate polynomials BiTruncSeries
+over Z/2^prec, and combines their real and imaginary parts term by term.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from quaddyn.chabauty import _E1_U, _E2_U, TruncSeries
+from quaddyn.chabauty import _E1_U, _E2_U, DISK_PREC, SERIES_DEGREE, TruncSeries, integrate
 from quaddyn.curves import get_curve
 from quaddyn.jacobian import DivClass, JacModel, rebase_at
 from quaddyn.polys import QQ, QuadField, UniPoly
@@ -181,3 +186,110 @@ def check_kernel_membership(u: UniPoly, v: UniPoly, h: UniPoly) -> None:
     ok0 = w0.is_zero() or val_p(w0) >= 1
     if not (ok1 and ok0):
         raise RuntimeError("kernel generator y-coordinates do not vanish mod (1+i)")
+
+
+class BiTruncSeries:
+    """Bivariate polynomial over Z/2^prec in (T, U), total degree capped."""
+
+    __slots__ = ("terms", "prec", "cap", "_rows")
+
+    def __init__(self, terms: dict, prec: int = DISK_PREC, cap: int = SERIES_DEGREE):
+        m = 1 << prec
+        clean = {}
+        for key, val in terms.items():
+            v = val % m
+            if v:
+                clean[key] = v
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "prec", prec)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "_rows", None)
+
+    def __setattr__(self, *args):
+        raise AttributeError("BiTruncSeries is immutable")
+
+    def coeff(self, i: int, j: int) -> int:
+        return self.terms.get((i, j), 0)
+
+    def eval(self, t_val: int, u_val: int) -> int:
+        rows = self._rows
+        if rows is None:  # rows[j][i] = coefficient of T^i U^j, built on the first call
+            rows = [[] for _ in range(1 + max((j for _, j in self.terms), default=-1))]
+            for (i, j), v in self.terms.items():
+                rows[j].extend([0] * (i + 1 - len(rows[j])))
+                rows[j][i] = v
+            object.__setattr__(self, "_rows", rows)
+        acc = 0
+        for row in reversed(rows):
+            p = 0
+            for c in reversed(row):
+                p = p * t_val + c
+            acc = acc * u_val + p
+        return acc % (1 << self.prec)
+
+    def partial(self, var: int) -> "BiTruncSeries":
+        out = {}
+        for (i, j), c in self.terms.items():
+            if var == 0 and i:
+                out[(i - 1, j)] = out.get((i - 1, j), 0) + i * c
+            if var == 1 and j:
+                out[(i, j - 1)] = out.get((i, j - 1), 0) + j * c
+        return BiTruncSeries(out, self.prec, self.cap)
+
+    def __repr__(self):
+        bits = [f"{c}*T^{i}U^{j}" for (i, j), c in sorted(self.terms.items())]
+        return " + ".join(bits) or "0"
+
+
+def _lambda_bivariate(lam: TruncSeries, prec: int = DISK_PREC):
+    """lambda((1+i)(T+Ui)) as a pair (Re, Im) of bivariate polys mod 2^prec.
+
+    L = (1+i)T + (i-1)U = (1+i)(T + iU), so the degree-k part is
+    g_k (T + iU)^k with g_k = lambda_k (1+i)^k.  g_k is integral at (1+i)
+    for all k >= 1, so it is reduced mod 2^prec and the binomial expansion
+    runs on integer pairs.
+    """
+    m = 1 << prec
+    re_terms, im_terms = {}, {}
+    w = (1, 0)  # (1+i)^k, exactly
+    for k in range(1, lam.cap + 1):
+        w = (w[0] - w[1], w[0] + w[1])
+        ck = lam.coeffs[k]
+        if ck == 0:
+            continue
+        g = []
+        for x in w:
+            q = ck * x
+            if q.denominator % 2 == 0:
+                raise ValueError("non-integral coefficient after substitution (bug)")
+            g.append(q.numerator * pow(q.denominator, -1, m) % m)
+        r, s = g
+        binom = 1
+        for j in range(k + 1):
+            # coefficient of T^(k-j) U^j: g_k C(k, j) i^j
+            re_terms[(k - j, j)] = binom * r
+            im_terms[(k - j, j)] = binom * s
+            r, s = -s, r
+            binom = binom * (k - j) // (j + 1)
+    return (
+        BiTruncSeries(re_terms, prec, lam.cap),
+        BiTruncSeries(im_terms, prec, lam.cap),
+    )
+
+
+def annihilating_series(omegas, annihilators, prec: int) -> tuple:
+    """One BiTruncSeries per vector (v0, v1, v2, v3): v0 Re lambda_1 +
+    v1 Im lambda_1 + v2 Re lambda_2 + v3 Im lambda_2 at t = (1+i)(T+Ui),
+    for lambda_l the integral of the integer series omegas[l - 1]."""
+    parts = []
+    for omega in omegas:
+        lam = integrate(TruncSeries(omega, len(omega) - 1))
+        parts.extend(_lambda_bivariate(lam, prec))
+    out = []
+    for vec in annihilators:
+        terms: dict = {}
+        for coeff, part in zip(vec, parts):
+            for key, val in part.terms.items():
+                terms[key] = terms.get(key, 0) + coeff * val
+        out.append(BiTruncSeries(terms, prec, parts[0].cap))
+    return tuple(out)

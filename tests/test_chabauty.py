@@ -376,3 +376,16 @@ def test_stability_under_higher_precision():
     assert report.certificates["P4"].solution_classes == ((0, 0),)
     reduced = tuple(tuple(x % 32 for x in vec) for vec in report.annihilators)
     assert reduced == ((2, 0, 7, 0), (0, 1, 0, 13))
+
+
+@pytest.mark.parametrize("prec", [28, 30])
+def test_eval_lambda_keeps_prec_bits_past_degree_128(prec):
+    # required_degree reaches 128 here, where ord_2(k) = 7: six guard bits
+    # would leave that term with fewer than prec bits
+    deg = required_degree(prec)
+    assert deg >= 128
+    for omega in expand_differentials(deg):
+        lam = integrate(omega)
+        for t, n in kernel_generators():
+            exact = GaussAdic.from_exact(eval_lambda_exact(lam, t, n), prec)
+            assert eval_lambda(lam, t, n, prec) == exact

@@ -20,14 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chabauty_oracle
+from chabauty_oracle import BiTruncSeries, _lambda_bivariate
 from quaddyn.chabauty import (
     CLASS_PREC,
-    BiTruncSeries,
     DiskCertificate,
     GaussAdic,
     TruncSeries,
     _branch_series,
-    _lambda_bivariate,
     annihilator_solve,
     certify_disk,
     disk_differentials,

@@ -408,3 +408,24 @@ def test_module_entry_point_passes_the_exit_code_through(argv, code, err):
     assert proc.returncode == code and proc.stderr == err
     if code == 0:
         assert proc.stdout == f"quaddyn {quaddyn.__version__}\n"
+
+
+@pytest.mark.parametrize("disk", ["P0", "P2", "P4"])
+def test_chabauty_single_disk_text_is_its_json_record(capsys, disk):
+    code, out, _ = run(capsys, "chabauty", "--disk", disk, "--prec", "8", "--json")
+    assert code == 0
+    expected = json.dumps(json.loads(out)["single_disk"], indent=2, sort_keys=True) + "\n"
+    assert run(capsys, "chabauty", "--disk", disk, "--prec", "8") == (0, expected, "")
+
+
+def test_graph_include_infinity_adds_only_the_note(capsys):
+    argv = ("graph", "--d", "-1", "--c", "-1/4+3/8*i")
+    code, out, _ = run(capsys, *argv, "--json")
+    code_inf, out_inf, _ = run(capsys, *argv, "--json", "--include-infinity")
+    assert code == code_inf == 0
+    record, record_inf = json.loads(out), json.loads(out_inf)
+    assert set(record_inf) - set(record) == {"note"}
+    assert record_inf.pop("note") == "the fixed point at infinity is omitted from the vertex list"
+    assert record_inf == record
+    for mode in ((), ("--dot",)):
+        assert run(capsys, *argv, *mode, "--include-infinity") == run(capsys, *argv, *mode)

@@ -98,3 +98,43 @@ def test_the_check_finds_a_fraction_taken_apart():
                          ids=lambda path: path.name)
 def test_only_quadfield_takes_a_and_b_apart(path):
     assert fraction_part_reads(path.read_text()) == [], f"{path.name} converts a QuadElem by hand"
+
+
+# each oracle in tests/ and the fast-path names it must not import or read:
+# an oracle built on the code it checks would agree with it by construction
+ORACLE_FORBIDDEN = {
+    "chabauty_oracle": {"DiskMap", "disk_series", "_disk_maps", "_lambda_coefficients",
+                        "disk_differentials", "_branch_series"},
+}
+
+
+def fast_path_uses(source: str, names) -> list:
+    """(line, name) of each `from ... import name` and each `.name` read, for name in names."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, alias.name) for alias in node.names if alias.name in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_the_check_finds_a_fast_path_used_by_an_oracle():
+    source = ("from quaddyn.chabauty import TruncSeries, disk_series\n"
+              "import quaddyn.chabauty as ch\nx = ch._branch_series(1, ch.integrate)\n"
+              "from quaddyn.chabauty import DiskMap as D\ndef disk_differentials(): pass\n")
+    assert fast_path_uses(source, ORACLE_FORBIDDEN["chabauty_oracle"]) == [
+        (1, "disk_series"), (3, "_branch_series"), (4, "DiskMap")]
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_FORBIDDEN))
+def test_no_oracle_uses_the_fast_path_it_checks(oracle):
+    source = (PACKAGE.parent.parent / "tests" / f"{oracle}.py").read_text()
+    assert fast_path_uses(source, ORACLE_FORBIDDEN[oracle]) == [], f"{oracle} uses the fast path"
+
+
+def test_every_forbidden_name_is_defined_in_quaddyn():
+    # a renamed fast path would otherwise drop out of the check unnoticed
+    defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set().union(*ORACLE_FORBIDDEN.values()) <= defined
