@@ -7,9 +7,15 @@ F_{p^2} as pairs a0 + a1 t with t^2 = n (n the smallest non-residue) at odd
 p and t^2 = t + 1 at p = 2.  One enumerator gives every F_q point count: at
 odd p each x carries 1 + chi(F(x)) points of (2y + h)^2 = F(x), where the
 quadratic character chi of F_{p^2} is that of the norm in F_p, so a count
-needs only a table of squares mod p; structures draw points lazily, one
-square root in F_q at a time.  Jacobian orders follow from the zeta
-relations.  An elliptic group structure Z/n1 x Z/n2 is read from Sylow
+needs only a table of squares mod p.  With F = Fz/D, Fz integral, the norm
+of F(x0 + x1 t) is R(x0, n x1^2)/D^2 for the norm form
+R(x, v) = Fz(x + y) Fz(x - y), y^2 = v, an integer polynomial; D^2 is a
+square, so an F_{p^2} count sums the table over the p (p + 1)/2 values
+R(x0, 0) and R(x0, v), v a non-residue, with no pair arithmetic.  An odd p
+has good reduction iff it does not divide D res(Fz, Fz').  Those
+constants are built once per curve, on first use.  Structures draw points
+lazily, one square root in F_q at a time.  Jacobian orders follow from the
+zeta relations.  An elliptic group structure Z/n1 x Z/n2 is read from Sylow
 subgroups: n1 | q - 1 by the Weil pairing, so only a prime ell | q - 1 with
 ell^2 | #E(F_q) can divide n1, and its share is found from the exponent of
 the ell-Sylow subgroup, built as a set.
@@ -25,10 +31,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from operator import mul
 
-from .factor import _add, _deriv, _gcd, _mul, low_degree_rational_factors
+from .factor import _add, _deriv, _gcd, _mul, _sub, low_degree_rational_factors, roots_in_quadfield
 from .finitefield import (
     factorize,
     is_prime,
@@ -37,17 +44,21 @@ from .finitefield import (
     sqrt_mod_p,
     sqrt_mod_p2,
 )
-from .polys import QQ, UniPoly
+from .polys import QQ, QuadField, UniPoly, format_poly
 from .quadfield import QuadElem, quadratic_roots
 
-Q_LIMIT = 10**6
+Q_LIMIT = 10**6  # a count at q = 997^2 takes about 0.2 s (2-vCPU host, Python 3.11)
 
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Affine point (x, y) or an infinite point (sign +1/-1; 0 when unique)."""
+    """Affine point (x, y), an infinite point (sign +1/-1; 0 when unique), or a root point.
 
-    kind: str  # "affine" | "inf"
+    A root point is (x, 0) for one of the two roots x of a quadratic u over K
+    with no root in K; x holds u, and sign (+1/-1) tells the two apart.
+    """
+
+    kind: str  # "affine" | "inf" | "root"
     x: object = None
     y: object = None
     sign: int = 0
@@ -63,6 +74,8 @@ class CurvePoint:
     def __repr__(self):
         if self.kind == "inf":
             return {1: "inf+", -1: "inf-", 0: "inf"}[self.sign]
+        if self.kind == "root":
+            return f"(root{'+' if self.sign > 0 else '-'} of {format_poly(self.x)}, {self.y})"
         return f"({self.x}, {self.y})"
 
 
@@ -88,6 +101,46 @@ class HypCurve:
 
     def genus(self) -> int:
         return (self.completed_square().degree() - 1) // 2
+
+    # constants of the curve for the counts at odd p, built on first use
+
+    @cached_property
+    def _integral_square(self) -> tuple[int, list]:
+        """(D, Fz): D the lcm of the denominators of F, and Fz = D F as an int list."""
+        D = math.lcm(*(c.denominator for c in self._square.coeffs))
+        return D, [c.numerator * (D // c.denominator) for c in self._square.coeffs]
+
+    @cached_property
+    def _norm_form(self) -> list:
+        """R(x, v) = Fz(x + y) Fz(x - y) with y^2 = v, as the int lists r_j(x) of v^j.
+
+        Fz(x + y) = sum a_k(x) y^k with a_k = Fz^(k)/k!, so Fz(x +- y) = E +- y O
+        for E = sum a_2j v^j and O = sum a_2j+1 v^j, and R = E^2 - v O^2: of
+        degree deg Fz in v, and r_j of degree 2 deg Fz - 2j in x.
+        """
+        _, fz = self._integral_square
+        taylor = [[math.comb(i, k) * c for i, c in enumerate(fz)][k:] for k in range(len(fz))]
+        rows: list = [[] for _ in fz]
+        for j, a in enumerate(taylor[0::2]):
+            for k, b in enumerate(taylor[0::2]):
+                rows[j + k] = _add(rows[j + k], _mul(a, b))
+        for j, a in enumerate(taylor[1::2]):
+            for k, b in enumerate(taylor[1::2]):
+                rows[j + k + 1] = _sub(rows[j + k + 1], _mul(a, b))
+        return rows
+
+    @cached_property
+    def _bad_reduction_integer(self) -> int:
+        """D res(Fz, Fz'): an odd prime has bad reduction iff it divides this.
+
+        The resultant is the Sylvester determinant, so it reduces mod p.  When
+        p | lc(Fz) its first column vanishes mod p (res = +-lc(Fz) disc(Fz));
+        otherwise it vanishes mod p iff Fz and Fz' have a common factor mod p,
+        also when p | deg Fz shortens Fz'.
+        """
+        D, fz = self._integral_square
+        Fz = UniPoly(QQ, [Fraction(c) for c in fz])
+        return D * int(Fz.resultant(Fz.derivative()))
 
     def has_h_model(self) -> bool:
         return self.g is not None
@@ -116,12 +169,7 @@ class WeierstrassCurve(HypCurve):
 def _good_reduction(curve: HypCurve, p: int) -> bool:
     if p == 2:
         return curve.has_h_model() and _smooth_mod_2(curve)
-    F = curve.completed_square()
-    if any(c.denominator % p == 0 for c in F.coeffs):
-        return False
-    Fp = [reduce_fraction(c, p) for c in F.coeffs]
-    # p | lc degenerates the model at infinity
-    return Fp[-1] != 0 and _gcd(Fp, _deriv(Fp), p) == [1]
+    return curve._bad_reduction_integer % p != 0
 
 
 def _smooth_mod_2(curve: HypCurve) -> bool:
@@ -263,9 +311,20 @@ def _enumerate(curve: HypCurve, p: int, deg: int) -> int:
 
     At odd p, (2y + s)^2 = F(x) with F = s^2 + 4r, so x carries as many
     points as F(x) has square roots in F_q: the count of square roots of
-    N(F(x)) in F_p, read from a table of size p.  At p = 2 the affine points
-    are counted from the fibre scan of _affine_points.  The points at
-    infinity are those of the chart v^2 + s_n v = r_2n with n = genus + 1.
+    N(F(x)) in F_p, read from a table of size p.  Write F = Fz/D with Fz
+    integral.  At deg 1 the table is read at D Fz(x) = D^2 F(x).  At deg 2,
+    x = x0 + x1 t with t^2 = m0 a non-residue has N(F(x)) = R(x0, m0 x1^2)/D^2
+    for the norm form R(x, v) = Fz(x + y) Fz(x - y), y^2 = v, and D^2 is a
+    nonzero square mod p.  As x1 runs over F_p^*, m0 x1^2 meets every
+    non-residue v twice, and x1 = 0 gives R(x0, 0) = Fz(x0)^2, so
+
+        #affine = sum over x0 of roots(R(x0, 0)) + 2 sum over v of roots(R(x0, v)),
+
+    with p (p + 1)/2 values of R: the v-coefficients r_j(x0) mod p, then
+    Horner's rule in v at each non-residue; m0 is never needed.  At p = 2
+    the affine points are counted from the fibre scan of _affine_points.
+    The points at infinity are those of the chart v^2 + s_n v = r_2n with
+    n = genus + 1.
     """
     q = p**deg
     if q > Q_LIMIT:
@@ -277,12 +336,32 @@ def _enumerate(curve: HypCurve, p: int, deg: int) -> int:
     if p == 2:
         at_infinity = _fibre(field, field.of(curve.h.coeff(n)), field.of(curve.g.coeff(2 * n)))
         return len(at_infinity) + sum(1 for _ in _affine_points(curve, field))
-    F = curve.completed_square()
+    if n > 3:
+        raise ValueError("point counts at odd p are implemented for genus <= 2")
+    D, fz = curve._integral_square
     roots_mod_p = [0] * p
     for t in range(p):
         roots_mod_p[t * t % p] += 1
-    total = roots_mod_p[field.norm(field.of(F.coeff(2 * n)))]
-    return total + sum(roots_mod_p[field.norm(v)] for v in field.values(F))
+    top = fz[2 * n] if 2 * n < len(fz) else 0
+    if deg == 1:
+        coeffs = [c * D % p for c in fz]
+        values = (sum(map(mul, coeffs, _powers(x, len(fz) - 1))) for x in range(p))
+        return roots_mod_p[top * D % p] + sum(roots_mod_p[v % p] for v in values)
+    powers = [_powers(x0, 2 * len(fz) - 2) for x0 in range(p)]
+    values = [[sum(map(mul, row, pw)) % p for pw in powers] for row in curve._norm_form]
+    values += [[0] * p] * (7 - len(fz))
+    nonresidues = [v for v in range(1, p) if not roots_mod_p[v]]
+    total = roots_mod_p[top * top % p]
+    for r0, r1, r2, r3, r4, r5, r6 in zip(*values):
+        total += roots_mod_p[r0] + 2 * sum([
+            roots_mod_p[((((((r6 * v + r5) * v + r4) * v + r3) * v + r2) * v + r1) * v + r0) % p]
+            for v in nonresidues])
+    return total
+
+
+def _powers(x: int, k: int) -> list:
+    """[1, x, ..., x^k]."""
+    return list(itertools.accumulate(itertools.repeat(x, k), mul, initial=1))
 
 
 def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
@@ -420,6 +499,8 @@ def torsion_bound(curve: HypCurve, primes: list[int], deg: int = 2) -> int:
     """
     if deg not in (1, 2):
         raise ValueError(f"deg must be 1 or 2, got {deg}")
+    if not primes:
+        raise ValueError("torsion_bound needs at least one prime")
     out = 0
     for p in primes:
         orders = _jacobian_counts(curve, p)
@@ -437,13 +518,15 @@ def weierstrass_and_2torsion(curve: HypCurve, d: int) -> tuple[list, list]:
 
     Classes are returned as tuples of curve points ((), the zero class,
     included); a pair is K-rational when both members are, or when the two
-    members are conjugate over K, i.e. they come from a rational quadratic
-    factor of f with no root in K.  Both come from the factors of f over Q
-    of degree <= 2: a linear factor gives a rational point; a quadratic
-    factor gives two points in K when its discriminant over d is a square,
-    and one conjugate pair otherwise.  Irreducible factors of degree >= 3
-    contribute nothing for the curves in the registry (their Jacobians gain
-    no quadratic 2-torsion, matching the finite-field bounds).
+    members are conjugate over K, i.e. their x are the roots of a quadratic
+    factor of f over K with no root in K.  The points and the pairs come
+    from the factors of f over Q of degree <= 2: a linear factor gives a
+    rational point; a quadratic factor gives two points in K when its
+    discriminant over d is a square, and one conjugate pair otherwise.  A
+    quartic factor irreducible over Q gives two conjugate pairs of root
+    points when it splits over K (_quartic_split).  Other factors of degree
+    >= 3 give nothing: an irreducible cubic or quintic keeps an orbit of odd
+    size over K, and a sextic can only split as 3 + 3.
     """
     if curve.genus() != 2 or curve.f is None:
         raise ValueError("expects a genus-2 curve in y^2 = f form")
@@ -451,7 +534,9 @@ def weierstrass_and_2torsion(curve: HypCurve, d: int) -> tuple[list, list]:
     d = QuadElem(0, 1, d).d
     roots: list[QuadElem] = []
     conjugate_pairs: list[tuple] = []
+    rest = f
     for factor in low_degree_rational_factors(f):
+        rest = rest.exact_div(factor)
         if factor.degree() == 1:
             roots.append(QuadElem(-factor.coeffs[0], 0, d))
             continue
@@ -463,10 +548,49 @@ def weierstrass_and_2torsion(curve: HypCurve, d: int) -> tuple[list, list]:
         dd = _squarefree_of_fraction(t * t - 4 * n)
         zero = QuadElem(0, 0, dd)
         conjugate_pairs.append(tuple(CurvePoint.affine(r, zero) for r in quadratic_roots(t, n, dd)))
+    if rest.degree() == 4:
+        zero = QuadElem(0, 0, d)
+        conjugate_pairs += [(CurvePoint("root", u, zero, 1), CurvePoint("root", u, zero, -1))
+                            for u in _quartic_split(rest.monic(), d)]
     points = [CurvePoint.infinity(0)] if f.degree() % 2 == 1 else []
     roots.sort(key=lambda r: r.sort_key())
     points += [CurvePoint.affine(r, QuadElem(0, 0, d)) for r in roots]
     return points, [(), *itertools.combinations(points, 2), *conjugate_pairs]
+
+
+def _quartic_split(g: UniPoly, d: int) -> list:
+    """The factors x^2 - s x + q over K = Q(sqrt(d)) of a monic quartic g
+    irreducible over Q, as UniPolys over K; [] when g is irreducible over K.
+
+    For g = x^4 + a x^3 + b x^2 + c x + e with roots r_i, the sum s of the
+    roots of a factor is a root of the pair-sum resolvent C(e1 s - s^2),
+    where e1 = -a and C is the cubic with the roots (r_i + r_j)(r_k + r_l).
+    The cofactor has s' = e1 - s, and q, q' satisfy q + q' = b - s s' and
+    s' q + s q' = -c: a linear system when s != s', and when s = s' the
+    quadratic z^2 - (b - s^2) z + e.  Each candidate is multiplied back.
+    """
+    e, c, b, a = g.coeffs[:4]
+    e1, e2, e3 = -a, b, -c
+    cubic = UniPoly(QQ, (e3 * e3 + e1 * e1 * e - e1 * e2 * e3, e2 * e2 + e1 * e3 - 4 * e,
+                         -2 * e2, QQ.one))
+    resolvent = cubic.compose(UniPoly(QQ, (QQ.zero, e1, -QQ.one)))
+    field = QuadField(d)
+    target = g.map_coeffs(field, lambda v: QuadElem(v, 0, d))
+    for s in dict.fromkeys(roots_in_quadfield(resolvent, d)):
+        s2 = e1 - s
+        total = b - s * s2
+        if s != s2:
+            q = (c + s * total) / (s - s2)
+            q2 = total - q
+        else:  # s is rational here, as s + s2 = e1
+            found = quadratic_roots(total.a, e, d)
+            if found is None:
+                continue
+            q, q2 = found
+        u, u2 = UniPoly(field, (q, -s, field.one)), UniPoly(field, (q2, -s2, field.one))
+        if u * u2 == target:
+            return [u, u2]
+    return []
 
 
 def _squarefree_of_fraction(q: Fraction) -> int:

@@ -6,6 +6,7 @@ oracles here share none of that: F_q is a FiniteField of FFElem objects
 t + 1)), polynomials over it are UniPoly over FFRing, and
 
 - enumerate_points counts X(F_q) with one table of square roots over F_q;
+- good_reduction_oracle decides good reduction at odd p by a gcd mod p;
 - group_structure finds the exponent of E(F_q) from the order of every point;
 - jacobian_order_enumerated counts Mumford normal forms.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 
-from quaddyn.curves import HypCurve, WeierstrassCurve, _good_reduction
+from quaddyn.curves import HypCurve, WeierstrassCurve, _smooth_mod_2
+from quaddyn.factor import _deriv, _gcd
 from quaddyn.finitefield import is_prime, reduce_fraction, smallest_nonresidue, sqrt_mod_p
 from quaddyn.polys import QQ, UniPoly
 
@@ -274,6 +276,24 @@ def _horner(coeffs: list, x):
     return out
 
 
+def good_reduction_oracle(curve: HypCurve, p: int) -> bool:
+    """Good reduction at p of y^2 + h y = g, or y^2 = f.
+
+    At odd p the model is (2y + h)^2 = F with F = h^2 + 4g: it is smooth iff
+    p divides no denominator of F, F keeps its degree mod p, and F mod p is
+    coprime to its derivative.  At p = 2 this is curves._smooth_mod_2, the
+    exact test on the h-model (an f-model is bad at 2).
+    """
+    if p == 2:
+        return curve.has_h_model() and _smooth_mod_2(curve)
+    F = curve.completed_square()
+    if any(c.denominator % p == 0 for c in F.coeffs):
+        return False
+    Fp = [reduce_fraction(c, p) for c in F.coeffs]
+    # p | lc degenerates the model at infinity
+    return Fp[-1] != 0 and _gcd(Fp, _deriv(Fp), p) == [1]
+
+
 def enumerate_points(curve: HypCurve, p: int, deg: int, points: list | None = None) -> int:
     """#X(F_q), q = p^deg, of y^2 + s(x) y = r(x): (s, r) = (h, g), or (0, f).
 
@@ -283,7 +303,7 @@ def enumerate_points(curve: HypCurve, p: int, deg: int, points: list | None = No
     v^2 + s_n v = r_2n with n = genus + 1.  When points is a list, the
     affine points (x, y) are appended to it.
     """
-    assert _good_reduction(curve, p), "the oracle counts curves of good reduction"
+    assert good_reduction_oracle(curve, p), "the oracle counts curves of good reduction"
     field = FiniteField(p, deg)
     n = curve.genus() + 1
     s = _reduced(curve.h if curve.has_h_model() else UniPoly(QQ, ()), field)

@@ -6,6 +6,7 @@ import pytest
 from quaddyn.curves import (
     HypCurve,
     WeierstrassCurve,
+    _Fq,
     _good_reduction,
     count_points_ff,
     curve_genus,
@@ -77,6 +78,36 @@ def test_jacobian_orders_pinned():
     assert jacobian_orders(get_curve("X1_1_3").curve, 5)[1] == 441
 
 
+def test_jacobian_orders_pinned_at_large_primes():
+    # inert in Q(i) and in Q(w): the counts over F_{p^2} behind a per-field bound
+    x113 = get_curve("X1_1_3").curve
+    assert jacobian_orders(x113, 97) == (9828, 86958144)
+    assert jacobian_orders(x113, 997) == (965853, 986851610073)
+
+
+def test_odd_counts_build_their_constants_once_and_draw_no_f_q_values(monkeypatch):
+    lazy = ("_integral_square", "_norm_form", "_bad_reduction_integer")
+    fresh = load_registry.__wrapped__()  # a registry no other test has counted on
+    assert not any(name in vars(entry.curve) for entry in fresh.values() for name in lazy)
+
+    def values(self, poly):
+        raise AssertionError("an odd-p count evaluated F over F_q")
+
+    monkeypatch.setattr(_Fq, "values", values)
+    curve = fresh["X1_1_3"].curve
+    jacobian_orders(curve, 23)
+    built = {name: vars(curve)[name] for name in lazy}
+    jacobian_orders(curve, 29)
+    assert all(vars(curve)[name] is built[name] for name in lazy)
+
+
+def test_odd_counts_need_genus_at_most_2():
+    curve = HypCurve(f=X**7 + 1)
+    assert curve.genus() == 3
+    with pytest.raises(ValueError, match="genus <= 2"):
+        count_points_ff(curve, 3, 1)
+
+
 def test_elliptic_structures_pinned():
     e17 = get_curve("E17").curve
     e40 = get_curve("E40").curve
@@ -93,6 +124,12 @@ def test_torsion_bounds():
     # genus-1 models reduce to point counts
     bound = torsion_bound(get_curve("E17").curve, [3, 5])
     assert bound == 16  # gcd(16, 32)
+
+
+def test_torsion_bound_rejects_an_empty_prime_list():
+    # the gcd over no prime would read 0, which is not a bound
+    with pytest.raises(ValueError, match="at least one prime"):
+        torsion_bound(get_curve("X0_5").curve, [])
 
 
 @pytest.mark.parametrize("deg", [0, 3, -1])
@@ -119,6 +156,25 @@ def test_weierstrass_and_2torsion_table():
     assert pts[0].kind == "inf"
     xs = {p.x for p in pts if p.kind == "affine"}
     assert QuadElem(0, 0, -1) in xs and QuadElem(0, 1, -1) in xs
+
+
+def test_two_torsion_from_a_quartic_that_splits_over_k():
+    # x^5 + x = x (x^4 + 1), and x^4 + 1 is irreducible over Q
+    curve = HypCurve(f=X**5 + X)
+    i, r2, rm2 = QuadElem(0, 1, -1), QuadElem(0, 1, 2), QuadElem(0, 1, -2)
+    splits = {-1: [(i, 0), (-i, 0)], 2: [(1, r2), (1, -r2)], -2: [(-1, rm2), (-1, -rm2)]}
+    for d, factors in splits.items():
+        points, classes = weierstrass_and_2torsion(curve, d)
+        assert repr(points) == "[inf, (QuadElem('0'), QuadElem('0'))]"
+        # J[2](K) = {0, [inf - (0,0)], and the root pairs of the two factors}
+        assert len(classes) == 4 and classes[:2] == [(), tuple(points)]
+        for (q, minus_s), cls in zip(factors, classes[2:]):
+            assert [pt.kind for pt in cls] == ["root", "root"]
+            assert cls[0].x.coeffs == (q, minus_s, 1)
+    assert repr(weierstrass_and_2torsion(curve, -1)[1][2]) == (
+        "((root+ of i + x^2, QuadElem('0')), (root- of i + x^2, QuadElem('0')))")
+    for d in (-3, 5, -7):  # x^4 + 1 stays irreducible: the Q-level classes
+        assert len(weierstrass_and_2torsion(curve, d)[1]) == 2
 
 
 def test_two_torsion_partition_is_nested():

@@ -105,6 +105,7 @@ def test_only_quadfield_takes_a_and_b_apart(path):
 ORACLE_FORBIDDEN = {
     "chabauty_oracle": {"DiskMap", "disk_series", "_disk_maps", "_lambda_coefficients",
                         "disk_differentials", "_branch_series"},
+    "ff_oracle": {"_good_reduction", "_norm_form", "_bad_reduction_integer", "_integral_square"},
 }
 
 

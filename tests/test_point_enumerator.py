@@ -2,9 +2,15 @@
 
 The oracle scans all (x, y) in F_q^2 with polynomials evaluated as UniPoly
 over FFRing, and the chart at infinity v^2 + s_n v = r_2n over all v; it
-shares nothing with the square-root table of the enumerator.  Good
-reduction is checked against discriminants computed here: from the
-b-invariants for Weierstrass models, and as a resultant for f-models.
+shares nothing with the square-root table of the enumerator.  That scan is
+quadratic in q, so the counts at odd p up to 43, with rational
+coefficients, are checked against ff_oracle.enumerate_points instead, which
+evaluates F at every element of F_q and reads a table of squares over F_q,
+where the enumerator sums a norm form over half of them at deg 2.  Good
+reduction is checked against discriminants computed here, from the
+b-invariants for Weierstrass models and as a resultant for f-models, and
+against the gcd mod p of ff_oracle.good_reduction_oracle for f- and
+h-models.
 """
 
 import math
@@ -22,13 +28,16 @@ from quaddyn.curves import (
     elliptic_count,
     elliptic_group_structure,
 )
-from ff_oracle import FFRing, FiniteField
+from ff_oracle import FFRing, FiniteField, enumerate_points, good_reduction_oracle
 from quaddyn.polys import QQ, UniPoly
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 fields = st.tuples(st.sampled_from([2, 3, 5, 7, 11]), st.sampled_from([1, 2]))
+# the odd primes up to 43, both 1 and 3 mod 4
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
 small = st.integers(-3, 3).map(Fraction)
+fractional = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5]))
 
 
 def brute_force_count(curve: HypCurve, p: int, deg: int) -> int:
@@ -62,6 +71,36 @@ def check_count(curve: HypCurve, p: int, deg: int, count=count_points_ff):
     else:
         with pytest.raises(ValueError, match=f"bad reduction at {p}"):
             count(curve, p, deg)
+
+
+def check_counts_at_odd_p(curve: HypCurve, p: int, count=count_points_ff):
+    for deg in (1, 2):
+        if good_reduction_oracle(curve, p):
+            assert count(curve, p, deg) == enumerate_points(curve, p, deg), deg
+        else:
+            with pytest.raises(ValueError, match=f"bad reduction at {p}"):
+                count(curve, p, deg)
+
+
+# enumerate_points takes about 50 ms at q = 43^2
+LARGER_P = settings(DETERMINISTIC, max_examples=40)
+
+
+@LARGER_P
+@given(st.lists(fractional, min_size=4, max_size=7), st.sampled_from(ODD_PRIMES))
+def test_f_model_counts_at_odd_p_match_the_root_table(coeffs, p):
+    assume(coeffs[-1] != 0)
+    check_counts_at_odd_p(make_curve(f=UniPoly(QQ, coeffs)), p)
+
+
+@LARGER_P
+@given(st.integers(1, 2), st.lists(fractional, min_size=4, max_size=4),
+       st.lists(fractional, min_size=7, max_size=7), st.sampled_from(ODD_PRIMES))
+def test_h_model_counts_at_odd_p_match_the_root_table(genus, h, g, p):
+    n = genus + 1
+    curve = make_curve(g=UniPoly(QQ, g[:2 * n + 1]), h=UniPoly(QQ, h[:n + 1]))
+    assume(curve.genus() == genus)
+    check_counts_at_odd_p(curve, p)
 
 
 @DETERMINISTIC
@@ -108,6 +147,13 @@ def test_weierstrass_counts_and_structures(a, field):
         assert n1 * n2 == elliptic_count(curve, p, deg)
 
 
+@LARGER_P
+@given(invariants, st.sampled_from(ODD_PRIMES))
+def test_weierstrass_counts_at_odd_p_match_the_root_table(a, p):
+    curve, _ = weierstrass(a)
+    check_counts_at_odd_p(curve, p, count=elliptic_count)
+
+
 PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % k for k in range(2, math.isqrt(p) + 1))]
 
 
@@ -128,3 +174,14 @@ def test_odd_reduction_is_the_discriminant_and_leading_coefficient_test(coeffs):
     disc = f.resultant(f.derivative())  # disc(f) up to a unit at every p not dividing lc(f)
     for p in PRIMES_BELOW_200[1:]:
         assert _good_reduction(curve, p) == (coeffs[-1] % p != 0 and disc % p != 0), p
+        assert _good_reduction(curve, p) == good_reduction_oracle(curve, p), p
+
+
+@DETERMINISTIC
+@given(st.integers(1, 2), st.lists(fractional, min_size=4, max_size=4),
+       st.lists(fractional, min_size=7, max_size=7))
+def test_odd_reduction_of_h_models_is_the_completed_square_test(genus, h, g):
+    n = genus + 1
+    curve = make_curve(g=UniPoly(QQ, g[:2 * n + 1]), h=UniPoly(QQ, h[:n + 1]))
+    for p in PRIMES_BELOW_200[1:]:
+        assert _good_reduction(curve, p) == good_reduction_oracle(curve, p), p

@@ -3,7 +3,10 @@
 The library reads the Weierstrass points and the conjugate-pair classes from
 one split into factors of degree <= 2; the oracle takes the points from
 roots_in_quadfield and the pairs from the complete factorization over Q.
-Points and classes must agree in value, in field and in order.
+Points and classes must agree in value, in field and in order.  The oracle
+knows nothing of a quartic factor over Q that splits over K: the library's
+root-point pairs from such a split are checked apart, by multiplying the two
+factors back, and on curves built from chosen factors over K.
 """
 
 from fractions import Fraction
@@ -11,9 +14,10 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from factor_oracle import weierstrass_and_2torsion_oracle
+from factor_oracle import factor_rational, weierstrass_and_2torsion_oracle
 from quaddyn.curves import HypCurve, load_registry, weierstrass_and_2torsion
-from quaddyn.polys import QQ, UniPoly
+from quaddyn.polys import QQ, QuadField, UniPoly
+from quaddyn.quadfield import QuadElem
 
 # the seven benchmark fields, and three d that are not squarefree
 FIELDS = (-1, -2, -3, -7, -11, 2, 5, -4, 8, 12)
@@ -31,9 +35,29 @@ def exact(answer):
             [[coords(pt) for pt in cls] for cls in classes])
 
 
+def over_k(poly, d):
+    return poly.map_coeffs(QuadField(d), lambda c: QuadElem(c, 0, d))
+
+
 def assert_agrees(curve, d):
-    expected = weierstrass_and_2torsion_oracle(curve, d)
-    assert exact(weierstrass_and_2torsion(curve, d)) == exact(expected)
+    """The oracle's answer, plus the root-point pairs of a quartic that splits over K.
+
+    Returns the quadratic factors over K behind the root-point pairs.
+    """
+    points, classes = weierstrass_and_2torsion(curve, d)
+    split = [cls for cls in classes if cls and cls[0].kind == "root"]
+    rest = [cls for cls in classes if cls not in split]
+    assert exact((points, rest)) == exact(weierstrass_and_2torsion_oracle(curve, d))
+    assert classes[len(rest):] == split  # the split pairs come last
+    factors = [cls[0].x for cls in split]
+    if factors:
+        quartics = [g for g, _ in factor_rational(curve.f).factors if g.degree() == 4]
+        assert len(quartics) == 1 and len(factors) == 2
+        assert factors[0] * factors[1] == over_k(quartics[0], factors[0].ring.d)
+        for cls in split:
+            assert [pt.sign for pt in cls] == [1, -1] and cls[0].x is cls[1].x
+            assert any(c.b for c in cls[0].x.coeffs)  # not a polynomial over Q
+    return factors
 
 
 def f_model_curves():
@@ -80,3 +104,37 @@ def test_squarefree_f_matches_the_oracle(f, d):
     except ValueError:  # not squarefree
         assume(False)
     assert_agrees(curve, d)
+
+
+@st.composite
+def split_quartic_curves(draw):
+    """(curve, d, u): f = u conj(u) w, with u = x^2 - s x + q over K not over Q,
+    u conj(u) irreducible over Q, and w rational, linear or quadratic."""
+    d = draw(st.sampled_from((-1, -2, -3, -7, 2, 5)))
+    s = QuadElem(draw(coefficient), draw(coefficient), d)
+    q = QuadElem(draw(coefficient), draw(coefficient), d)
+    assume(s.b or q.b)
+    field = QuadField(d)
+    u = UniPoly(field, (q, -s, field.one))
+    conj_u = UniPoly(field, (q.conj(), -s.conj(), field.one))
+    quartic = UniPoly(QQ, [c.a for c in (u * conj_u).coeffs])
+    assume([g.degree() for g, _ in factor_rational(quartic).factors] == [4])
+    w = UniPoly(QQ, [Fraction(draw(coefficient)) for _ in range(draw(st.sampled_from((1, 2))))]
+                + [Fraction(draw(leading))])
+    try:
+        curve = HypCurve(f=quartic * w)
+    except ValueError:  # not squarefree
+        assume(False)
+    return curve, d, u
+
+
+@DETERMINISTIC
+@given(split_quartic_curves())
+def test_a_quartic_split_over_k_gives_two_classes(case):
+    curve, d, u = case
+    factors = assert_agrees(curve, d)
+    assert len(factors) == 2 and u in factors
+    # the Galois orbits over K on the six Weierstrass points are the two root
+    # pairs and either two single points or one more pair; J[2](K) has
+    # 2^(r - 2) elements for r orbits when one is odd, 2^(r - 1) otherwise
+    assert len(weierstrass_and_2torsion(curve, d)[1]) == 4
