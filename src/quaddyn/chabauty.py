@@ -13,7 +13,7 @@ Pipeline, in the order the pieces feed each other:
      mod (1+i), rebased as [P + Q - 2 P0].  They are read from data; their
      exact divisor-class derivation is the tests' oracle.
   4. eval_lambda: the integrals Lambda_l(E_j) mod 2^6, via Newton power sums
-     over truncated Gaussian 2-adics.
+     on (re, im) int pairs mod 2^work, as the disk maps hold Z[i]/2^prec.
   5. annihilator_solve: integer vectors (Re/Im combinations) killing both
      generators mod 2^5, each the first hit of a lexicographic search over
      its support.
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .curves import get_curve
 from .polys import QQ, QuadField, UniPoly, format_poly
@@ -51,117 +52,9 @@ LAMBDA_PREC = 6
 DISK_PREC = 5
 CLASS_PREC = 3
 # upper bound on the working precision; cold `chabauty --prec` runs take about
-# 0.18/0.21/0.21 s at 10/11/12 (median of 9, 2-vCPU x86-64, Python 3.11), and
+# 0.14/0.14/0.16 s at 10/11/12 (median of 9, 2-vCPU x86-64, Python 3.11.7), and
 # the part that grows fastest with prec is annihilator_solve's lexicographic search
 PREC_LIMIT = 12
-
-
-# ---------------------------------------------------------------------------
-# truncated 2-adic Gaussian integers
-# ---------------------------------------------------------------------------
-
-
-class GaussAdic:
-    """Element of Z[i] / 2^prec, with i^2 = -1; v(1+i) = 1, v(2) = 2."""
-
-    __slots__ = ("re", "im", "prec")
-
-    def __init__(self, re: int, im: int = 0, prec: int = LAMBDA_PREC):
-        m = 1 << prec
-        object.__setattr__(self, "re", re % m)
-        object.__setattr__(self, "im", im % m)
-        object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *args):
-        raise AttributeError("GaussAdic is immutable")
-
-    @staticmethod
-    def from_exact(x, prec: int = LAMBDA_PREC) -> "GaussAdic":
-        """A QuadElem, Fraction or int to the residue ring; denominators must be odd."""
-        if isinstance(x, QuadElem) and x.d != -1:
-            raise ValueError("Gaussian 2-adics take values from Q(i)")
-        a, b, w = _triple(x)
-        if w % 2 == 0:
-            raise ValueError(f"{x} is not integral at (1+i)")
-        m = 1 << prec
-        inv = pow(w, -1, m)
-        return GaussAdic(a * inv % m, b * inv % m, prec)
-
-    def _coerce(self, other):
-        if isinstance(other, GaussAdic):
-            if other.prec != self.prec:
-                raise ValueError("mixed precision")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussAdic(self.re + o.re, self.im + o.im, self.prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussAdic(-self.re, -self.im, self.prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return GaussAdic(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re, self.prec
-        )
-
-    __rmul__ = __mul__
-
-    def unit_inverse(self) -> "GaussAdic":
-        m = 1 << self.prec
-        nrm = (self.re * self.re + self.im * self.im) % m
-        if nrm % 2 == 0:
-            raise ZeroDivisionError("not a 2-adic unit")
-        inv = pow(nrm, -1, m)
-        return GaussAdic(self.re * inv, -self.im * inv, self.prec)
-
-    def divide_exact_by_2pow(self, a: int) -> "GaussAdic":
-        """Division by 2^a; requires both coordinates divisible (precision drops)."""
-        if a == 0:
-            return self
-        if self.re % (1 << a) or self.im % (1 << a):
-            raise ValueError("not divisible by 2^a: insufficient valuation")
-        return GaussAdic(self.re >> a, self.im >> a, self.prec - a)
-
-    def valuation(self) -> int:
-        """(1+i)-adic valuation, capped at 2*prec when the value is 0 mod 2^prec."""
-        if self.re == 0 and self.im == 0:
-            return 2 * self.prec
-        nrm = self.re * self.re + self.im * self.im
-        v = 0
-        while nrm % 2 == 0:
-            nrm //= 2
-            v += 1
-        return min(v, 2 * self.prec)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self.re, self.im, self.prec) == (o.re, o.im, o.prec)
-
-    def __hash__(self):
-        return hash((self.re, self.im, self.prec))
-
-    def __repr__(self):
-        return f"({self.re}+{self.im}i mod 2^{self.prec})"
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +94,18 @@ def integrate(series: TruncSeries) -> TruncSeries:
 
 def _ord2(n: int) -> int:
     return (n & -n).bit_length() - 1
+
+
+def _divide(re: int, im: int, k: int, bits: int, message: str) -> tuple[int, int]:
+    """(re + im i) / k mod 2^bits: exact division by 2^ord2(k), then the
+    inverse of k's odd part; raises ValueError(message) when 2^ord2(k) does
+    not divide both coordinates."""
+    a = _ord2(k)
+    if re % (1 << a) or im % (1 << a):
+        raise ValueError(message)
+    m = 1 << bits
+    inv = pow(k >> a, -1, m)
+    return (re >> a) * inv % m, (im >> a) * inv % m
 
 
 # ---------------------------------------------------------------------------
@@ -312,48 +217,54 @@ def kernel_generators() -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def eval_lambda(lam: TruncSeries, trace, norm, prec: int = LAMBDA_PREC) -> GaussAdic:
-    """sum_k lam_k (t(P)^k + t(Q)^k) mod 2^prec via Newton power sums.
+class LambdaValue(NamedTuple):
+    """Lambda_l(E_j) mod 2^prec as (Re, Im), each in [0, 2^prec)."""
+
+    re: int
+    im: int
+
+
+def _residue(x, bits: int) -> tuple[int, int]:
+    """An exact element of Q(i) (QuadElem, Fraction or int) mod 2^bits as
+    (re, im); its denominator must be odd."""
+    if isinstance(x, QuadElem) and x.d != -1:
+        raise ValueError("the integrals take values from Q(i)")
+    a, b, w = _triple(x)
+    if w % 2 == 0:
+        raise ValueError(f"{x} is not integral at (1+i)")
+    m = 1 << bits
+    inv = pow(w, -1, m)
+    return a * inv % m, b * inv % m
+
+
+def eval_lambda(lam: TruncSeries, trace, norm, prec: int = LAMBDA_PREC) -> LambdaValue:
+    """sum_k lam_k (t(P)^k + t(Q)^k) mod 2^prec via Newton power sums
+    p_k = t p_(k-1) - n p_(k-2) on (re, im) pairs mod 2^work.
 
     trace/norm are exact (QuadElem or rational).  The 1/k denominators of
     lam are handled by exact division by 2^ord2(k); the working precision
     carries cap.bit_length() guard bits, more than ord2(k) for every k <= cap.
     """
     work = prec + lam.cap.bit_length()
-    e1 = GaussAdic.from_exact(trace, work)
-    e2 = GaussAdic.from_exact(norm, work)
-    p_prev = GaussAdic(2, 0, work)  # p_0
-    p_cur = e1  # p_1
-    total = GaussAdic(0, 0, prec)
+    mask = (1 << work) - 1
+    t_re, t_im = _residue(trace, work)
+    n_re, n_im = _residue(norm, work)
+    (a, b), (c, d) = (2, 0), (t_re, t_im)  # p_(k-1) and p_k, from p_0 and p_1
+    re_sum = im_sum = 0
     for k in range(1, lam.cap + 1):
         if k >= 2:
-            p_prev, p_cur = p_cur, e1 * p_cur - e2 * p_prev
-        coeff = lam.coeffs[k]
-        a = _ord2(k)
-        omega_k = coeff * k  # the integer series coefficient lam_k = omega/k
+            (a, b), (c, d) = (c, d), ((t_re * c - t_im * d - n_re * a + n_im * b) & mask,
+                                      (t_re * d + t_im * c - n_re * b - n_im * a) & mask)
+        omega_k = lam.coeffs[k] * k  # the integer series coefficient lam_k = omega/k
         assert omega_k.denominator == 1
         num = omega_k.numerator
-        scaled = GaussAdic(num * p_cur.re, num * p_cur.im, work)
-        odd = k >> a
-        if odd > 1:
-            inv = pow(odd, -1, 1 << work)
-            scaled = GaussAdic(scaled.re * inv, scaled.im * inv, work)
-        term = scaled.divide_exact_by_2pow(a)
-        assert term.prec >= prec, "term kept fewer than prec bits"
-        total = total + GaussAdic(term.re, term.im, prec)
-    return total
-
-
-def eval_lambda_exact(lam: TruncSeries, trace: QuadElem, norm: QuadElem) -> QuadElem:
-    """Exact rational evaluation of the truncated sum (cross-check oracle)."""
-    p_prev = QuadElem(2, 0, -1)
-    p_cur = trace
-    total = QuadElem(0, 0, -1)
-    for k in range(1, lam.cap + 1):
-        if k >= 2:
-            p_prev, p_cur = p_cur, trace * p_cur - norm * p_prev
-        total = total + p_cur * lam.coeffs[k]
-    return total
+        assert work - _ord2(k) >= prec, "term kept fewer than prec bits"
+        re, im = _divide(num * c & mask, num * d & mask, k, prec,
+                         "not divisible by 2^a: insufficient valuation")
+        re_sum += re
+        im_sum += im
+    m = 1 << prec
+    return LambdaValue(re_sum % m, im_sum % m)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +276,14 @@ def annihilator_solve(values: dict, prec: int = LAMBDA_PREC) -> tuple[tuple, tup
     """Vectors (c1, c2, c3, c4) with
     c1 Re L1 + c2 Im L1 + c3 Re L2 + c4 Im L2 = 0 at both generators.
 
-    values maps (l, j) -> GaussAdic Lambda_l(E_j) at precision 2^prec.  The
+    values maps (l, j) -> Lambda_l(E_j) as an (re, im) pair mod 2^prec.  The
     2-power content of the rows sets the output precision (one lost bit for
     the pipeline data, giving vectors mod 2^(prec-1)).  Returns the two
     canonical generators: the lexicographically least solutions with an odd
     entry supported on the real parts (c1, c3) and on the imaginary parts
     (c2, c4); raises when the solution module does not have rank 2.
     """
-    rows = []
-    for j in (1, 2):
-        l1, l2 = values[(1, j)], values[(2, j)]
-        rows.append((l1.re, l1.im, l2.re, l2.im))
+    rows = [(*values[(1, j)], *values[(2, j)]) for j in (1, 2)]
     reduced, bits = _reduced_rows(rows, prec)
     m = 1 << bits
     gens = []
@@ -464,17 +372,12 @@ def _lambda_coefficients(omega, prec: int) -> list:
     Both coordinates of (1+i)^k are divisible by 2^(k // 2) >= 2^ord_2(k), so
     the 2-part of k divides out exactly and its odd part is inverted mod 2^prec.
     """
-    m = 1 << prec
     out = [(0, 0)]
     w = (1, 0)  # (1+i)^k, exactly
     for k, c in enumerate(omega, start=1):
         w = (w[0] - w[1], w[0] + w[1])
-        a = _ord2(k)
-        re, im = c * w[0], c * w[1]
-        if re % (1 << a) or im % (1 << a):
-            raise ValueError("non-integral coefficient after substitution (bug)")
-        inv = pow(k >> a, -1, m)
-        out.append(((re >> a) * inv % m, (im >> a) * inv % m))
+        out.append(_divide(c * w[0], c * w[1], k, prec,
+                           "non-integral coefficient after substitution (bug)"))
     return out
 
 
@@ -616,14 +519,6 @@ def certify_residue_disk(disk: str, prec: int = LAMBDA_PREC) -> DiskCertificate:
 # ---------------------------------------------------------------------------
 
 
-def to_good_model(point) -> tuple:
-    """X0(5) -> X, (x, y) |-> (x, (y - h(x))/2); infinite points map by sign."""
-    if isinstance(point, str):
-        return point
-    x, y = point
-    return (x, (y - get_curve("X_good").curve.h.eval(x)) / 2)
-
-
 _PINNED_LAMBDAS = {
     (1, 1): (0, 30),
     (2, 1): (0, 42),
@@ -722,9 +617,7 @@ def full_theorem(prec: int = LAMBDA_PREC) -> TheoremReport:
         certs[disk] = replace(certs[conj], disk=disk)
     pinned_ok = {}
     if prec == LAMBDA_PREC:
-        pinned_ok["lambdas"] = all(
-            (v.re, v.im) == _PINNED_LAMBDAS[key] for key, v in lambdas.items()
-        )
+        pinned_ok["lambdas"] = lambdas == _PINNED_LAMBDAS
         pinned_ok["annihilators"] = anni == _PINNED_ANNIHILATORS
         pinned_ok["disk_P0_classes"] = certs["P0"].solution_classes == _PINNED_P0_CLASSES
         pinned_ok["disk_P0_det"] = all(v == 2 for v in certs["P0"].det_valuations)

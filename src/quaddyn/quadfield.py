@@ -296,11 +296,18 @@ _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(sqrt)|([iw])|([()+\-*/]))")
 
 
 class _Parser:
-    """Recursive-descent parser for the field-element expression syntax."""
+    """Recursive-descent parser for the field-element expression syntax.
+
+    Each "(", "sqrt(" and unary sign is one level of recursion; input nested
+    more than MAX_NESTING levels deep is refused before the stack runs out.
+    """
+
+    MAX_NESTING = 100
 
     def __init__(self, text: str):
         self.tokens = self._tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     @staticmethod
     def _tokenize(text: str):
@@ -350,23 +357,32 @@ class _Parser:
             value = value * rhs if op == "*" else value / rhs
         return value
 
+    def nested(self, parse):
+        """parse() one nesting level deeper."""
+        if self.depth == self.MAX_NESTING:
+            raise ValueError(f"bad field-element syntax: nested more than {self.MAX_NESTING} deep")
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def factor(self):
         tok = self.peek()
         if tok == "-":
             self.take()
-            return -self.factor()
+            return -self.nested(self.factor)
         if tok == "+":
             self.take()
-            return self.factor()
+            return self.nested(self.factor)
         if tok == "(":
             self.take()
-            value = self.expr()
+            value = self.nested(self.expr)
             self.expect(")")
             return value
         if tok == "sqrt":
             self.take()
             self.expect("(")
-            arg = self.expr()
+            arg = self.nested(self.expr)
             self.expect(")")
             if not (isinstance(arg, Fraction) or (isinstance(arg, QuadElem) and arg.b == 0)):
                 raise ValueError("sqrt() argument must be rational")

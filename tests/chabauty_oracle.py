@@ -1,5 +1,5 @@
 """Oracles for the Chabauty pipeline: the differentials, the kernel
-generators and the disk maps.
+generators, the integrals and the disk maps.
 
 quaddyn.chabauty expands omega_1 and omega_2 on each residue disk by a
 coefficient recurrence on plain ints.  The oracle here shares none of that
@@ -11,6 +11,11 @@ quaddyn.chabauty reads the (trace, norm) of the kernel-of-reduction
 generators as data.  kernel_generators_oracle derives them by exact
 divisor-class arithmetic in quaddyn.jacobian and checks that both supports
 reduce to the base point mod (1+i).
+
+quaddyn.chabauty evaluates the integrals Lambda_l(E_j) by Newton power sums
+on (re, im) int pairs mod 2^work.  eval_lambda_exact runs the same power sums
+exactly in QuadElem arithmetic, and residue reduces the exact value mod
+2^prec from its Fraction coordinates.
 
 quaddyn.chabauty reads each annihilating map on a residue disk off one
 polynomial over Z[i] by Horner's rule.  The oracle here expands
@@ -122,6 +127,32 @@ def val_p(x: QuadElem) -> int:
         den //= 2
         v -= 1
     return v
+
+
+def eval_lambda_exact(lam: TruncSeries, trace: QuadElem, norm: QuadElem) -> QuadElem:
+    """Exact rational evaluation of sum_k lam_k (t(P)^k + t(Q)^k) over Q(i)."""
+    p_prev = QuadElem(2, 0, -1)
+    p_cur = trace
+    total = QuadElem(0, 0, -1)
+    for k in range(1, lam.cap + 1):
+        if k >= 2:
+            p_prev, p_cur = p_cur, trace * p_cur - norm * p_prev
+        total = total + p_cur * lam.coeffs[k]
+    return total
+
+
+def residue(x: QuadElem, prec: int) -> tuple[int, int]:
+    """(Re x, Im x) mod 2^prec for x in Q(i) with odd denominators."""
+    m = 1 << prec
+    return tuple(c.numerator * pow(c.denominator, -1, m) % m for c in (x.a, x.b))
+
+
+def to_good_model(point) -> tuple:
+    """X0(5) -> X, (x, y) |-> (x, (y - h(x))/2); infinite points map by sign."""
+    if isinstance(point, str):
+        return point
+    x, y = point
+    return (x, (y - get_curve("X_good").curve.h.eval(x)) / 2)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,30 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chabauty_oracle import FractionSeries, check_kernel_membership, kernel_generators_oracle, val_p
+from chabauty_oracle import (
+    FractionSeries,
+    check_kernel_membership,
+    eval_lambda_exact,
+    kernel_generators_oracle,
+    residue,
+    to_good_model,
+    val_p,
+)
 from quaddyn.chabauty import (
-    GaussAdic,
     TruncSeries,
     annihilator_solve,
     certify_disk,
     disk_differentials,
     disk_series,
     eval_lambda,
-    eval_lambda_exact,
     expand_differentials,
     full_theorem,
     integrate,
     kernel_generators,
     required_degree,
-    to_good_model,
 )
 from quaddyn.curves import get_curve
 from quaddyn.polys import QuadField, UniPoly
@@ -41,26 +48,16 @@ def q(a, b=0):
     return QuadElem(F(a), F(b), -1)
 
 
-# --- Gaussian 2-adics -------------------------------------------------------
+# --- 2-adic reduction ------------------------------------------------------
 
 
-def test_gauss_adic_ring():
-    a = GaussAdic(3, 4, 6)
-    b = GaussAdic(60, 1, 6)
-    assert a + b == GaussAdic(63, 5, 6)
-    assert a * GaussAdic(0, 1, 6) == GaussAdic(-4, 3, 6)  # multiplication by i
-    assert a * a.unit_inverse() == GaussAdic(1, 0, 6)
-    with pytest.raises(ZeroDivisionError):
-        GaussAdic(3, 5, 6).unit_inverse()  # norm 34 is even: not a unit
-    assert GaussAdic(2, 0, 6).valuation() == 2
-    assert GaussAdic(1, 1, 6).valuation() == 1
-    assert GaussAdic(0, 0, 6).valuation() == 12
-
-
-def test_gauss_adic_from_exact_rejects_even_denominators():
-    with pytest.raises(ValueError):
-        GaussAdic.from_exact(q(F(1, 2)), 6)
-    assert GaussAdic.from_exact(q(F(1, 3), F(-1, 5)), 4).re == (pow(3, -1, 16)) % 16
+def test_eval_lambda_rejects_even_denominators_and_other_fields():
+    lam = TruncSeries([0, 1], 1)  # Lambda = t(P) + t(Q), the trace itself
+    with pytest.raises(ValueError, match="not integral at"):
+        eval_lambda(lam, q(F(1, 2)), q(0), 6)
+    with pytest.raises(ValueError, match="Q\\(i\\)"):
+        eval_lambda(lam, QuadElem(0, 1, -3), q(0), 6)
+    assert eval_lambda(lam, q(F(1, 3), F(-1, 5)), q(0), 4) == (pow(3, -1, 16), -pow(5, -1, 16) % 16)
 
 
 def test_val_p():
@@ -68,14 +65,6 @@ def test_val_p():
     assert val_p(q(1, 1)) == 1
     assert val_p(q(F(1, 2))) == -2
     assert val_p(q(0, F(3, 1))) == 0
-
-
-def test_divide_exact_by_2pow():
-    v = GaussAdic(12, 4, 6)
-    w = v.divide_exact_by_2pow(2)
-    assert (w.re, w.im, w.prec) == (3, 1, 4)
-    with pytest.raises(ValueError):
-        GaussAdic(2, 1, 6).divide_exact_by_2pow(1)
 
 
 # --- series -----------------------------------------------------------------
@@ -217,10 +206,9 @@ def test_lambda_values_and_linearity():
     values = {}
     for (l, lam) in ((1, lam1), (2, lam2)):
         for j, (t, n) in enumerate(kernel_generators(), start=1):
-            ga = eval_lambda(lam, t, n, 6)
-            values[(l, j)] = ga
-            exact = GaussAdic.from_exact(eval_lambda_exact(lam, t, n), 6)
-            assert (ga.re, ga.im) == (exact.re, exact.im)
+            value = eval_lambda(lam, t, n, 6)
+            values[(l, j)] = value
+            assert value == residue(eval_lambda_exact(lam, t, n), 6)
     assert (values[(1, 1)].re, values[(1, 1)].im) == (0, 30)
     assert (values[(2, 1)].re, values[(2, 1)].im) == (0, 42)
     assert (values[(1, 2)].re, values[(1, 2)].im) == (17, 47)
@@ -236,14 +224,13 @@ def test_lambda_values_and_linearity():
     for lam, l in ((lam1, 1), (lam2, 2)):
         twice = eval_lambda(lam, t, n, 6)
         single = values[(l, 1)]
-        expected = GaussAdic(2 * single.re, 2 * single.im, 6)
-        assert (twice.re, twice.im) == (expected.re, expected.im)
+        assert twice == (2 * single.re % 64, 2 * single.im % 64)
 
 
 def test_trivial_divisor_evaluates_to_zero():
     omega1, _ = expand_differentials()
     lam1 = integrate(omega1)
-    assert eval_lambda(lam1, q(0), q(0), 6).is_zero()
+    assert eval_lambda(lam1, q(0), q(0), 6) == (0, 0)
 
 
 def test_annihilator_solve_pinned_and_scaled():
@@ -257,7 +244,7 @@ def test_annihilator_solve_pinned_and_scaled():
     anni = annihilator_solve(values, 6)
     assert anni == ((2, 0, 7, 0), (0, 1, 0, 13))
     # doubling all values scales the system: same solution space mod 2^4
-    doubled = {k: GaussAdic(2 * v.re, 2 * v.im, 6) for k, v in values.items()}
+    doubled = {k: (2 * v.re % 64, 2 * v.im % 64) for k, v in values.items()}
     scaled = annihilator_solve(doubled, 6)
     for vec, ref in zip(scaled, anni):
         assert tuple(x % 16 for x in vec) == tuple(x % 16 for x in ref)
@@ -387,5 +374,24 @@ def test_eval_lambda_keeps_prec_bits_past_degree_128(prec):
     for omega in expand_differentials(deg):
         lam = integrate(omega)
         for t, n in kernel_generators():
-            exact = GaussAdic.from_exact(eval_lambda_exact(lam, t, n), prec)
-            assert eval_lambda(lam, t, n, prec) == exact
+            assert eval_lambda(lam, t, n, prec) == residue(eval_lambda_exact(lam, t, n), prec)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two points x = (a + b i)/w of (1+i) Z[i] localized at (1+i): a + b even, w odd."""
+    points = []
+    for _ in range(2):
+        a, b = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+        w = 2 * draw(st.integers(0, 15)) + 1
+        points.append(QuadElem(F(a, w), F(b + (a + b) % 2, w), -1))
+    return points
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(point_pairs(), st.integers(6, 30), st.sampled_from([0, 1]))
+def test_eval_lambda_equals_the_exact_sum_mod_2_prec(points, prec, l):
+    x1, x2 = points
+    lam = integrate(expand_differentials(required_degree(prec))[l])
+    trace, norm = x1 + x2, x1 * x2
+    assert eval_lambda(lam, trace, norm, prec) == residue(eval_lambda_exact(lam, trace, norm), prec)

@@ -24,7 +24,6 @@ from chabauty_oracle import BiTruncSeries, _lambda_bivariate
 from quaddyn.chabauty import (
     CLASS_PREC,
     DiskCertificate,
-    GaussAdic,
     TruncSeries,
     _branch_series,
     annihilator_solve,
@@ -48,8 +47,7 @@ def _ord2_or_inf(x: int) -> int:
 def _annihilator_oracle(values: dict, prec: int) -> tuple:
     """The least Re- and Im-supported vectors of a listing of the whole
     solution module, built from a kernel basis of the content-reduced rows."""
-    rows = [(values[(1, j)].re, values[(1, j)].im, values[(2, j)].re, values[(2, j)].im)
-            for j in (1, 2)]
+    rows = [(*values[(1, j)], *values[(2, j)]) for j in (1, 2)]
     contents = [min(_ord2_or_inf(x) for x in row) for row in rows]
     bits = prec - max(1, *contents)
     if bits < 2:
@@ -178,8 +176,8 @@ def row_pairs(draw):
         else:
             row = [draw(entry) for _ in range(4)]
         scale = 1 << draw(st.integers(0, 2))
-        values[(1, j)] = GaussAdic(scale * row[0], scale * row[1], prec)
-        values[(2, j)] = GaussAdic(scale * row[2], scale * row[3], prec)
+        re1, im1, re2, im2 = (scale * x % (1 << prec) for x in row)
+        values[(1, j)], values[(2, j)] = (re1, im1), (re2, im2)
     return values, prec
 
 

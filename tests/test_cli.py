@@ -66,6 +66,9 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     assert err == "error: division by zero\n" and "Fraction(" not in err
 
 
+DEEP = "error: bad field-element syntax: nested more than 100 deep\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("graph", "--d", "-1", "--c", "0", "--n-max", "-3"), "n_max must be in 1..6"),
     (("graph", "--d", "-1", "--c", "0", "--n-max", "0"), "n_max must be in 1..6"),
@@ -139,6 +142,9 @@ def test_zero_denominator_is_a_readable_usage_error(capsys, c):
     (("graph", "--d", "-1", "--c", "1 2"), "error: bad field-element syntax: unexpected '2'\n"),
     (("dynatomic", "--n", "2", "--d", "-1", "--c", "sqrt(2"),
      "error: bad field-element syntax: expected ')', got end of input\n"),
+    (("graph", "--d", "-1", "--c", "(" * 10000 + "1" + ")" * 10000), DEEP),
+    (("dynatomic", "--n", "2", "--d", "-1", "--c", "(" * 10000 + "1" + ")" * 10000), DEEP),
+    (("graph", "--d", "-1", "--c", "-" * 10000 + "1"), DEEP),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -207,6 +213,8 @@ def test_catalog_row_without_a_key_exits_1(tmp_path, capsys, key):
     ([{"label": "0", "d": -1, "c": "1/0"}], "catalog integrity failure: division by zero"),
     ([{"label": "0", "d": 4, "c": "1"}],
      "catalog integrity failure: d = 4 is a perfect square (or zero); not a quadratic field"),
+    ([{"label": "0", "d": -1, "c": "(" * 10000 + "0" + ")" * 10000}],
+     "catalog integrity failure: bad field-element syntax: nested more than 100 deep"),
 ])
 def test_catalog_of_the_wrong_shape_exits_1(tmp_path, capsys, content, message):
     path = tmp_path / "catalog.json"

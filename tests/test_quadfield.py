@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ff_oracle import FiniteField, reduce_quad
 from quaddyn.quadfield import (
     QuadElem,
+    _Parser,
     format_elem,
     fraction_sqrt,
     parse_elem,
@@ -166,6 +167,15 @@ def test_w_style_formatting():
     e = parse_elem("1/6 - 2/3*w", None)
     assert parse_elem(format_elem(e, style="w"), -3) == e
     assert e == QuadElem(F(1, 2), F(-1, 3), -3)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("sqrt(", ")"), ("-", ""), ("+", "")])
+def test_parser_nests_to_the_cap_and_no_deeper(opening, closing):
+    cap = _Parser.MAX_NESTING
+    one = QuadElem(1, 0, -1)
+    assert parse_elem(opening * cap + "1" + closing * cap, -1) in (one, -one)
+    with pytest.raises(ValueError, match=f"nested more than {cap} deep"):
+        parse_elem(opening * (cap + 1) + "1" + closing * (cap + 1), -1)
 
 
 def test_fraction_sqrt():
