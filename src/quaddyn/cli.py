@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -82,11 +83,8 @@ def _survey_params(d: int, height: int) -> list:
     """Each c = (u + v sqrt(d))/w of the box once, in QuadElem.sort_key order.
 
     The representative with gcd(u, v, w) = 1 lies in the box whenever another
-    one does.  sort_key is (norm, trace, text).  With L = lcm(1..height) and
-    s = L/w, the norm times L^2 is (u^2 - d v^2) s^2 and the trace times L/2
-    is u s, both integers.  Equal norm and trace leave only v against -v: for
-    u != 0 the text "a + ..." sorts before "a - ...", and for u = 0 the stem
-    "-..." sorts first.
+    one does.  The key is sort_key with the norm scaled by L^2 and the trace
+    by L/2, L = lcm(1..height), so both are integers.
     """
     L = math.lcm(*range(1, height + 1))
 
@@ -108,11 +106,19 @@ def _survey_one(task: tuple) -> str:
     return classify(build_graph(c, c.d, n_max), catalog)
 
 
+# about (2H+1)^2 H parameters at height H; --d -1, 2 vCPUs, Python 3.11: height 60 took 40 s
+# at 367 MB peak RSS (883 MB with --json), height 80 97 s at 839 MB (about 2 GB with --json)
+HEIGHT_LIMIT = 60
+
+
 def cmd_survey(args) -> int:
     _check_d(args.d)
-    for name, value in (("height", args.height), ("jobs", args.jobs)):
+    cpus = os.cpu_count() or 1  # a fork-started pool starts all its workers at once
+    for name, value, limit in (("height", args.height, HEIGHT_LIMIT), ("jobs", args.jobs, cpus)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+        if value > limit:
+            raise ValueError(f"{name} must be at most {limit}, got {value}")
     expected = {-1: QI_LABELS, -3: QW_LABELS}.get(args.d)
     params = _survey_params(args.d, args.height)
     tasks = [(c, args.n_max, args.catalog) for c in params]

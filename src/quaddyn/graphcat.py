@@ -204,13 +204,12 @@ def _classify(graph: PreperGraph, catalog: tuple | None) -> tuple[str, str]:
 
 
 def to_dot(graph: PreperGraph) -> str:
-    """Deterministic DOT output; vertices sorted by (norm, trace, text)."""
+    """Deterministic DOT output, vertices in QuadElem.sort_key order, each formatted once."""
     if not graph.vertices:
         return "digraph G {}"
+    text = {v: format_elem(v) for v in graph.vertices}
     lines = ["digraph G {"]
-    for v in graph.vertices:
-        lines.append(f'    "{format_elem(v)}";')
-    for v in graph.vertices:
-        lines.append(f'    "{format_elem(v)}" -> "{format_elem(graph.succ[v])}";')
+    lines += [f'    "{text[v]}";' for v in graph.vertices]
+    lines += [f'    "{text[v]}" -> "{text[graph.succ[v]]}";' for v in graph.vertices]
     lines.append("}")
     return "\n".join(lines)

@@ -10,11 +10,11 @@ integer whose square the denominator of c divides.  Each such candidate is
 iterated until its orbit repeats (preperiodic) or leaves the candidate set
 (not preperiodic).
 
-portrait decides one orbit by the same bounds, with no factoring: a
-preperiodic x = a + b sqrt(d) has 2 w x in Z[sqrt(d)], w the lcm of the
-denominators of c, and a^2 + |d| b^2 <= 2 + sqrt(8 (c.a^2 + |d| c.b^2))
-(_escapes).  Finitely many points pass both tests, so every orbit repeats or
-fails one, which proves it is not preperiodic: no step or size cap is needed.
+portrait decides one orbit by the same box, with no factoring: with w the
+denominator of c, v_P(w) >= -v_P(c) at every prime P, so a preperiodic x has
+w x in O_K, and y = 2 w x lies in 2 O_K and in the box at D = 2 w (_escapes).
+Finitely many points pass, so every orbit repeats or leaves the box, which
+proves it is not preperiodic: no step or size cap is needed.
 
 When trial division below TRIAL_BOUND leaves a cofactor of the denominator
 that it does not prove prime (square roots modulo an unfactored number are
@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .factor import roots_in_quadfield
@@ -76,59 +75,51 @@ class PreperGraph:
         Elements over Q(w) print through the w shorthand, as the tables do.
         """
         style = "w" if self.field == -3 else "sqrt"
-
-        def text(v):
-            return format_elem(v, style)
-
+        text = {v: format_elem(v, style) for v in self.vertices}
         cycles = cycle_structure(self)
         flags = _admissible_flags(self, self.parameter, cycles)
         return {
             "schema": "quaddyn/graph/v1",
             "d": self.field,
-            "c": text(self.parameter),
+            "c": format_elem(self.parameter, style),
             "n_max": self.n_max_used,
             "complete_for_periods_le": self.n_max_used,
-            "vertices": [text(v) for v in self.vertices],
-            "edges": [[text(v), text(self.succ[v])] for v in self.vertices],
-            "portraits": {text(v): list(self.portraits[v]) for v in self.vertices},
+            "vertices": list(text.values()),
+            "edges": [[text[v], text[self.succ[v]]] for v in self.vertices],
+            "portraits": {text[v]: list(self.portraits[v]) for v in self.vertices},
             "cycle_structure": list(cycles),
-            "flags": {
-                "admissible": flags.admissible,
-                "strongly_admissible": flags.strongly_admissible,
-                "zero_is_preperiodic": flags.zero_is_preperiodic,
-                "c_is_quarter": flags.c_is_quarter,
-            },
+            "flags": dict(vars(flags)),
         }
 
 
-def _escape_limits(c: QuadElem) -> tuple[int, int, int]:
-    """(2 w, 8 w^2 n(c), w^2) for _escapes: the constants that depend on c alone."""
-    a, b, w = c.triple
-    return 2 * w, 8 * (a * a + abs(c.d) * b * b), w * w
+def _escape_limits(c: QuadElem, v: QuadElem) -> tuple:
+    """(d, D, a_range) of the box of _escape_box at D = 2 w, w c's denominator, for _escapes.
+
+    The box is taken in c's field, or in v's when c is rational.
+    """
+    d = (c if c.triple[1] else v).d
+    ca, cb, w = c.triple
+    return d, 2 * w, _escape_box(d, 2 * w, 4 * w * ca, 4 * w * cb)[2]
 
 
 def _escapes(c: QuadElem, v: QuadElem, limits: tuple | None = None) -> bool:
     """True only when v is provably not preperiodic for f_c.
 
-    n(z) = a^2 + |d| b^2 for z = a + b sqrt(d); w is the lcm of c's
-    denominators.  A preperiodic v has v_P(v) >= min(0, v_P(c)/2) at every
-    prime P, so w v lies in O_K and 2 w v in Z[sqrt(d)].  At the place sigma
-    where |sigma(v)| is largest, |sigma(v)|^2 >= n(v) and |sigma(c)|^2 <= 2 n(c),
-    while R_sigma = (1 + sqrt(1 + 4 |sigma(c)|))/2 has R_sigma^2 <= 2 + 2 |sigma(c)|.
-    So (n(v) - 2)^2 > 8 n(c) with n(v) > 2 gives |sigma(v)| > R_sigma, past
-    which the orbit grows without bound.
+    A preperiodic v has D v = A + B sqrt(d) in 2 O_K inside the box at
+    D = 2 w (see the module doc).
     """
-    scale, bound, wc2 = limits or _escape_limits(c)
+    d, D, a_range = limits or _escape_limits(c, v)
     a, b, w = v.triple
-    if scale % w:  # scale * v lies in Z[sqrt(d)] exactly when v's denominator w divides scale
+    if D % w:  # D v lies in Z[sqrt(d)] exactly when v's denominator w divides D
         return True
-    n, w2 = a * a + abs(v.d) * b * b, w * w  # n(v) = n / w2
-    return n > 2 * w2 and (n - 2 * w2) ** 2 * wc2 > bound * w2 * w2
+    A, B = a * (D // w), b * (D // w)
+    lo, hi = a_range(B)  # empty past the box's b_max
+    return not (lo <= A <= hi and _in_2ok(A, B, d))
 
 
 def portrait(c: QuadElem, alpha: QuadElem) -> tuple[int, int]:
     """Minimal (preperiod, eventual period) of alpha, iterated until it repeats or escapes."""
-    limits = _escape_limits(c)
+    limits = _escape_limits(c, alpha)
     seen = {}
     cur, step = alpha, 0
     while cur not in seen:
@@ -179,19 +170,20 @@ def _coerce_param(c: QuadElem, d: int | None) -> QuadElem:
 
 
 def periodic_points(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> dict:
-    """Map n -> set of K-rational points of exact period n, for n <= n_max."""
+    """Map n -> set of K-rational points of exact period n, for n <= n_max.
+
+    The roots of Phi_1..Phi_n_max are closed under f_c, so one walk over
+    their successor map (portraits_of) sorts them by exact period.
+    """
     if not 1 <= n_max <= MAX_PERIOD:
         raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
     c = _coerce_param(c, d)
-    out = {}
+    roots = set()
     for n in range(1, n_max + 1):
-        phi = specialize(symbolic_dynatomic(n), c)
-        pts = set()
-        for root in roots_in_quadfield(phi):
-            m, period = portrait(c, root)
-            if m == 0 and period == n:
-                pts.add(root)
-        out[n] = pts
+        roots.update(roots_in_quadfield(specialize(symbolic_dynatomic(n), c)))
+    out = {n: set() for n in range(1, n_max + 1)}
+    for root, (_, period) in portraits_of({r: r * r + c for r in roots}).items():
+        out[period].add(root)
     return out
 
 
@@ -220,6 +212,8 @@ TRIAL_BOUND = 1 << 16  # the coset cut factors denominators by trial division be
 # 2-vCPU x86-64 host, Python 3.11: the box costs 1-2 us a candidate (15-30 ms
 # at 2^14); the fallback, once Phi_1..Phi_6 are built, 4-7 ms at integral c
 # and 20-50 ms otherwise.  The crossover thus lies between 2^12 and 2^15.
+# A one-command process builds Phi_1..Phi_6 first (0.23-0.33 s), so a cold
+# `graph` call that falls back took 0.58-0.60 s wall against 0.14-0.16 s.
 BOX_LIMIT = 1 << 14
 
 
@@ -231,6 +225,11 @@ def _ceil_sqrt(n: int) -> int:
 def _floor_times_sqrt(b: int, d: int) -> int:
     """floor(b * sqrt(d)) for d > 0."""
     return math.isqrt(b * b * d) if b >= 0 else -_ceil_sqrt(b * b * d)
+
+
+def _in_2ok(A: int, B: int, d: int) -> bool:
+    """A + B sqrt(d) lies in 2 O_K."""
+    return (A - B) % 2 == 0 if d % 4 == 1 else A % 2 == 0 == B % 2
 
 
 def _escape_bound(D: int, g: int) -> int:
@@ -352,10 +351,6 @@ def _box_points(c: QuadElem) -> set | None:
     na, nb = ca * D * D // w, cb * D * D // w
 
     b_max, a_max, a_range = _escape_box(d, D, na, nb)
-
-    def in_2ok(A, B):
-        return (A - B) % 2 == 0 if d % 4 == 1 else A % 2 == 0 == B % 2
-
     per_class = (2 * b_max // D + 1) * (2 * a_max // D + 1)
     classes, mod = [(0, 0)], 1
     for p, k in sorted(exps.items()):
@@ -364,8 +359,8 @@ def _box_points(c: QuadElem) -> set | None:
             return None
         q = p**k
         if p == 2:  # y and D f(y/D) both lie in 2 O_K
-            local = [(a, b) for a, b in local if in_2ok(a, b)
-                     and in_2ok((a * a + d * b * b + na) // q, (2 * a * b + nb) // q)]
+            local = [(a, b) for a, b in local if _in_2ok(a, b, d)
+                     and _in_2ok((a * a + d * b * b + na) // q, (2 * a * b + nb) // q, d)]
         if len(classes) * len(local) * per_class > BOX_LIMIT:
             return None
         inv = pow(mod, -1, q)
@@ -380,7 +375,7 @@ def _box_points(c: QuadElem) -> set | None:
             return None
         A, B = ra // D, rb // D
         lo, hi = a_range(B)
-        return (A, B) if lo <= A <= hi and in_2ok(A, B) else None
+        return (A, B) if lo <= A <= hi and _in_2ok(A, B, d) else None
 
     by_b = {}
     for a0, b0 in classes:
@@ -441,17 +436,14 @@ def admissible_flags(graph: PreperGraph, c: QuadElem) -> AdmissibilityReport:
 
 def _admissible_flags(graph: PreperGraph, c: QuadElem, cycles: tuple) -> AdmissibilityReport:
     """admissible_flags, given the graph's cycle_structure."""
-    zero = QuadElem(0, 0, c.d)
-    zero_in = zero in set(graph.vertices)
-    quarter = c == Fraction(1, 4)
+    zero_in = 0 in graph.succ  # the rational zero equals and hashes as the int 0
+    quarter = c.triple == (1, 0, 4)
 
     vertex_admissible = not zero_in
     vertex_strong = vertex_admissible and not quarter
 
-    in_deg = {v: 0 for v in graph.vertices}
-    for v in graph.vertices:
-        in_deg[graph.succ[v]] = in_deg.get(graph.succ[v], 0) + 1
-    degrees_ok = all(in_deg.get(v, 0) in (0, 2) for v in graph.vertices)
+    in_deg = Counter(graph.succ.values())
+    degrees_ok = all(in_deg[v] in (0, 2) for v in graph.vertices)
     counts = Counter(cycles)
     cycles_ok = all(length == 1 or mult <= dn_rn(length)[1] for length, mult in counts.items())
     structural_admissible = degrees_ok and cycles_ok
@@ -464,9 +456,4 @@ def _admissible_flags(graph: PreperGraph, c: QuadElem, cycles: tuple) -> Admissi
             f"structural=({structural_admissible},{structural_strong}) "
             f"vertex=({vertex_admissible},{vertex_strong})"
         )
-    return AdmissibilityReport(
-        admissible=vertex_admissible,
-        strongly_admissible=vertex_strong,
-        zero_is_preperiodic=zero_in,
-        c_is_quarter=quarter,
-    )
+    return AdmissibilityReport(vertex_admissible, vertex_strong, zero_in, quarter)

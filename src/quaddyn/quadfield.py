@@ -244,8 +244,14 @@ class QuadElem:
         return not self.triple[1]
 
     def sort_key(self):
-        """Deterministic ordering key: (norm, trace, text)."""
-        return (self.norm(), self.trace(), format_elem(self))
+        """Deterministic ordering key: (norm, trace, -B if A else B) on the triple (A, B, C).
+
+        Equal norm and trace leave only a conjugate pair, which the sign of B
+        orders as format_elem's text does: "a + ..." before "a - ...", and a
+        leading "-" before a digit or a symbol.
+        """
+        a, b, _ = self.triple
+        return (self.norm(), self.trace(), -b if a else b)
 
     def __repr__(self):
         return f"QuadElem({format_elem(self)!r})"

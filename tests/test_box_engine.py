@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quaddyn import orbit
+from quaddyn.dynatomic import specialize, symbolic_dynatomic
+from quaddyn.factor import roots_in_quadfield
 from quaddyn.graphcat import _TABLE
 from quaddyn.orbit import build_graph, periodic_points, portrait, portraits_of
-from quaddyn.quadfield import QuadElem, parse_elem, quad_sqrt
+from quaddyn.quadfield import QuadElem, format_elem, parse_elem, quad_sqrt
 
 F = Fraction
 FIELDS = (-1, -2, -3, -7, -11, 2, 5)
@@ -222,3 +224,23 @@ def test_catalog_witnesses_build_without_portrait():
 def test_smooth_factors_stop_at_the_trial_bound():
     assert orbit._smooth_factors(65537 * 65539) is None
     assert orbit._smooth_factors(3 * 65537) == {3: 1, 65537: 1}
+
+
+def periodic_by_portrait(c, n_max):
+    """periodic_points as one portrait per root of each Phi_n."""
+    return {n: {r for r in roots_in_quadfield(specialize(symbolic_dynatomic(n), c))
+                if portrait(c, r) == (0, n)}
+            for n in range(1, n_max + 1)}
+
+
+X = F(1, 10**20 + 39)
+FALLBACK = [(-1, "4000"), (-3, "-4000")] + [
+    (d, format_elem(QuadElem(X - X * X, 0, d))) for d in (-1, 5)]
+
+
+@pytest.mark.parametrize("d, c_text", [(d, c) for _, d, c, _ in _TABLE] + FALLBACK)
+def test_periodic_points_match_one_portrait_per_root(d, c_text):
+    c = parse_elem(c_text, d)
+    expected = periodic_by_portrait(c, 6)
+    with mock.patch.object(orbit, "portrait", side_effect=AssertionError("portrait called")):
+        assert periodic_points(c, None, 6) == expected

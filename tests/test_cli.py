@@ -145,6 +145,8 @@ DEEP = "error: bad field-element syntax: nested more than 100 deep\n"
     (("graph", "--d", "-1", "--c", "(" * 10000 + "1" + ")" * 10000), DEEP),
     (("dynatomic", "--n", "2", "--d", "-1", "--c", "(" * 10000 + "1" + ")" * 10000), DEEP),
     (("graph", "--d", "-1", "--c", "-" * 10000 + "1"), DEEP),
+    (("survey", "--d", "-1", "--height", "1", "--jobs", "1000000"), "error: jobs must be at most"),
+    (("survey", "--d", "-1", "--height", "100000"), "error: height must be at most"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)

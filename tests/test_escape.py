@@ -3,7 +3,8 @@
 _escapes(c, v) is True only when v is provably not preperiodic.  The box
 engine's _box_points(c), which holds every preperiodic point of every
 period, is the independent oracle: portrait must decide each point in it
-and reject each point outside it.
+and reject each point outside it.  The box itself is checked against a
+norm inequality proved apart from it.
 """
 
 import json
@@ -72,3 +73,29 @@ def test_portrait_decides_exactly_the_box_points(d, u, w, v, z, s, t, p, q, r, k
         else:
             with pytest.raises(RuntimeError, match="does not repeat: not preperiodic"):
                 portrait(c, point)
+
+
+def n(x):
+    """a^2 + |d| b^2 for x = a + b sqrt(d)."""
+    return x.a ** 2 + abs(x.d) * x.b ** 2
+
+
+@DETERMINISTIC
+@given(st.sampled_from(FIELDS), heights, denominators, heights, denominators)
+def test_box_points_satisfy_the_norm_inequality(d, u, w, v, z):
+    """Every preperiodic v has 2 w v in Z[sqrt(d)], w c's denominator, and
+    n(v) <= 2 or (n(v) - 2)^2 <= 8 n(c).
+
+    A preperiodic v has v_P(v) >= min(0, v_P(c)/2) at every prime P, so w v
+    lies in O_K.  At the place sigma where |sigma(v)| is largest,
+    |sigma(v)|^2 >= n(v) and |sigma(c)|^2 <= 2 n(c), while
+    R_sigma = (1 + sqrt(1 + 4 |sigma(c)|))/2 has R_sigma^2 <= 2 + 2 |sigma(c)|.
+    So (n(v) - 2)^2 > 8 n(c) with n(v) > 2 gives |sigma(v)| > R_sigma, past
+    which the orbit grows without bound.
+    """
+    c = QuadElem(F(u, w), F(v, z), d)
+    scale = 2 * c.triple[2]
+    for point in orbit._box_points(c):
+        scaled = scale * point
+        assert scaled.a.denominator == scaled.b.denominator == 1, point
+        assert n(point) <= 2 or (n(point) - 2) ** 2 <= 8 * n(c), point

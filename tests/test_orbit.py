@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quaddyn import dynatomic, graphcat
+from quaddyn import dynatomic, graphcat, orbit
 from quaddyn.dynatomic import gen_dynatomic, specialize
 from quaddyn.orbit import (
     admissible_flags,
@@ -162,6 +162,26 @@ def test_graph_record_round_trip():
     assert record["schema"] == "quaddyn/graph/v1"
     assert len(record["vertices"]) == g.size()
     assert record["flags"]["zero_is_preperiodic"]
+
+
+@pytest.mark.parametrize("d, c_text", [(-1, "-1/4 + 3/8*i"), (-3, "-5/12"), (-1, "2")])
+def test_to_record_formats_each_vertex_once(monkeypatch, d, c_text):
+    g = build_graph(parse_elem(c_text, d), d)
+    calls = []
+    monkeypatch.setattr(orbit, "format_elem", lambda v, style: calls.append(v) or "x")
+    g.to_record()
+    assert len(calls) == g.size() + 1
+
+
+@pytest.mark.parametrize("d, c_text", [(-1, "-1/4 + 3/8*i"), (-3, "-5/12")])
+def test_record_text_reads_back_to_the_graph(d, c_text):
+    c = parse_elem(c_text, d)
+    g = build_graph(c, d)
+    record = g.to_record()
+    assert [parse_elem(v, d) for v in record["vertices"]] == list(g.vertices)
+    for v, image in record["edges"]:
+        assert parse_elem(v, d) ** 2 + c == parse_elem(image, d)
+    assert {parse_elem(v, d): tuple(mn) for v, mn in record["portraits"].items()} == g.portraits
 
 
 def test_values_pickle_and_deep_copy():
