@@ -37,11 +37,10 @@ is uncertified or shows more than two classes is redone once at prec + 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 from .curves import get_curve
 from .polys import QQ, QuadField, UniPoly, format_poly
@@ -217,11 +216,7 @@ def kernel_generators() -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class LambdaValue(NamedTuple):
-    """Lambda_l(E_j) mod 2^prec as (Re, Im), each in [0, 2^prec)."""
-
-    re: int
-    im: int
+LambdaValue = namedtuple("LambdaValue", "re im")  # Lambda_l(E_j) mod 2^prec, each in [0, 2^prec)
 
 
 def _residue(x, bits: int) -> tuple[int, int]:
@@ -330,8 +325,7 @@ def _ord2_or_inf(x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiskMap:
+class DiskMap(namedtuple("DiskMap", "coeffs prec")):
     """mu(T, U) = Re H(T + U i) mod 2^prec for one polynomial H over Z[i].
 
     coeffs[k] = (Re h_k, Im h_k) mod 2^prec.  Values come from Horner's rule
@@ -339,8 +333,7 @@ class DiskMap:
     Re H'(z) and Re(i H'(z)), disk maps again.
     """
 
-    coeffs: tuple
-    prec: int
+    __slots__ = ()
 
     def eval(self, t_val: int, u_val: int) -> int:
         mask = (1 << self.prec) - 1
@@ -406,14 +399,11 @@ def disk_series(disk: str, annihilators: tuple, prec: int = DISK_PREC,
     return mu1, mu2
 
 
-@dataclass(frozen=True)
-class DiskCertificate:
-    disk: str
-    solution_classes: tuple  # (T, U) classes mod 2^CLASS_PREC
-    det_valuations: tuple  # ord_2(det J) per class
-    certified: bool
-    solutions: int  # number of certified Z_2^2 solutions
-    prec: int = DISK_PREC  # series precision the certificate was issued at
+class DiskCertificate(namedtuple("DiskCertificate", "disk solution_classes det_valuations "
+                                 "certified solutions prec", defaults=(DISK_PREC,))):
+    # solution_classes: (T, U) classes mod 2^CLASS_PREC; det_valuations: ord_2(det J) per
+    # class; solutions: certified Z_2^2 solutions; prec: the series precision used
+    __slots__ = ()
 
     def to_record(self) -> dict:
         return {
@@ -531,12 +521,8 @@ _RATIONAL_POINTS = ("(0, -1)", "(0, 1)", "(-3, -1)", "(-3, 1)", "inf+", "inf-")
 _FIVE_CYCLE_C = ("-2", "-16/9", "-64/9")
 
 
-@dataclass
-class TheoremReport:
-    lambdas: dict
-    annihilators: tuple
-    certificates: dict
-    pinned_ok: dict = field(default_factory=dict)
+class TheoremReport(namedtuple("TheoremReport", "lambdas annihilators certificates pinned_ok")):
+    __slots__ = ()
 
     def verdict(self) -> bool:
         return all(self.pinned_ok.values()) and all(
@@ -614,7 +600,7 @@ def full_theorem(prec: int = LAMBDA_PREC) -> TheoremReport:
     lambdas, anni = lambda_stage(prec)
     certs = {disk: certify_residue_disk(disk, prec) for disk in ("P0", "P2", "P4")}
     for disk, conj in (("P1", "P0"), ("P3", "P2"), ("P5", "P4")):
-        certs[disk] = replace(certs[conj], disk=disk)
+        certs[disk] = certs[conj]._replace(disk=disk)
     pinned_ok = {}
     if prec == LAMBDA_PREC:
         pinned_ok["lambdas"] = lambdas == _PINNED_LAMBDAS

@@ -22,9 +22,8 @@ import sys
 from functools import lru_cache
 
 from . import __version__
-from .curves import WeierstrassCurve, get_curve
 from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
-from .graphcat import _classify, classify, load_catalog, to_dot
+from .graphcat import _classify, builtin_catalog, classify, load_catalog, to_dot
 from .orbit import build_graph
 from .polys import format_poly, poly_to_json
 from .quadfield import D_LIMIT, QuadElem, _norm, _quad, format_elem, parse_elem
@@ -54,7 +53,7 @@ def cmd_graph(args) -> int:
     _check_d(args.d)
     c = parse_elem(args.c, args.d)
     graph = build_graph(c, args.d, args.n_max)
-    label, code = _classify(graph, load_catalog(args.catalog) if args.catalog else None)
+    label, code = _classify(graph, _catalog(args.catalog))
     record = graph.to_record()
     record["label"] = label
     record["code"] = code
@@ -100,10 +99,13 @@ def _survey_params(d: int, height: int) -> list:
     return [_quad(_norm(u, s * v, w), m) for u, v, w in triples]
 
 
+def _catalog(path: str | None) -> tuple:
+    return load_catalog(path) if path else builtin_catalog()
+
+
 def _survey_one(task: tuple) -> str:
     c, n_max, catalog_path = task
-    catalog = load_catalog(catalog_path) if catalog_path else None
-    return classify(build_graph(c, c.d, n_max), catalog)
+    return classify(build_graph(c, c.d, n_max), _catalog(catalog_path))
 
 
 # about (2H+1)^2 H parameters at height H; --d -1, 2 vCPUs, Python 3.11: height 60 took 40 s
@@ -125,8 +127,10 @@ def cmd_survey(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        _catalog(args.catalog)  # built once here: fork-started workers inherit it
+        chunk = -(-len(tasks) // (4 * args.jobs))
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_survey_one, tasks, chunksize=8))
+            results = list(pool.map(_survey_one, tasks, chunksize=chunk))
     else:
         results = [_survey_one(task) for task in tasks]
     rows = []
@@ -216,6 +220,9 @@ def cmd_curve(args) -> int:
             setattr(args, name, default)
         elif name not in CURVE_OPTIONS[args.action]:
             raise ValueError(f"--{name} is not used by the {args.action} action")
+    from .curves import (WeierstrassCurve, count_points_ff, curve_genus, elliptic_group_structure,
+                         get_curve, jacobian_orders, torsion_bound)
+
     try:
         entry = get_curve(args.name)
     except KeyError as err:
@@ -223,8 +230,6 @@ def cmd_curve(args) -> int:
         return 1
     curve = entry.curve
     record = {"schema": "quaddyn/curve/v1", "curve": entry.name, "action": args.action}
-    from .curves import (count_points_ff, curve_genus, elliptic_group_structure,
-                         jacobian_orders, torsion_bound)
 
     if args.action == "genus":
         record["genus"] = curve_genus(curve)

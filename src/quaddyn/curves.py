@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import os
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from importlib import resources
 from operator import mul
 
 from .factor import _add, _deriv, _gcd, _mul, _sub, low_degree_rational_factors, roots_in_quadfield
@@ -50,18 +50,13 @@ from .quadfield import QuadElem, quadratic_roots
 Q_LIMIT = 10**6  # a count at q = 997^2 takes about 0.2 s (2-vCPU host, Python 3.11)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point (x, y), an infinite point (sign +1/-1; 0 when unique), or a root point.
+class CurvePoint(namedtuple("CurvePoint", "kind x y sign", defaults=(None, None, 0))):
+    """Affine point (x, y), an infinite point (sign +1/-1; 0 when unique), or a root point:
+    kind "affine", "inf" or "root".  A root point is (x, 0) for one of the two roots
+    x of a quadratic u over K with no root in K; x holds u, and sign (+1/-1) tells
+    the two apart."""
 
-    A root point is (x, 0) for one of the two roots x of a quadratic u over K
-    with no root in K; x holds u, and sign (+1/-1) tells the two apart.
-    """
-
-    kind: str  # "affine" | "inf" | "root"
-    x: object = None
-    y: object = None
-    sign: int = 0
+    __slots__ = ()
 
     @staticmethod
     def affine(x, y) -> "CurvePoint":
@@ -604,13 +599,9 @@ def _squarefree_of_fraction(q: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
-    name: str
-    curve: HypCurve  # a WeierstrassCurve for the elliptic curves
-    aliases: tuple
-    graph: str | None
-    c_map: tuple | None  # (numerator UniPoly, denominator UniPoly) in x
+class RegistryEntry(namedtuple("RegistryEntry", "name curve aliases graph c_map")):
+    # curve: a WeierstrassCurve for the elliptic curves; c_map: None or (num, den) UniPolys in x
+    __slots__ = ()
 
     def c_value(self, x: QuadElem) -> QuadElem:
         if self.c_map is None:
@@ -621,8 +612,9 @@ class RegistryEntry:
 
 @lru_cache(maxsize=1)
 def load_registry() -> dict:
-    text = resources.files("quaddyn.data").joinpath("curves.json").read_text()
-    raw = json.loads(text)
+    with open(os.path.join(os.path.dirname(__file__), "data", "curves.json"),
+              encoding="utf-8") as fh:
+        raw = json.load(fh)
     out = {}
     for name, spec in raw["curves"].items():
         model = spec["model"]

@@ -418,11 +418,6 @@ def _low_degree_factors(f, max_degree: int) -> list:
     return found
 
 
-def rational_roots(f: UniPoly) -> list[Fraction]:
-    """Roots of f in Q, without multiplicity."""
-    return [-g.coeffs[0] for g in low_degree_rational_factors(f, 1) if g.degree() == 1]
-
-
 # ---------------------------------------------------------------------------
 # roots in a quadratic field
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ one more than any cycle length that occurs over the fields of interest.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .factor import roots_in_quadfield
@@ -47,24 +46,15 @@ from .quadfield import QuadElem, _norm, _quad, format_elem, quad_sqrt
 CLOSURE_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    strongly_admissible: bool
-    zero_is_preperiodic: bool
-    c_is_quarter: bool
+AdmissibilityReport = namedtuple("AdmissibilityReport", "admissible strongly_admissible "
+                                 "zero_is_preperiodic c_is_quarter")
 
 
-@dataclass(frozen=True)
-class PreperGraph:
-    """Finite functional digraph of the K-rational preperiodic points of f_c."""
+class PreperGraph(namedtuple("PreperGraph", "vertices succ portraits field parameter n_max_used")):
+    """Finite functional digraph of the K-rational preperiodic points of f_c: vertices
+    sorted by QuadElem.sort_key, succ v -> f_c(v), portraits v -> (preperiod m, period n)."""
 
-    vertices: tuple[QuadElem, ...]  # sorted by QuadElem.sort_key
-    succ: dict  # vertex -> f_c(vertex)
-    portraits: dict  # vertex -> (preperiod m, eventual period n)
-    field: int
-    parameter: QuadElem
-    n_max_used: int
+    __slots__ = ()
 
     def size(self) -> int:
         return len(self.vertices)
@@ -88,7 +78,7 @@ class PreperGraph:
             "edges": [[text[v], text[self.succ[v]]] for v in self.vertices],
             "portraits": {text[v]: list(self.portraits[v]) for v in self.vertices},
             "cycle_structure": list(cycles),
-            "flags": dict(vars(flags)),
+            "flags": flags._asdict(),
         }
 
 

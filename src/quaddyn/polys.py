@@ -125,10 +125,6 @@ class UniPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_ints(ring, ints, var: str = "x") -> "UniPoly":
-        return UniPoly(ring, [ring.of(n) for n in ints], var)
-
-    @staticmethod
     def gen(ring, var: str = "x") -> "UniPoly":
         return UniPoly(ring, (ring.zero, ring.one), var)
 
@@ -380,17 +376,3 @@ def poly_to_json(p: UniPoly) -> list:
         else:
             out.append(str(c))
     return out
-
-
-def poly_from_json(ring, data: list, var: str = "x") -> UniPoly:
-    coeffs = []
-    for item in data:
-        if isinstance(item, int):
-            coeffs.append(ring.of(item))
-        elif isinstance(ring, QuadField):
-            from .quadfield import parse_elem
-
-            coeffs.append(parse_elem(str(item), ring.d))
-        else:
-            coeffs.append(Fraction(str(item)))
-    return UniPoly(ring, coeffs, var)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -27,6 +28,7 @@ from .finitefield import factorize
 
 
 D_LIMIT = 10**12  # QuadElem factors d by trial division, up to sqrt|d|; callers cap |d| here
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf  # of Python's numeric hash
 
 
 @lru_cache(maxsize=256)
@@ -222,7 +224,11 @@ class QuadElem:
         a, b, c = self.triple
         if b:
             return hash((a, b, c, self.d))
-        return hash(a) if c == 1 else hash(Fraction(a, c))
+        if c == 1:
+            return hash(a)
+        # hash(Fraction(a, c)), which __eq__ makes equal, from the ints: h >= 0, and -1 reads -2
+        h = hash(hash(abs(a)) * pow(c, -1, _MODULUS)) if c % _MODULUS else _INF
+        return h if a >= 0 else -2 if h == 1 else -h
 
     # -- field theory ------------------------------------------------------
 
@@ -255,11 +261,6 @@ class QuadElem:
 
     def __repr__(self):
         return f"QuadElem({format_elem(self)!r})"
-
-
-def quad_conj_norm_trace(x: QuadElem) -> tuple[QuadElem, Fraction, Fraction]:
-    """Galois conjugate, norm and trace of x in one call."""
-    return x.conj(), x.norm(), x.trace()
 
 
 def quad_sqrt(x: QuadElem) -> QuadElem | None:

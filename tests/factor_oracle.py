@@ -45,7 +45,7 @@ from quaddyn.factor import (
     _to_int_poly,
     _zdivexact,
     _zprimitive,
-    rational_roots,
+    low_degree_rational_factors,
     roots_in_quadfield,
     z_gcd,
 )
@@ -260,6 +260,11 @@ def factor_rational(f: UniPoly) -> FactorList:
     out = FactorList(content, tuple(pieces))
     assert out.product() == f, "factorization does not reproduce the input"
     return out
+
+
+def rational_roots(f: UniPoly) -> list[Fraction]:
+    """Roots of f in Q, without multiplicity."""
+    return [-g.coeffs[0] for g in low_degree_rational_factors(f, 1) if g.degree() == 1]
 
 
 def certify_irreducible(f: UniPoly) -> tuple[bool, str]:

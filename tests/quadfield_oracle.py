@@ -155,6 +155,11 @@ class QuadElem:
         return f"QuadElem({format_elem(self)!r})"
 
 
+def quad_conj_norm_trace(x) -> tuple:
+    """Galois conjugate, norm and trace of x in one call."""
+    return x.conj(), x.norm(), x.trace()
+
+
 def quad_sqrt(x: QuadElem) -> QuadElem | None:
     """A square root of x in Q(sqrt(d)), or None when x is not a square there.
 

@@ -17,6 +17,7 @@ from quaddyn.chabauty import (
     TruncSeries,
     annihilator_solve,
     certify_disk,
+    certify_residue_disk,
     disk_differentials,
     disk_series,
     eval_lambda,
@@ -395,3 +396,12 @@ def test_eval_lambda_equals_the_exact_sum_mod_2_prec(points, prec, l):
     lam = integrate(expand_differentials(required_degree(prec))[l])
     trace, norm = x1 + x2, x1 * x2
     assert eval_lambda(lam, trace, norm, prec) == residue(eval_lambda_exact(lam, trace, norm), prec)
+
+
+def test_reports_refuse_assignment():
+    report, cert = full_theorem(), certify_residue_disk("P0")
+    for record, name in ((report, "pinned_ok"), (report, "extra"), (cert, "certified"),
+                         (cert, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert report.certificates["P1"] == report.certificates["P0"]._replace(disk="P1")

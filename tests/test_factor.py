@@ -10,7 +10,6 @@ from quaddyn.factor import (
     _mul,
     _norm_over_z,
     low_degree_rational_factors,
-    rational_roots,
     roots_in_quadfield,
     z_gcd,
 )
@@ -19,8 +18,10 @@ from factor_oracle import (
     certify_irreducible,
     factor_mod_p,
     factor_rational,
+    rational_roots,
     z_squarefree_decomposition,
 )
+from polys_helper import from_ints
 from ff_oracle import FFRing, FiniteField
 from quaddyn.polys import QQ, QuadField, UniPoly
 from quaddyn.quadfield import QuadElem
@@ -138,7 +139,7 @@ def test_factor_mod_p_against_brute_force():
         p = rng.choice([5, 7, 11, 13, 31, 101])
         f = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(2, 9))] + [rng.randint(1, 50)]
         ring = FFRing(FiniteField(p))
-        fp = UniPoly.from_ints(ring, f)
+        fp = from_ints(ring, f)
         if fp.degree() != len(f) - 1 or fp.gcd(fp.derivative()).degree() != 0:
             with pytest.raises(ValueError):  # factor_mod_p expects a squarefree reduction
                 factor_mod_p(f, p)
@@ -147,7 +148,7 @@ def test_factor_mod_p_against_brute_force():
         product = UniPoly.const(ring, ring.one)
         for g in factors:
             assert g[-1] == 1 and all(0 <= c < p for c in g)
-            product = product * UniPoly.from_ints(ring, g)
+            product = product * from_ints(ring, g)
         assert product == fp.monic()
         roots = sum(1 for r in range(p) if fp.eval(ring.field(r)).is_zero())
         assert sum(1 for g in factors if len(g) == 2) == roots

@@ -142,3 +142,39 @@ def test_every_forbidden_name_is_defined_in_quaddyn():
     defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set().union(*ORACLE_FORBIDDEN.values()) <= defined
+
+
+# modules whose import costs a command's start-up more than quaddyn uses of them:
+# dataclasses pulls in inspect, ast, dis and tokenize, and importlib.resources
+# pathlib, tempfile and urllib; records are namedtuples and data files are opened
+# next to the module
+START_UP_FORBIDDEN = ("dataclasses", "typing", "importlib.resources")
+
+
+def start_up_imports(source: str) -> list:
+    """(line, module) of each import of a START_UP_FORBIDDEN module or of a name from one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        hits = [module for module in modules
+                if any(module == bad or module.startswith(bad + ".") for bad in START_UP_FORBIDDEN)]
+        out += [(node.lineno, hits[0])] if hits else []
+    return out
+
+
+def test_the_check_finds_a_start_up_import():
+    source = ("import typing\nfrom dataclasses import dataclass\nfrom importlib import resources\n"
+              "import importlib.resources as res\nfrom importlib import import_module\n"
+              "from .typing import x\nimport dataclasses_json\n")
+    assert start_up_imports(source) == [(1, "typing"), (2, "dataclasses"),
+                                        (3, "importlib.resources"), (4, "importlib.resources")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_what_start_up_does_not_need(path):
+    assert start_up_imports(path.read_text()) == [], f"{path.name} imports a start-up module"

@@ -197,3 +197,11 @@ def test_values_pickle_and_deep_copy():
             assert copied == value and type(copied) is type(value) and repr(copied) == repr(value)
     x = QuadElem(F(1, 3), F(-2, 5), 2)
     assert pickle.loads(pickle.dumps(x)).triple == x.triple and hash(copy.deepcopy(x)) == hash(x)
+
+
+def test_graph_records_refuse_assignment():
+    graph = build_graph(parse_elem("-1/4+3/8*i", -1), -1)
+    flags = admissible_flags(graph, graph.parameter)
+    for record, name in ((graph, "field"), (graph, "extra"), (flags, "admissible")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)

@@ -11,9 +11,9 @@ from quaddyn.polys import (
     QuadField,
     UniPoly,
     format_poly,
-    poly_from_json,
     poly_to_json,
 )
+from polys_helper import from_ints, poly_from_json
 from ff_oracle import FFRing, FiniteField
 from quaddyn.quadfield import QuadElem
 
@@ -97,9 +97,9 @@ def test_poly_over_quadfield_and_ff():
     p = x * x + UniPoly.const(K, i)
     assert p.eval(i) == i - 1
     ring = FFRing(FiniteField(5))
-    q = UniPoly.from_ints(ring, [1, 0, 1])
+    q = from_ints(ring, [1, 0, 1])
     assert q.eval(ring.field(2)).coords == (0,)
-    assert q.gcd(UniPoly.from_ints(ring, [2, 1])) == UniPoly.from_ints(ring, [2, 1]).monic()
+    assert q.gcd(from_ints(ring, [2, 1])) == from_ints(ring, [2, 1]).monic()
 
 
 def test_text_and_json_round_trip():

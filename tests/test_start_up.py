@@ -37,3 +37,23 @@ def test_chabauty_runs_without_the_jacobian():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "0 True False"
+
+
+# dataclasses brings inspect, ast, dis and tokenize; importlib.resources brings
+# pathlib, tempfile and urllib; a graph command needs none of them, nor the curves
+START_UP_FREE = ("dataclasses", "inspect", "typing", "importlib.resources")
+
+
+@pytest.mark.parametrize("setup, free", [
+    ("from quaddyn.graphcat import builtin_catalog; builtin_catalog()",
+     START_UP_FREE + ("quaddyn.curves",)),
+    ("from quaddyn.curves import load_registry; load_registry()", START_UP_FREE),
+], ids=["graph", "genus2"])
+def test_start_up_without_site_loads_only_what_it_uses(setup, free):
+    # -S: no site-packages .pth file may import these modules on the command's behalf
+    code = (f"import sys\nimport quaddyn.cli\n{setup}\n"
+            f"print([m for m in {free!r} if m in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
