@@ -43,7 +43,8 @@ from functools import lru_cache
 from math import comb
 
 from .curves import get_curve
-from .polys import QQ, QuadField, UniPoly, format_poly
+from .factor import _taylor
+from .polys import QuadField, UniPoly, format_poly
 from .quadfield import QuadElem, _triple, parse_elem
 
 SERIES_DEGREE = 32
@@ -112,9 +113,9 @@ def _divide(re: int, im: int, k: int, bits: int, message: str) -> tuple[int, int
 # ---------------------------------------------------------------------------
 
 
-def _shift_poly(poly: UniPoly, a: Fraction) -> UniPoly:
-    x = UniPoly.gen(QQ)
-    return poly.compose(x + UniPoly.const(QQ, Fraction(a)))
+def _shift_poly(coeffs, a: int) -> list:
+    """The coefficients of p(x + a): p's Taylor row k read at a is p^(k)(a)/k!."""
+    return [sum(c * a**i for i, c in enumerate(row)) for row in _taylor(coeffs)]
 
 
 def _integer_coeffs(coeffs, cap: int) -> list[int]:
@@ -173,7 +174,7 @@ def disk_differentials(disk: str, deg: int = SERIES_DEGREE) -> tuple[TruncSeries
     g, h = entry.curve.g, entry.curve.h
     if disk in ("P0", "P2"):
         shift, y0 = (0, 0) if disk == "P0" else (-3, -15)
-        gs, hs = (_shift_poly(poly, shift).coeffs for poly in (g, h))
+        gs, hs = (_shift_poly(poly.coeffs, shift) for poly in (g, h))
         omega1 = _branch_series(gs, hs, y0, deg)[1]
         # omega_2 = x omega_1 = (shift + t) omega_1
         omega2 = [shift * a + b for a, b in zip(omega1, [0] + omega1)]

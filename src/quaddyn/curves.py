@@ -35,7 +35,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .factor import _add, _deriv, _gcd, _mul, _sub, low_degree_rational_factors, roots_in_quadfield
+from .factor import (_add, _deriv, _gcd, _integral, _mul, _sub, _taylor, _zresultant,
+                     low_degree_rational_factors, roots_in_quadfield, z_gcd)
 from .finitefield import (
     factorize,
     is_prime,
@@ -79,14 +80,15 @@ class HypCurve:
 
     def __init__(self, f: UniPoly | None = None, g: UniPoly | None = None,
                  h: UniPoly | None = None, name: str = ""):
-        if (f is None) == (g is None):
+        if (f is None) == (g is None) or (f is not None and h is not None):
             raise ValueError("give exactly one of f or (g, h)")
         self.f = f
         self.g = g
         self.h = h if h is not None else (None if f is not None else UniPoly(QQ, ()))
         self.name = name
         F = f if f is not None else g * 4 + self.h * self.h
-        if F.is_zero() or not F.squarefree_part() == F.monic():
+        fz = _integral(F.coeffs)[1]
+        if F.is_zero() or z_gcd(fz, _deriv(fz)) != [1]:
             raise ValueError("defining data is not squarefree")
         self._square = F
 
@@ -102,8 +104,7 @@ class HypCurve:
     @cached_property
     def _integral_square(self) -> tuple[int, list]:
         """(D, Fz): D the lcm of the denominators of F, and Fz = D F as an int list."""
-        D = math.lcm(*(c.denominator for c in self._square.coeffs))
-        return D, [c.numerator * (D // c.denominator) for c in self._square.coeffs]
+        return _integral(self._square.coeffs)
 
     @cached_property
     def _norm_form(self) -> list:
@@ -114,7 +115,7 @@ class HypCurve:
         degree deg Fz in v, and r_j of degree 2 deg Fz - 2j in x.
         """
         _, fz = self._integral_square
-        taylor = [[math.comb(i, k) * c for i, c in enumerate(fz)][k:] for k in range(len(fz))]
+        taylor = _taylor(fz)
         rows: list = [[] for _ in fz]
         for j, a in enumerate(taylor[0::2]):
             for k, b in enumerate(taylor[0::2]):
@@ -134,8 +135,7 @@ class HypCurve:
         also when p | deg Fz shortens Fz'.
         """
         D, fz = self._integral_square
-        Fz = UniPoly(QQ, [Fraction(c) for c in fz])
-        return D * int(Fz.resultant(Fz.derivative()))
+        return D * _zresultant(fz, _deriv(fz))
 
     def has_h_model(self) -> bool:
         return self.g is not None

@@ -135,33 +135,3 @@ def specialize(poly_cx: UniPoly, c) -> UniPoly:
                 b += n * pb
         coeffs.append(_quad(_norm(a, b, scale), d))
     return UniPoly(QuadField(d), coeffs, "x")
-
-
-def verify_factorizations(n_max: int = 6, m_max: int = 3) -> dict:
-    """Symbolic identity checks over Q[c][x].
-
-    f_c^N - x = prod_{n|N} Phi_n for N <= n_max, and
-    f_c^{M+N} - f_c^M = prod_{m<=M} prod_{n|N} Phi_{m,n} for M <= m_max, N <= 4.
-    """
-    if not 1 <= n_max <= MAX_PERIOD:
-        raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
-    report = {}
-    x = iterate_poly("c", 0)
-    phis = {k: symbolic_dynatomic(k) for k in range(1, n_max + 1)}
-    for n in range(1, n_max + 1):
-        lhs = iterate_poly("c", n) - x
-        rhs = UniPoly.const(x.ring, x.ring.one, "x")
-        for k in divisors(n):
-            rhs = rhs * phis[k]
-        report[f"period:{n}"] = lhs == rhs
-    for n in range(1, min(n_max, 4) + 1):
-        for m in range(1, m_max + 1):
-            lhs = iterate_poly("c", m + n) - iterate_poly("c", m)
-            rhs = UniPoly.const(x.ring, x.ring.one, "x")
-            for mm in range(0, m + 1):
-                for k in divisors(n):
-                    rhs = rhs * gen_dynatomic(mm, k)
-            report[f"portrait:({m},{n})"] = lhs == rhs
-    return report

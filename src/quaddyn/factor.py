@@ -18,8 +18,9 @@ Internally, polynomials are plain lists of Python ints (constant term first,
 no trailing zeros) and one kernel serves Z[x], F_p[x] and (Z/p^k)[x]:
 _add, _sub, _mul and _deriv work over Z, and _mod(a, m) reduces where
 arithmetic mod m is meant.  _divmod, _monic, _powmod and _eval take the
-modulus m (a prime p, or p^k while lifting); _gcd takes a prime.
-The public API speaks UniPoly.
+modulus m (a prime p, or p^k while lifting); _gcd takes a prime.  Over Z,
+_integral clears denominators, _taylor gives the rows of a(x + y), and
+_zresultant the resultant.  The public API speaks UniPoly.
 """
 
 from __future__ import annotations
@@ -75,6 +76,47 @@ def _mul(a, b):
 
 def _deriv(a):
     return _trim([a[k] * k for k in range(1, len(a))])
+
+
+def _integral(coeffs) -> tuple[int, list]:
+    """(D, ints): D the lcm of the denominators of the Fractions coeffs, ints = D * coeffs."""
+    D = math.lcm(*(c.denominator for c in coeffs))
+    return D, [c.numerator * (D // c.denominator) for c in coeffs]
+
+
+def _taylor(a) -> list:
+    """The rows a^(k)/k!, k = 0..deg a, with a(x + y) = sum_k a^(k)/k!(x) y^k."""
+    return [[math.comb(i, k) * c for i, c in enumerate(a)][k:] for k in range(len(a))]
+
+
+def _zresultant(a, b) -> int:
+    """res(a, b) over Z: the Sylvester determinant, by fraction-free elimination.
+
+    Bareiss (Math. Comp. 1968): after step k each entry is a k+1 by k+1 minor,
+    so the division by the previous pivot is exact.  res is 0 when a or b is
+    zero, and 1 for two nonzero constants.
+    """
+    if not a or not b:
+        return 0
+    m, n = len(a) - 1, len(b) - 1
+    size = m + n
+    rows = ([[0] * k + a[::-1] + [0] * (n - 1 - k) for k in range(n)]
+            + [[0] * k + b[::-1] + [0] * (m - 1 - k) for k in range(m)])
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        pivot = next((i for i in range(k, size) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, size):
+                row[j] = (top[k] * row[j] - lead * top[j]) // prev
+        prev = top[k]
+    return sign * rows[-1][-1] if size else 1
 
 
 def _divmod(a, b, m: int):
@@ -346,10 +388,7 @@ def _recombine(f, lifted, indices, big: int):
 
 def _to_int_poly(f: UniPoly) -> tuple[Fraction, list]:
     """f = scale * primitive-Z-poly (positive lc)."""
-    denom = 1
-    for c in f.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in f.coeffs]
+    denom, ints = _integral(f.coeffs)
     cont, prim = _zprimitive(ints)
     return Fraction(cont, denom), prim
 

@@ -23,7 +23,6 @@ class ExactnessError(ArithmeticError):
 class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
-    is_field = True
 
     def of(self, n):
         return Fraction(n)
@@ -47,8 +46,6 @@ QQ = RationalField()
 
 
 class QuadField:
-    is_field = True
-
     def __init__(self, d: int):
         self.zero = QuadElem(0, 0, d)
         self.one = QuadElem(1, 0, d)
@@ -72,8 +69,6 @@ class QuadField:
 
 class PolyRing:
     """Coefficients that are themselves polynomials (e.g. Q[c])."""
-
-    is_field = False
 
     def __init__(self, base, var: str):
         self.base = base
@@ -254,20 +249,6 @@ class UniPoly:
             return self
         return self * self.ring.inv(self.lc())
 
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd via the Euclidean algorithm (field coefficients only)."""
-        self._check(other)
-        if not self.ring.is_field:
-            raise ValueError("gcd requires field coefficients")
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, (a % b.monic())
-        return a.monic() if not a.is_zero() else a
-
-    def derivative(self) -> "UniPoly":
-        out = [self.coeffs[k] * k for k in range(1, len(self.coeffs))]
-        return UniPoly(self.ring, out, self.var)
-
     def compose(self, other: "UniPoly") -> "UniPoly":
         """self(other(x)), by Horner evaluation in the polynomial ring."""
         self._check(other)
@@ -286,32 +267,6 @@ class UniPoly:
         for c in reversed(self.coeffs[:-1]):
             out = out * point + c
         return out
-
-    def resultant(self, other: "UniPoly"):
-        """res(self, other) over a field, by the Euclidean product formula."""
-        self._check(other)
-        if not self.ring.is_field:
-            raise ValueError("resultant requires field coefficients")
-        a, b = self, other
-        if a.is_zero() or b.is_zero():
-            return self.ring.zero
-        sign = 1
-        res = self.ring.one
-        while b.degree() > 0:
-            r = a % b
-            if r.is_zero():
-                return self.ring.zero if a.degree() > 0 else res
-            if (a.degree() * b.degree()) % 2 == 1:
-                sign = -sign
-            res = res * (b.lc() ** (a.degree() - r.degree()))
-            a, b = b, r
-        res = res * (b.lc() ** a.degree())
-        return res * sign if sign == 1 else -res
-
-    def squarefree_part(self) -> "UniPoly":
-        if self.is_zero():
-            raise ValueError("zero polynomial")
-        return self.exact_div(self.gcd(self.derivative())).monic()
 
     # -- conversions ---------------------------------------------------------
 

@@ -431,6 +431,7 @@ def parse_elem(text: str, d: int | None = None) -> QuadElem:
             raise ValueError(f"{text!r} is rational; an ambient d is required")
         return QuadElem(value, 0, d)
     if d is not None and value.d != squarefree_split(d)[1] and value.b != 0:
+        QuadElem(0, 1, d)  # a square or zero d is refused with QuadElem's message
         raise ValueError(f"element lives in Q(sqrt({value.d})), not Q(sqrt({d}))")
     if d is not None and value.b == 0:
         return QuadElem(value.a, 0, d)

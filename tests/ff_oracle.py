@@ -187,8 +187,6 @@ def reduce_quad(x, field: FiniteField) -> FFElem:
 
 
 class FFRing:
-    is_field = True
-
     def __init__(self, field: FiniteField):
         self.field = field
         self.zero = field.zero()

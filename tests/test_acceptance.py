@@ -16,7 +16,8 @@ from quaddyn.curves import (
     jacobian_orders,
     weierstrass_and_2torsion,
 )
-from quaddyn.dynatomic import dn_rn, dynatomic, gen_dynatomic, verify_factorizations
+from quaddyn.dynatomic import dn_rn, dynatomic, gen_dynatomic
+from dynatomic_oracle import verify_factorizations
 from quaddyn.factor import roots_in_quadfield
 from factor_oracle import factor_rational
 from ff_oracle import FiniteField, jacobian_order_enumerated

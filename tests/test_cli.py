@@ -147,6 +147,12 @@ DEEP = "error: bad field-element syntax: nested more than 100 deep\n"
     (("graph", "--d", "-1", "--c", "-" * 10000 + "1"), DEEP),
     (("survey", "--d", "-1", "--height", "1", "--jobs", "1000000"), "error: jobs must be at most"),
     (("survey", "--d", "-1", "--height", "100000"), "error: height must be at most"),
+    (("dynatomic", "--n", "3", "--c", "i", "--d", "0"),
+     "error: d = 0 is a perfect square (or zero); not a quadratic field\n"),
+    (("graph", "--d", "4", "--c", "i"), "error: d = 4 is a perfect square (or zero); not a quadratic field\n"),
+    (("graph", "--d", "9", "--c", "1 + sqrt(2)"),
+     "error: d = 9 is a perfect square (or zero); not a quadratic field\n"),
+    (("graph", "--d", "2", "--c", "i"), "error: element lives in Q(sqrt(-1)), not Q(sqrt(2))\n"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -38,6 +38,14 @@ def test_squarefree_model_required():
         HypCurve(f=(X - 1) ** 2 * (X + 1))
 
 
+@pytest.mark.parametrize("model", [dict(f=X**6 + 3 * X + 1, h=X), dict(f=X**6 + 3 * X + 1, g=X),
+                                   dict(h=X), dict()])
+def test_a_model_is_an_f_or_a_g_h_pair(model):
+    # an f-model has no h: y^2 = f(x) would ignore it while curve.h still returned it
+    with pytest.raises(ValueError, match=r"give exactly one of f or \(g, h\)"):
+        HypCurve(**model)
+
+
 def test_good_model_count_over_f2():
     curve = get_curve("X_good").curve
     assert count_points_ff(curve, 2, 1) == 6

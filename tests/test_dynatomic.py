@@ -10,8 +10,8 @@ from quaddyn.dynatomic import (
     iterate_poly,
     mobius,
     specialize,
-    verify_factorizations,
 )
+from dynatomic_oracle import verify_factorizations
 from quaddyn.orbit import portrait
 from quaddyn.polys import QQ, PolyRing, UniPoly
 from quaddyn.quadfield import QuadElem

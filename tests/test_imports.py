@@ -107,6 +107,7 @@ ORACLE_FORBIDDEN = {
                         "disk_differentials", "_branch_series", "eval_lambda", "_residue"},
     "ff_oracle": {"_good_reduction", "_norm_form", "_bad_reduction_integer", "_integral_square"},
     "jacobian_oracle": {"_xgcd", "_compose", "_build_w", "_reduce"},
+    "polys_oracle": {"_zresultant", "z_gcd", "_integral", "_taylor"},
     "factor_oracle": {"_lift", "_low_degree_factors"},
     "quadfield_oracle": {"_norm", "_add", "_mul", "_inv", "quad_sqrt"},
 }

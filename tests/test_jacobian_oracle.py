@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import jacobian_oracle as oracle
+from polys_oracle import derivative, gcd
 from quaddyn import jacobian
 from quaddyn.curves import get_curve
 from quaddyn.jacobian import JacModel
@@ -95,7 +96,7 @@ def sextic_with_classes(draw):
     s = draw(st.integers(1, 3))
     h = poly(1) + UniPoly(ring, [ring.zero, ring.zero, ring.of(s * s) - v.coeff(3) * v.coeff(3)])
     f = v * v + u1 * u2 * h
-    assume(f.degree() == 6 and f.gcd(f.derivative()).degree() == 0)
+    assume(f.degree() == 6 and gcd(f, derivative(f)).degree() == 0)
     model = JacModel(f)
     pool = [model.from_mumford(u1, v), model.from_mumford(u2, v),
             model.from_points("inf+", "inf+"), model.from_points("inf-", "inf-")]

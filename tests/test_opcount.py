@@ -22,3 +22,9 @@ def test_a_warm_count_repeats_exactly(workload):
     assert all(r["rc"] == 0 for r in records + again)
     assert first == second and sum(first.values()) > 0
     assert [r["stdout"] for r in records] == [r["stdout"] for r in again]
+
+
+@pytest.mark.parametrize("workload", ["graph_n6", "genus2"])
+def test_a_set_up_count_repeats_exactly(workload):
+    first, second = opcount.setup_count(workload), opcount.setup_count(workload)
+    assert first == second and sum(first.values()) > 0

@@ -29,6 +29,7 @@ from quaddyn.curves import (
     elliptic_group_structure,
 )
 from ff_oracle import FFRing, FiniteField, enumerate_points, good_reduction_oracle
+from polys_oracle import derivative, resultant
 from quaddyn.polys import QQ, UniPoly
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -171,7 +172,7 @@ def test_odd_reduction_is_the_discriminant_and_leading_coefficient_test(coeffs):
     assume(coeffs[-1] != 0)
     curve = make_curve(f=UniPoly(QQ, coeffs))
     f = curve.f
-    disc = f.resultant(f.derivative())  # disc(f) up to a unit at every p not dividing lc(f)
+    disc = resultant(f, derivative(f))  # disc(f) up to a unit at every p not dividing lc(f)
     for p in PRIMES_BELOW_200[1:]:
         assert _good_reduction(curve, p) == (coeffs[-1] % p != 0 and disc % p != 0), p
         assert _good_reduction(curve, p) == good_reduction_oracle(curve, p), p

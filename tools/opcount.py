@@ -6,14 +6,17 @@ Runs from a source checkout.  It sets quaddyn up from src/ as a benchmark
 child does (perfbench/child.py), runs one pass of the seeded op list
 (perfbench/workloads.py) to warm every cache, then runs the same pass again
 under sys.settrace with f_trace_opcodes set and counts the opcode events,
-split by the module whose code executed them.  Neither perfbench file is
-edited.  Work done in C counts as one bytecode whatever its size, so a count
-goes beside wall time, never instead of it.
+split by the module whose code executed them.  Then it clears the cache of
+the workload's set-up function (builtin_catalog or load_registry) and counts
+one set-up call the same way.  Neither perfbench file is edited.  Work done
+in C counts as one bytecode whatever its size, so a count goes beside wall
+time, never instead of it.
 
 Prints one quaddyn/opcount/v1 JSON object: the workload, seed, op count,
-total, the split by module (largest first), sys.version, the commit and the
-src/ line count as perfbench/run.py counts them.  Exit code 0, or 1 when an
-op failed in either pass.
+total, the split by module (largest first), the same two for the set-up
+(setup_total, setup_by_module), sys.version, the commit and the src/ line
+count as perfbench/run.py counts them.  Exit code 0, or 1 when an op failed
+in either pass.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from run import git_commit, source_lines  # noqa: E402
 from workloads import WORKLOADS, make_ops  # noqa: E402
 
 
-def count_ops(cli, ops: list, cases: dict) -> tuple[Counter, list]:
-    """(opcodes per module, records) of one pass over ops, traced."""
+def traced(call) -> tuple[Counter, object]:
+    """(opcodes per module, result) of call(), traced."""
     counts = Counter()
 
     def local(frame, event, _arg):
@@ -52,12 +55,17 @@ def count_ops(cli, ops: list, cases: dict) -> tuple[Counter, list]:
     gc.disable()
     sys.settrace(start)
     try:
-        records, _wall = child.run_ops(cli, ops, cases, 1)
+        result = call()
     finally:
         sys.settrace(previous)
         if collecting:
             gc.enable()
-    return counts, records
+    return counts, result
+
+
+def count_ops(cli, ops: list, cases: dict) -> tuple[Counter, list]:
+    """(opcodes per module, records) of one pass over ops, traced."""
+    return traced(lambda: child.run_ops(cli, ops, cases, 1)[0])
 
 
 def warm_count(workload: str, ops: list) -> tuple[Counter, list]:
@@ -70,6 +78,22 @@ def warm_count(workload: str, ops: list) -> tuple[Counter, list]:
     return counts, warm + records
 
 
+def setup_count(workload: str) -> Counter:
+    """Opcodes per module of one set-up call, its cache cleared after a warm one.
+
+    Modules are imported and the caches below the set-up function are warm,
+    as after a counted pass, so the count repeats within a process.
+    """
+    child._import_quaddyn(str(ROOT / "src"))
+    child._setup(workload)
+    if workload == "genus2":
+        from quaddyn.curves import load_registry as setup
+    else:
+        from quaddyn.graphcat import builtin_catalog as setup
+    setup.cache_clear()
+    return traced(lambda: child._setup(workload))[0]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -78,6 +102,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     ops = make_ops(args.workload, args.seed)
     counts, records = warm_count(args.workload, ops)
+    setup = setup_count(args.workload)
     failed = [ops[r["index"]]["key"] for r in records if r["rc"] != 0]
     for key in failed[:10]:
         print(f"FAIL {key}", file=sys.stderr)
@@ -88,6 +113,8 @@ def main(argv=None) -> int:
         "ops": len(ops),
         "total": sum(counts.values()),
         "by_module": dict(counts.most_common()),
+        "setup_total": sum(setup.values()),
+        "setup_by_module": dict(setup.most_common()),
         "python": sys.version,
         "commit": git_commit(),
         "src_lines": source_lines(),
