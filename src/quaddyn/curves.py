@@ -11,14 +11,17 @@ needs only a table of squares mod p.  With F = Fz/D, Fz integral, the norm
 of F(x0 + x1 t) is R(x0, n x1^2)/D^2 for the norm form
 R(x, v) = Fz(x + y) Fz(x - y), y^2 = v, an integer polynomial; D^2 is a
 square, so an F_{p^2} count sums the table over the p (p + 1)/2 values
-R(x0, 0) and R(x0, v), v a non-residue, with no pair arithmetic.  An odd p
-has good reduction iff it does not divide D res(Fz, Fz').  Those
-constants are built once per curve, on first use.  Structures draw points
-lazily, one square root in F_q at a time.  Jacobian orders follow from the
-zeta relations.  An elliptic group structure Z/n1 x Z/n2 is read from Sylow
-subgroups: n1 | q - 1 by the Weil pairing, so only a prime ell | q - 1 with
-ell^2 | #E(F_q) can divide n1, and its share is found from the exponent of
-the ell-Sylow subgroup, built as a set.
+R(x0, 0) and R(x0, v), v a non-residue, with no pair arithmetic.  The values
+are computed on packed lanes: one int holds one 64-bit lane per x, so a
+count is a few multiply-adds of such ints and one table read per value.  An
+odd p has good reduction iff it does not divide D res(Fz, Fz').  Those
+constants are built once per curve, and F_p's tables once per prime, on
+first use.  Structures draw points lazily, one square root in F_q at a
+time.  Jacobian orders follow from the zeta relations.  An elliptic group
+structure Z/n1 x Z/n2 is read from Sylow subgroups: n1 | q - 1 by the Weil
+pairing, so only a prime ell | q - 1 with ell^2 | #E(F_q) can divide n1,
+and its share is found from the exponent of the ell-Sylow subgroup, built
+as a set.
 
 The named curve models live in data/curves.json together with their
 c-parametrizations; load_registry() deserializes them.
@@ -30,10 +33,12 @@ import itertools
 import json
 import math
 import os
+import sys
+from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import getitem, mod, mul
 
 from .factor import (_add, _deriv, _gcd, _integral, _mul, _sub, _taylor, _zresultant,
                      low_degree_rational_factors, roots_in_quadfield, z_gcd)
@@ -48,7 +53,7 @@ from .finitefield import (
 from .polys import QQ, QuadField, UniPoly, format_poly
 from .quadfield import QuadElem, quadratic_roots
 
-Q_LIMIT = 10**6  # a count at q = 997^2 takes about 0.2 s (2-vCPU host, Python 3.11)
+Q_LIMIT = 10**6  # a count at q = 997^2 takes about 0.1 s (2-vCPU host, Python 3.11)
 
 
 class CurvePoint(namedtuple("CurvePoint", "kind x y sign", defaults=(None, None, 0))):
@@ -315,9 +320,12 @@ def _enumerate(curve: HypCurve, p: int, deg: int) -> int:
 
         #affine = sum over x0 of roots(R(x0, 0)) + 2 sum over v of roots(R(x0, v)),
 
-    with p (p + 1)/2 values of R: the v-coefficients r_j(x0) mod p, then
-    Horner's rule in v at each non-residue; m0 is never needed.  At p = 2
-    the affine points are counted from the fibre scan of _affine_points.
+    with p (p + 1)/2 values of R, and m0 is never needed.  The values come
+    on the lanes of _fp_tables: with X_k packing x^k mod p, sum c_k X_k packs
+    sum c_k x^k, so R_j = sum (r_jk mod p) X_k packs r_j(x0), column 0 is R_0
+    and the column of v is sum (v^j mod p) R_j; each lane is then read once,
+    reduced mod p, in the table.  At p = 2 the affine points are counted from
+    the fibre scan of _affine_points.
     The points at infinity are those of the chart v^2 + s_n v = r_2n with
     n = genus + 1.
     """
@@ -334,29 +342,77 @@ def _enumerate(curve: HypCurve, p: int, deg: int) -> int:
     if n > 3:
         raise ValueError("point counts at odd p are implemented for genus <= 2")
     D, fz = curve._integral_square
-    roots_mod_p = [0] * p
-    for t in range(p):
-        roots_mod_p[t * t % p] += 1
+    roots, lanes, rows = _fp_tables(p)
     top = fz[2 * n] if 2 * n < len(fz) else 0
-    if deg == 1:
+    if deg == 1:  # a lane holds D Fz(x) <= 7 (p - 1)^2 < 2^64
         coeffs = [c * D % p for c in fz]
-        values = (sum(map(mul, coeffs, _powers(x, len(fz) - 1))) for x in range(p))
-        return roots_mod_p[top * D % p] + sum(roots_mod_p[v % p] for v in values)
-    powers = [_powers(x0, 2 * len(fz) - 2) for x0 in range(p)]
-    values = [[sum(map(mul, row, pw)) % p for pw in powers] for row in curve._norm_form]
-    values += [[0] * p] * (7 - len(fz))
-    nonresidues = [v for v in range(1, p) if not roots_mod_p[v]]
-    total = roots_mod_p[top * top % p]
-    for r0, r1, r2, r3, r4, r5, r6 in zip(*values):
-        total += roots_mod_p[r0] + 2 * sum([
-            roots_mod_p[((((((r6 * v + r5) * v + r4) * v + r3) * v + r2) * v + r1) * v + r0) % p]
-            for v in nonresidues])
+        total = roots[top * D % p]
+        for x in range(0, p, _BLOCK):
+            xs = range(x, min(x + _BLOCK, p))
+            block = lanes or _x_lanes(xs, p, len(fz) - 1)  # the cached lanes when p <= _BLOCK
+            total += _roots_in_lanes(roots, p, _words(_lane_sum(coeffs, block), len(xs)))
+        return total
+    # a lane of R_j holds r_j(x0) <= 13 (p - 1)^2, and of a column <= 91 (p - 1)^3 < 2^64
+    norm_rows = [_lane_sum(map(mod, r, itertools.repeat(p)), lanes) for r in curve._norm_form]
+    total = roots[top * top % p] + _roots_in_lanes(roots, p, _words(norm_rows[0], p))
+    step = max(1, _BLOCK // p)  # columns per read, so that one read holds <= _BLOCK lanes
+    for i in range(0, len(rows), step):
+        columns = b"".join([_words(_lane_sum(row, norm_rows), p) for row in rows[i:i + step]])
+        total += 2 * _roots_in_lanes(roots, p, columns)
     return total
 
 
-def _powers(x: int, k: int) -> list:
-    """[1, x, ..., x^k]."""
-    return list(itertools.accumulate(itertools.repeat(x, k), mul, initial=1))
+# ---------------------------------------------------------------------------
+# F_p's tables for the counts at odd p: one 64-bit lane per x in one int
+# ---------------------------------------------------------------------------
+
+
+_ORDER = sys.byteorder  # of array("Q"), so a lane reads back as the word it was packed from
+_BLOCK = 4096  # the most lanes in one int: a larger p (deg 1 only) runs in blocks
+
+
+@lru_cache(maxsize=16)
+def _fp_tables(p: int) -> tuple:
+    """(roots, lanes, rows) of an odd prime p, built once per prime.
+
+    roots[a] is the number of square roots of a mod p.  lanes = [X_0, ..., X_12]
+    with X_k = sum over x in F_p of (x^k mod p) 2^(64 x), up to X_6 only when
+    p^2 > Q_LIMIT (deg 1 alone is allowed there), and None for p > _BLOCK.
+    rows holds [v^j mod p for j <= 6] at each non-residue v when an F_{p^2}
+    count is allowed (p^2 <= Q_LIMIT), and is None otherwise.
+    """
+    roots = bytearray(p)
+    roots[0] = 1
+    for t in range(1, (p + 1) // 2):
+        roots[t * t % p] = 2
+    deg2 = p * p <= Q_LIMIT
+    lanes = _x_lanes(range(p), p, 12 if deg2 else 6) if p <= _BLOCK else None
+    rows = [[pow(v, j, p) for j in range(7)] for v in range(1, p) if not roots[v]] if deg2 else None
+    return roots, lanes, rows
+
+
+def _x_lanes(xs: range, p: int, top: int) -> list:
+    """[X_0, ..., X_top]: X_k holds x^k mod p in the 64-bit lane of the i-th x of xs, lane i."""
+    row, out = [1] * len(xs), []
+    for _ in range(top + 1):
+        out.append(int.from_bytes(array("Q", row).tobytes(), _ORDER))
+        row = list(map(mod, map(mul, row, xs), itertools.repeat(p)))
+    return out
+
+
+def _lane_sum(coeffs, lanes: list) -> int:
+    """sum c_k L_k, lane by lane: with small c_k >= 0 no lane carries into the next."""
+    return sum(map(mul, coeffs, lanes))
+
+
+def _words(packed: int, lanes: int) -> bytes:
+    return packed.to_bytes(8 * lanes, _ORDER)
+
+
+def _roots_in_lanes(roots: bytearray, p: int, words: bytes) -> int:
+    """The sum of roots[v mod p] over the 64-bit words v."""
+    values = map(mod, memoryview(words).cast("Q"), itertools.repeat(p))
+    return sum(map(getitem, itertools.repeat(roots), values))
 
 
 def count_points_ff(curve: HypCurve, p: int, deg: int = 1) -> int:
@@ -621,18 +677,18 @@ def load_registry() -> dict:
         if "a_invariants" in model:
             curve = WeierstrassCurve(*[Fraction(v) for v in model["a_invariants"]], name=name)
         elif "f" in model:
-            curve = HypCurve(f=UniPoly(QQ, [Fraction(str(v)) for v in model["f"]]), name=name)
+            curve = HypCurve(f=UniPoly(QQ, [Fraction(v) for v in model["f"]]), name=name)
         else:
             curve = HypCurve(
-                g=UniPoly(QQ, [Fraction(str(v)) for v in model["g"]]),
-                h=UniPoly(QQ, [Fraction(str(v)) for v in model["h"]]),
+                g=UniPoly(QQ, [Fraction(v) for v in model["g"]]),
+                h=UniPoly(QQ, [Fraction(v) for v in model["h"]]),
                 name=name,
             )
         c_map = None
         if spec.get("c_map"):
             c_map = (
-                UniPoly(QQ, [Fraction(str(v)) for v in spec["c_map"]["num"]]),
-                UniPoly(QQ, [Fraction(str(v)) for v in spec["c_map"]["den"]]),
+                UniPoly(QQ, [Fraction(v) for v in spec["c_map"]["num"]]),
+                UniPoly(QQ, [Fraction(v) for v in spec["c_map"]["den"]]),
             )
         entry = RegistryEntry(
             name=name,

@@ -6,6 +6,8 @@ oracles here share none of that: F_q is a FiniteField of FFElem objects
 t + 1)), polynomials over it are UniPoly over FFRing, and
 
 - enumerate_points counts X(F_q) with one table of square roots over F_q;
+- norm_form_count sums the table of quaddyn's packed counts at odd p over
+  the norm form, expanded here, one value at a time by Horner's rule;
 - good_reduction_oracle decides good reduction at odd p by a gcd mod p;
 - group_structure finds the exponent of E(F_q) from the order of every point;
 - jacobian_order_enumerated counts Mumford normal forms.
@@ -336,6 +338,46 @@ def enumerate_points(curve: HypCurve, p: int, deg: int, points: list | None = No
 
 
 _INF = "O"
+
+
+def norm_form_count(curve: HypCurve, p: int, deg: int) -> int:
+    """#X(F_q), q = p^deg, at an odd p of good reduction, for genus <= 2.
+
+    The sum of curves._enumerate, one value at a time.  F = Fz/D with Fz
+    integral; the table of square roots mod p is read at D Fz(x) for each x
+    at deg 1, and at deg 2 at R(x0, 0) and, twice, at R(x0, v) for each
+    non-residue v, with R(x, v) = Fz(x + y) Fz(x - y), y^2 = v, expanded
+    here by the binomial theorem and read by Horner's rule in x, then in v.
+    """
+    assert p % 2 and deg in (1, 2) and curve.genus() <= 2
+    F = curve.completed_square()
+    D = math.lcm(*(c.denominator for c in F.coeffs))
+    fz = [int(c * D) for c in F.coeffs]
+    roots = [0] * p
+    for t in range(p):
+        roots[t * t % p] += 1
+    n = curve.genus() + 1
+    top = fz[2 * n] if 2 * n < len(fz) else 0
+    if deg == 1:
+        coeffs = [c * D % p for c in reversed(fz)]
+        return roots[top * D % p] + sum(roots[_horner(coeffs, x) % p] for x in range(p))
+    # Fz(x +- y) = sum over (a, i) of (+-1)^i c_ai x^a y^i
+    shifted = {}
+    for k, c in enumerate(fz):
+        for i in range(k + 1):
+            shifted[k - i, i] = shifted.get((k - i, i), 0) + c * math.comb(k, i)
+    rows = [[0] * (2 * len(fz)) for _ in fz]  # rows[j][a]: the coefficient of x^a v^j
+    for (a, i), c in shifted.items():
+        for (b, k), e in shifted.items():
+            if (i + k) % 2 == 0:
+                rows[(i + k) // 2][a + b] += (-1) ** k * c * e
+    rows = [[c % p for c in reversed(row)] for row in rows]
+    nonresidues = [v for v in range(1, p) if not roots[v]]
+    total = roots[top * top % p]
+    for x0 in range(p):
+        r = [_horner(row, x0) % p for row in rows]
+        total += roots[r[0]] + 2 * sum(roots[_horner(r[::-1], v) % p] for v in nonresidues)
+    return total
 
 
 def _ec_add(curve_a: tuple, P, Q):

@@ -6,7 +6,10 @@ shares nothing with the square-root table of the enumerator.  That scan is
 quadratic in q, so the counts at odd p up to 43, with rational
 coefficients, are checked against ff_oracle.enumerate_points instead, which
 evaluates F at every element of F_q and reads a table of squares over F_q,
-where the enumerator sums a norm form over half of them at deg 2.  Good
+where the enumerator sums a norm form over half of them at deg 2.  The
+packed counts, which read one 64-bit lane per x, are checked against
+ff_oracle.norm_form_count, the same sum one value at a time, past one
+block of lanes at deg 1 and up to p = 997 at deg 2.  Good
 reduction is checked against discriminants computed here, from the
 b-invariants for Weierstrass models and as a resultant for f-models, and
 against the gcd mod p of ff_oracle.good_reduction_oracle for f- and
@@ -21,14 +24,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quaddyn.curves import (
+    Q_LIMIT,
     HypCurve,
     WeierstrassCurve,
+    _BLOCK,
+    _fp_tables,
     _good_reduction,
     count_points_ff,
     elliptic_count,
     elliptic_group_structure,
 )
-from ff_oracle import FFRing, FiniteField, enumerate_points, good_reduction_oracle
+from ff_oracle import (FFRing, FiniteField, enumerate_points, good_reduction_oracle,
+                       norm_form_count)
 from polys_oracle import derivative, resultant
 from quaddyn.polys import QQ, UniPoly
 
@@ -119,6 +126,83 @@ def test_h_model_counts_match_brute_force(genus, h, g, field):
     curve = make_curve(g=UniPoly(QQ, g[:2 * n + 1]), h=UniPoly(QQ, h[:n + 1]))
     assume(curve.genus() == genus)
     check_count(curve, *field)
+
+
+def f_or_h_model(coeffs, genus_h_g):
+    """An f-model from coeffs, or an h-model from (genus, h, g) when that is given."""
+    if genus_h_g is None:
+        assume(coeffs[-1] != 0)
+        return make_curve(f=UniPoly(QQ, coeffs))
+    genus, h, g = genus_h_g
+    n = genus + 1
+    return make_curve(g=UniPoly(QQ, g[:2 * n + 1]), h=UniPoly(QQ, h[:n + 1]))
+
+
+models = (st.lists(fractional, min_size=4, max_size=7),
+          st.none() | st.tuples(st.integers(1, 2), st.lists(fractional, min_size=4, max_size=4),
+                                st.lists(fractional, min_size=7, max_size=7)))
+
+
+def check_packed_count(curve: HypCurve, p: int, deg: int):
+    assume(good_reduction_oracle(curve, p))
+    assert count_points_ff(curve, p, deg) == norm_form_count(curve, p, deg), (p, deg)
+
+
+@DETERMINISTIC
+@given(*models, st.sampled_from(ODD_PRIMES))
+def test_packed_counts_match_the_norm_form_one_value_at_a_time(coeffs, genus_h_g, p):
+    curve = f_or_h_model(coeffs, genus_h_g)
+    for deg in (1, 2):
+        check_packed_count(curve, p, deg)
+
+
+# the oracle takes about 10 ms at p = 8209, deg 1, and 0.5 s at p = 997, deg 2
+FEW = settings(DETERMINISTIC, max_examples=3)
+
+
+@pytest.mark.parametrize("p", [4099, 8209])
+@FEW
+@given(*models)
+def test_packed_counts_run_in_blocks_past_block_size(p, coeffs, genus_h_g):
+    assert p > _BLOCK
+    check_packed_count(f_or_h_model(coeffs, genus_h_g), p, 1)
+
+
+@pytest.mark.parametrize("p", [97, 101, 997])
+@FEW
+@given(*models)
+def test_packed_counts_over_f_p2_at_larger_p(p, coeffs, genus_h_g):
+    check_packed_count(f_or_h_model(coeffs, genus_h_g), p, 2)
+
+
+@settings(DETERMINISTIC, max_examples=10)
+@given(*models, *models, st.sampled_from(ODD_PRIMES))
+def test_a_count_does_not_depend_on_the_counts_before_it(coeffs, genus_h_g, coeffs2, genus_h_g2, p):
+    curve, other = f_or_h_model(coeffs, genus_h_g), f_or_h_model(coeffs2, genus_h_g2)
+    assume(good_reduction_oracle(curve, p))
+    _fp_tables.cache_clear()
+    first = [count_points_ff(curve, p, deg) for deg in (1, 2)]
+    assert first == [norm_form_count(curve, p, deg) for deg in (1, 2)]
+    for q in [*ODD_PRIMES, 97, 101, 4099, 8209]:
+        if good_reduction_oracle(other, q):
+            for deg in (1, 2) if q * q <= Q_LIMIT else (1,):
+                count_points_ff(other, q, deg)
+    assert [count_points_ff(curve, p, deg) for deg in (1, 2)] == first
+    # fill the cache with other primes, so that p's tables are dropped and rebuilt
+    for q in [q for q in PRIMES_BELOW_200[1:] if q != p][:_fp_tables.cache_parameters()["maxsize"]]:
+        _fp_tables(q)
+    assert [count_points_ff(curve, p, deg) for deg in (1, 2)] == first
+
+
+def test_lanes_cannot_overflow_below_the_enumeration_limit():
+    """A lane is 64 bits.  At deg 1 it holds D Fz(x) = sum of 7 terms (c_k mod p)(x^k mod p),
+    so at most 7 (p - 1)^2 with p <= Q_LIMIT; at deg 2 a column holds sum over j <= 6 of
+    (v^j mod p) r_j(x0), and r_j(x0) sums 13 such terms, so at most 91 (p - 1)^3 with
+    p^2 <= Q_LIMIT.  Raising Q_LIMIT past either bound fails here."""
+    assert 7 * (Q_LIMIT - 1) ** 2 < 2**64
+    assert 91 * (math.isqrt(Q_LIMIT) - 1) ** 3 < 2**64
+    assert _BLOCK ** 2 > Q_LIMIT  # so no F_{p^2} count needs a block
+    assert _fp_tables.cache_parameters()["maxsize"] is not None
 
 
 def weierstrass(a):
