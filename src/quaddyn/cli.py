@@ -163,9 +163,9 @@ def cmd_survey(args) -> int:
     return 0
 
 
-# the largest output degree d_n 2^(m-1) of dynatomic --m, symbolic and at a
-# given --c; each takes about 17 s on 2 vCPUs with Python 3.11, and the next
-# one up (128 symbolic, 864 at a c) 40 s or more
+# the largest output degree d_n 2^(m-1) of dynatomic --m, symbolic and at a given --c; on
+# 2 vCPUs with Python 3.11 the slowest call inside takes about 3 s (n = 6, m = 2) and 4 s
+# (n = 6, m = 4, c of height 10^7), and degree 864 at that c 45 s
 M_DEGREE_LIMIT = {"symbolic": 108, "specialized": 432}
 
 

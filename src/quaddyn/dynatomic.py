@@ -91,15 +91,16 @@ def symbolic_dynatomic(n: int) -> UniPoly:
 
 
 def gen_dynatomic(m: int, n: int, c="c") -> UniPoly:
-    """Generalized dynatomic polynomial for preperiod m and period n."""
+    """Generalized dynatomic polynomial for preperiod m and period n.
+
+    Phi_{m,n} = Phi_n(f^m) / Phi_n(f^(m-1)) = Phi_{1,n}(f^(m-1)), Phi_{1,n} = Phi_n(f) / Phi_n.
+    """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
     phi = dynatomic(n, c)
     if m == 0:
         return phi
-    hi = phi.compose(iterate_poly(c, m))
-    lo = phi.compose(iterate_poly(c, m - 1))
-    out = hi.exact_div(lo)
+    out = phi.compose(iterate_poly(c, 1)).exact_div(phi).compose(iterate_poly(c, m - 1))
     assert out.degree() == dn_rn(n)[0] * 2 ** (m - 1)
     return out
 

@@ -7,9 +7,10 @@ is rotated to its lexicographically minimal rotation, and the component
 codes are sorted and joined.  Two graphs get the same code iff they are
 isomorphic as directed graphs.
 
-The builtin catalog holds the seventeen graphs realized over Q(i) or Q(w),
-each regenerated from its witness (d, c) at first use and verified against
-the expected vertex count.
+The builtin catalog is data: the seventeen graphs realized over Q(i) or Q(w),
+each a _TABLE row of its witness (d, c) and its witness graph's vertex count
+and canonical code, which the tests rebuild and check.  A catalog file has
+no codes, so load_catalog builds and checks each of its witness graphs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .orbit import PreperGraph, build_graph, cycle_structure, portraits_of
-from .quadfield import D_LIMIT, format_elem
+from .quadfield import D_LIMIT, format_elem, parse_elem
 
 
 def _ahu(vertex, children, memo) -> str:
@@ -68,25 +69,25 @@ def canonical_code(graph) -> str:
 
 
 # --- the Appendix-B table of realized graphs --------------------------------
-# label, witness d, witness c (text), expected vertex count
+# label, witness d, witness c (text), the witness graph's vertex count and canonical code
 _TABLE = (
-    ("0", -1, "2", 0),
-    ("3(2)", -1, "-1", 3),
-    ("4(1)", -3, "1/4", 4),
-    ("4(1,1)", -1, "-6", 4),
-    ("4(2)", -1, "-3", 4),
-    ("5(1,1)a", -1, "-2", 5),
-    ("5(1,1)b", -1, "0", 5),
-    ("5(2)a", -1, "i", 5),
-    ("6(1,1)", -1, "-10/9", 6),
-    ("6(2)", -1, "-13/9", 6),
-    ("6(2,1)", -1, "1/4", 6),
-    ("6(3)", -1, "-301/144", 6),
-    ("7(2,1,1)a", -3, "0", 7),
-    ("8(2)a", -3, "-5/12", 8),
-    ("8(2,1,1)", -1, "-21/16", 8),
-    ("8(3)", -1, "-29/16", 8),
-    ("10(2,1,1)a", -1, "-1/4 + 3/8*i", 10),
+    ("0", -1, "2", 0, ""),
+    ("3(2)", -1, "-1", 3, "[(())|()]"),
+    ("4(1)", -3, "1/4", 4, "[((()()))]"),
+    ("4(1,1)", -1, "-6", 4, "[(())][(())]"),
+    ("4(2)", -1, "-3", 4, "[(())|(())]"),
+    ("5(1,1)a", -1, "-2", 5, "[((()))][(())]"),
+    ("5(1,1)b", -1, "0", 5, "[((()()))][()]"),
+    ("5(2)a", -1, "i", 5, "[((()))|(())]"),
+    ("6(1,1)", -1, "-10/9", 6, "[((()()))][(())]"),
+    ("6(2)", -1, "-13/9", 6, "[((()()))|(())]"),
+    ("6(2,1)", -1, "1/4", 6, "[(())][(())|(())]"),
+    ("6(3)", -1, "-301/144", 6, "[(())|(())|(())]"),
+    ("7(2,1,1)a", -3, "0", 7, "[(())][(())|(())][()]"),
+    ("8(2)a", -3, "-5/12", 8, "[((()()))|((()()))]"),
+    ("8(2,1,1)", -1, "-21/16", 8, "[(())][(())][(())|(())]"),
+    ("8(3)", -1, "-29/16", 8, "[((()()))|(())|(())]"),
+    ("10(2,1,1)a", -1, "-1/4 + 3/8*i", 10, "[((()()))|(())][(())][(())]"),
 )
 
 
@@ -102,18 +103,13 @@ class CatalogEntry:
         return f"CatalogEntry({self.label})"
 
 
-def _entries_from_rows(rows, path: str | None = None) -> tuple[CatalogEntry, ...]:
-    """Catalog entries from (label, d, c text, expected vertex count) rows.
+def _entries_from_rows(rows, path: str) -> tuple[CatalogEntry, ...]:
+    """Catalog entries from a file's (label, d, c text, expected vertex count) rows.
 
-    A witness that does not parse or fails the checks is a bug in the
-    builtin table (RuntimeError), and a bad file for a catalog read from
-    path (ValueError).
+    Each witness graph is built, its vertex count checked when the row gives
+    one, and its canonical code taken; a failure is a bad file (ValueError).
     """
-    from .quadfield import parse_elem
-
     def failure(message: str) -> Exception:
-        if path is None:
-            return RuntimeError(f"catalog integrity failure: {message}")
         return ValueError(f"catalog integrity failure: {message}: {path}")
 
     entries = []
@@ -134,8 +130,9 @@ def _entries_from_rows(rows, path: str | None = None) -> tuple[CatalogEntry, ...
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> tuple[CatalogEntry, ...]:
-    """The seventeen realized graphs, regenerated from their witnesses."""
-    return _entries_from_rows(_TABLE)
+    """The seventeen realized graphs, read from _TABLE: no graph is built."""
+    return tuple(CatalogEntry(label, code, (d, parse_elem(c_text, d)))
+                 for label, d, c_text, _size, code in _TABLE)
 
 
 @lru_cache(maxsize=None)

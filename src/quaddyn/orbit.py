@@ -21,9 +21,9 @@ that it does not prove prime (square roots modulo an unfactored number are
 as hard as factoring it), or the box or the coset classes hold more than
 BOX_LIMIT candidates, build_graph falls back to the dynatomic path: the
 K-rational periodic points from the roots of the dynatomic polynomials
-(periodic_points), then their backward closure under preimages.  The fixed
-point at infinity is always omitted, matching the convention the vertex
-counts follow.
+(periodic_points, which loads quaddyn.factor when it runs), then their
+backward closure under preimages.  The fixed point at infinity is always
+omitted, matching the convention the vertex counts follow.
 
 Either point set is finite and closed under f_c, so the portraits of all its
 points come from one walk over its successor map (portraits_of).  The graph
@@ -39,7 +39,6 @@ import math
 from collections import Counter, namedtuple
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
-from .factor import roots_in_quadfield
 from .finitefield import sqrt_mod_p2, trial_factor
 from .quadfield import QuadElem, _norm, _quad, format_elem, quad_sqrt
 
@@ -165,6 +164,8 @@ def periodic_points(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) 
     The roots of Phi_1..Phi_n_max are closed under f_c, so one walk over
     their successor map (portraits_of) sorts them by exact period.
     """
+    from .factor import roots_in_quadfield
+
     if not 1 <= n_max <= MAX_PERIOD:
         raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
     c = _coerce_param(c, d)

@@ -2,13 +2,23 @@
 
 verify_factorizations multiplies the symbolic Phi_n and Phi_{m,n} of
 quaddyn.dynatomic back together and compares them with the iterates of
-f_c(x) = x^2 + c, all over PolyRing(QQ, "c").
+f_c(x) = x^2 + c, all over PolyRing(QQ, "c").  gen_dynatomic_by_composites
+is Phi_{m,n} by its definition, the quotient of two composites.
 """
 
 from __future__ import annotations
 
-from quaddyn.dynatomic import MAX_PERIOD, divisors, gen_dynatomic, iterate_poly, symbolic_dynatomic
+from quaddyn.dynatomic import (MAX_PERIOD, divisors, dynatomic, gen_dynatomic, iterate_poly,
+                               symbolic_dynatomic)
 from quaddyn.polys import UniPoly
+
+
+def gen_dynatomic_by_composites(m: int, n: int, c="c") -> UniPoly:
+    """Phi_{m,n} = Phi_n(f^m) / Phi_n(f^(m-1)): one exact division of degree d_n 2^m."""
+    phi = dynatomic(n, c)
+    if m == 0:
+        return phi
+    return phi.compose(iterate_poly(c, m)).exact_div(phi.compose(iterate_poly(c, m - 1)))
 
 
 def verify_factorizations(n_max: int = 6, m_max: int = 3) -> dict:

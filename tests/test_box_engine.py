@@ -53,7 +53,7 @@ def assert_agrees(c, n_max, engine="box"):
     return graph
 
 
-@pytest.mark.parametrize("label, d, c_text, size", _TABLE)
+@pytest.mark.parametrize("label, d, c_text, size", [row[:4] for row in _TABLE])
 def test_catalog_witnesses(label, d, c_text, size):
     assert assert_agrees(parse_elem(c_text, d), 6).size() == size
 
@@ -217,7 +217,7 @@ def test_portraits_of_matches_iteration(images):
 def test_catalog_witnesses_build_without_portrait():
     """The box path takes every portrait from one walk over the successor map."""
     with mock.patch.object(orbit, "portrait", side_effect=AssertionError("portrait called")):
-        for label, d, c_text, size in _TABLE:
+        for label, d, c_text, size, _code in _TABLE:
             assert build_graph(parse_elem(c_text, d), d).size() == size, label
 
 
@@ -238,7 +238,7 @@ FALLBACK = [(-1, "4000"), (-3, "-4000")] + [
     (d, format_elem(QuadElem(X - X * X, 0, d))) for d in (-1, 5)]
 
 
-@pytest.mark.parametrize("d, c_text", [(d, c) for _, d, c, _ in _TABLE] + FALLBACK)
+@pytest.mark.parametrize("d, c_text", [(d, c) for _, d, c, _, _ in _TABLE] + FALLBACK)
 def test_periodic_points_match_one_portrait_per_root(d, c_text):
     c = parse_elem(c_text, d)
     expected = periodic_by_portrait(c, 6)

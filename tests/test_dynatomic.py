@@ -11,10 +11,10 @@ from quaddyn.dynatomic import (
     mobius,
     specialize,
 )
-from dynatomic_oracle import verify_factorizations
+from dynatomic_oracle import gen_dynatomic_by_composites, verify_factorizations
 from quaddyn.orbit import portrait
 from quaddyn.polys import QQ, PolyRing, UniPoly
-from quaddyn.quadfield import QuadElem
+from quaddyn.quadfield import QuadElem, parse_elem
 
 F = Fraction
 
@@ -116,6 +116,20 @@ def test_specialized_path_matches_symbolic():
         for n in (1, 2, 3, 4):
             assert dynatomic(n, c) == specialize(dynatomic(n), c)
         assert gen_dynatomic(2, 1, c) == specialize(gen_dynatomic(2, 1), c)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generalized_dynatomic_matches_the_composite_quotient(m, n):
+    assert gen_dynatomic(m, n) == gen_dynatomic_by_composites(m, n)
+
+
+@pytest.mark.parametrize("d, c_text", [(-1, "-21/16"), (-3, "1/3 - 2/5*w"), (5, "7/4"),
+                                       (-1, "1234567/7654321+7654321/1234567*i")])
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 3), (2, 4)])
+def test_specialized_generalized_dynatomic_matches_the_composite_quotient(d, c_text, m, n):
+    c = parse_elem(c_text, d)
+    assert gen_dynatomic(m, n, c) == gen_dynatomic_by_composites(m, n, c)
 
 
 def test_factorization_identities():

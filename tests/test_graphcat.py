@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from quaddyn.graphcat import builtin_catalog, canonical_code, classify, to_dot
+from quaddyn import graphcat
+from quaddyn.graphcat import _TABLE, builtin_catalog, canonical_code, classify, to_dot
 from quaddyn.orbit import build_graph
 from quaddyn.quadfield import QuadElem, parse_elem
 
@@ -63,6 +64,30 @@ def test_catalog_contents():
     by_label = {e.label: e for e in catalog}
     assert by_label["8(2)a"].witness[0] == -3
     assert by_label["5(2)a"].witness == (-1, q(0, 1))
+
+
+def test_table_rows_are_those_of_their_witness_graphs():
+    """The oracle of the builtin catalog: each row's vertex count and code are its witness
+    graph's, and no two rows share a code."""
+    for label, d, c_text, size, code in _TABLE:
+        graph = build_graph(parse_elem(c_text, d), d)
+        assert (graph.size(), canonical_code(graph)) == (size, code), label
+    assert len({row[4] for row in _TABLE}) == len(_TABLE) == 17
+
+
+def test_builtin_catalog_builds_no_graph(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the builtin catalog built or encoded a graph")
+
+    monkeypatch.setattr(graphcat, "build_graph", refuse)
+    monkeypatch.setattr(graphcat, "canonical_code", refuse)
+    builtin_catalog.cache_clear()
+    try:
+        catalog = builtin_catalog()
+    finally:
+        builtin_catalog.cache_clear()
+    assert [(e.label, e.code) for e in catalog] == [(row[0], row[4]) for row in _TABLE]
+    assert [e.witness for e in catalog] == [(d, parse_elem(c, d)) for _, d, c, _, _ in _TABLE]
 
 
 def test_classify_on_witnesses():

@@ -40,13 +40,14 @@ def test_chabauty_runs_without_the_jacobian():
 
 
 # dataclasses brings inspect, ast, dis and tokenize; importlib.resources brings
-# pathlib, tempfile and urllib; a graph command needs none of them, nor the curves
+# pathlib, tempfile and urllib; a graph command needs none of them, nor the curves,
+# nor quaddyn.factor and random, which only the dynatomic fallback uses
 START_UP_FREE = ("dataclasses", "inspect", "typing", "importlib.resources")
 
 
 @pytest.mark.parametrize("setup, free", [
     ("from quaddyn.graphcat import builtin_catalog; builtin_catalog()",
-     START_UP_FREE + ("quaddyn.curves",)),
+     START_UP_FREE + ("quaddyn.curves", "quaddyn.factor", "random")),
     ("from quaddyn.curves import load_registry; load_registry()", START_UP_FREE),
 ], ids=["graph", "genus2"])
 def test_start_up_without_site_loads_only_what_it_uses(setup, free):
