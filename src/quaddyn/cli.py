@@ -26,7 +26,7 @@ from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
 from .graphcat import _classify, builtin_catalog, classify, load_catalog, to_dot
 from .orbit import build_graph
 from .polys import format_poly, poly_to_json
-from .quadfield import D_LIMIT, QuadElem, _norm, _quad, format_elem, parse_elem
+from .quadfield import D_LIMIT, QuadElem, _norm, _quad, format_elem, parse_elem, sorted_elems
 
 QI_LABELS = frozenset({
     "0", "3(2)", "4(1,1)", "4(2)", "5(1,1)a", "5(1,1)b", "5(2)a", "6(1,1)",
@@ -82,21 +82,13 @@ def _survey_params(d: int, height: int) -> list:
     """Each c = (u + v sqrt(d))/w of the box once, in QuadElem.sort_key order.
 
     The representative with gcd(u, v, w) = 1 lies in the box whenever another
-    one does.  The key is sort_key with the norm scaled by L^2 and the trace
-    by L/2, L = lcm(1..height), so both are integers.
+    one does; quadfield.sorted_elems orders them.
     """
-    L = math.lcm(*range(1, height + 1))
-
-    def key(t):
-        u, v, w = t
-        s = L // w
-        return (u * u - d * v * v) * s * s, u * s, -v if u else v
-
-    triples = sorted(((u, v, w) for w in range(1, height + 1) for u in range(-height, height + 1)
-                      for v in range(-height, height + 1) if math.gcd(u, v, w) == 1), key=key)
     root = QuadElem(0, 1, d)  # s sqrt(m) with m squarefree; refuses a square d
     s, m = root.triple[1], root.d
-    return [_quad(_norm(u, s * v, w), m) for u, v, w in triples]
+    return sorted_elems(_quad(_norm(u, s * v, w), m) for w in range(1, height + 1)
+                        for u in range(-height, height + 1) for v in range(-height, height + 1)
+                        if math.gcd(u, v, w) == 1)
 
 
 def _catalog(path: str | None) -> tuple:

@@ -51,7 +51,7 @@ from .finitefield import (
     sqrt_mod_p2,
 )
 from .polys import QQ, QuadField, UniPoly, format_poly
-from .quadfield import QuadElem, quadratic_roots
+from .quadfield import QuadElem, quadratic_roots, sorted_elems
 
 Q_LIMIT = 10**6  # a count at q = 997^2 takes about 0.1 s (2-vCPU host, Python 3.11)
 
@@ -332,11 +332,15 @@ def _enumerate(curve: HypCurve, p: int, deg: int) -> int:
     q = p**deg
     if q > Q_LIMIT:
         raise ValueError(f"q = {q} exceeds the enumeration limit")
-    field = _Fq(p, deg)  # rejects a non-prime p before the reduction test
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if deg not in (1, 2):
+        raise ValueError("deg must be 1 or 2")
     if not _good_reduction(curve, p):
         raise ValueError(f"{curve!r} has bad reduction at {p}")
     n = curve.genus() + 1
     if p == 2:
+        field = _Fq(p, deg)
         at_infinity = _fibre(field, field.of(curve.h.coeff(n)), field.of(curve.g.coeff(2 * n)))
         return len(at_infinity) + sum(1 for _ in _affine_points(curve, field))
     if n > 3:
@@ -604,8 +608,7 @@ def weierstrass_and_2torsion(curve: HypCurve, d: int) -> tuple[list, list]:
         conjugate_pairs += [(CurvePoint("root", u, zero, 1), CurvePoint("root", u, zero, -1))
                             for u in _quartic_split(rest.monic(), d)]
     points = [CurvePoint.infinity(0)] if f.degree() % 2 == 1 else []
-    roots.sort(key=lambda r: r.sort_key())
-    points += [CurvePoint.affine(r, QuadElem(0, 0, d)) for r in roots]
+    points += [CurvePoint.affine(r, QuadElem(0, 0, d)) for r in sorted_elems(roots)]
     return points, [(), *itertools.combinations(points, 2), *conjugate_pairs]
 
 

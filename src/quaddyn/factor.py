@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .finitefield import is_prime
 from .polys import QQ, QuadField, UniPoly
-from .quadfield import QuadElem, quadratic_roots
+from .quadfield import QuadElem, quadratic_roots, sorted_elems
 
 # ---------------------------------------------------------------------------
 # polynomials as int lists (constant term first, no trailing zeros)
@@ -519,5 +519,4 @@ def roots_in_quadfield(f: UniPoly, d: int | None = None) -> list[QuadElem]:
             mult += 1
             cur = quot
         roots.extend([cand] * mult)
-    roots.sort(key=lambda r: r.sort_key())
-    return roots
+    return sorted_elems(roots)

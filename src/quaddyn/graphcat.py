@@ -92,12 +92,19 @@ _TABLE = (
 
 
 class CatalogEntry:
-    __slots__ = ("label", "code", "witness")
+    __slots__ = ("label", "code", "_witness")
 
     def __init__(self, label: str, code: str, witness: tuple):
         self.label = label
         self.code = code
-        self.witness = witness  # (d, c as QuadElem)
+        self._witness = witness  # (d, c as QuadElem), or (d, c as text) until first read
+
+    @property
+    def witness(self) -> tuple:
+        d, c = self._witness
+        if isinstance(c, str):
+            self._witness = d, c = d, parse_elem(c, d)
+        return d, c
 
     def __repr__(self):
         return f"CatalogEntry({self.label})"
@@ -130,8 +137,8 @@ def _entries_from_rows(rows, path: str) -> tuple[CatalogEntry, ...]:
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> tuple[CatalogEntry, ...]:
-    """The seventeen realized graphs, read from _TABLE: no graph is built."""
-    return tuple(CatalogEntry(label, code, (d, parse_elem(c_text, d)))
+    """The seventeen realized graphs, read from _TABLE: no graph is built, no witness parsed."""
+    return tuple(CatalogEntry(label, code, (d, c_text))
                  for label, d, c_text, _size, code in _TABLE)
 
 

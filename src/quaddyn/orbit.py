@@ -40,7 +40,7 @@ from collections import Counter, namedtuple
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .finitefield import sqrt_mod_p2, trial_factor
-from .quadfield import QuadElem, _norm, _quad, format_elem, quad_sqrt
+from .quadfield import QuadElem, _norm, _quad, format_elem, quad_sqrt, sorted_elems
 
 CLOSURE_CAP = 10_000
 
@@ -402,7 +402,7 @@ def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> P
     succ = {v: v * v + c for v in vertices}
     portraits = {v: mp for v, mp in portraits_of(succ).items() if mp[1] <= n_max}
     return PreperGraph(
-        vertices=tuple(sorted(portraits, key=lambda v: v.sort_key())),
+        vertices=tuple(sorted_elems(portraits)),
         succ={v: succ[v] for v in portraits},
         portraits=portraits,
         field=c.d,

@@ -4,11 +4,12 @@ An element a + b*sqrt(d), d a squarefree integer other than 0 and 1, is
 stored as the normalized int triple (A, B, C) with a = A/C, b = B/C, C > 0
 and gcd(A, B, C) = 1, so equal elements of one field have equal triples.
 The operators run on the int kernels _norm, _add, _mul, _inv and _neg, which
-jacobian shares; a and b are Fractions read off the triple.  Values are
-immutable and hashable; all operations are pure functions.  Elements
-carrying different d never mix in one operation; plain ints and Fractions
-coerce to the rational element of the operand's field.  The two-Fraction
-class this replaced is the oracle in tests/quadfield_oracle.py.
+jacobian shares; the text form, the square root and the vertex order read the
+triple too, and a and b are Fraction views of it.  Values are immutable and
+hashable; all operations are pure functions.  Elements carrying different d
+never mix in one operation; plain ints and Fractions coerce to the rational
+element of the operand's field.  The two-Fraction class, text form and square
+root this replaced are the oracle in tests/quadfield_oracle.py.
 
 Text syntax: "a+b*sqrt(d)" with rationals "p/q", plus the shorthands
 "i" (d = -1) and "w" (d = -3, w = (-1+sqrt(-3))/2).  parse_elem and
@@ -43,18 +44,16 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, m
 
 
+def _isqrt_exact(n: int) -> int | None:
+    """The r >= 0 with r^2 = n, or None when n is not the square of an int."""
+    r = math.isqrt(max(n, 0))
+    return r if r * r == n else None
+
+
 def fraction_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None if q is not a square."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn = math.isqrt(num)
-    if rn * rn != num:
-        return None
-    rd = math.isqrt(den)
-    if rd * rd != den:
-        return None
-    return Fraction(rn, rd)
+    rn, rd = _isqrt_exact(q.numerator), _isqrt_exact(q.denominator)
+    return None if rn is None or rd is None else Fraction(rn, rd)
 
 
 def quadratic_roots(t: Fraction, n: Fraction, d: int) -> tuple | None:
@@ -250,11 +249,11 @@ class QuadElem:
         return not self.triple[1]
 
     def sort_key(self):
-        """Deterministic ordering key: (norm, trace, -B if A else B) on the triple (A, B, C).
+        """The vertex order: (norm, trace, -B if A else B) on the triple (A, B, C).
 
-        Equal norm and trace leave only a conjugate pair, which the sign of B
-        orders as format_elem's text does: "a + ..." before "a - ...", and a
-        leading "-" before a digit or a symbol.
+        Equal norm and trace leave a conjugate pair, which the sign of B orders as
+        format_elem's text does: "a + ..." before "a - ...", "-" before a digit or a
+        symbol.  sorted_elems sorts by this key, on ints.
         """
         a, b, _ = self.triple
         return (self.norm(), self.trace(), -b if a else b)
@@ -263,38 +262,44 @@ class QuadElem:
         return f"QuadElem({format_elem(self)!r})"
 
 
+def sorted_elems(elems) -> list:
+    """Elements of one field in sort_key order, on ints: over L, the lcm of the C
+    of their triples (A, B, C), the norm is scaled by L^2 and the trace by L/2.
+    The key of a rational element does not read its d."""
+    elems = list(elems)
+    d = next((x.d for x in elems if x.triple[1]), 0)
+    L = math.lcm(*(x.triple[2] for x in elems))
+
+    def key(x):
+        a, b, c = x.triple
+        s = L // c
+        return (a * a - d * b * b) * s * s, a * s, -b if a else b
+
+    return sorted(elems, key=key)
+
+
 def quad_sqrt(x: QuadElem) -> QuadElem | None:
     """A square root of x in Q(sqrt(d)), or None when x is not a square there.
 
     Sign convention: the returned root r has r.a > 0, or r.a == 0 and
     r.b > 0, so downstream constructions are reproducible.
+
+    On the triple, x = (u + v sqrt(d))/C^2 with u = AC, v = BC.  A root
+    (a + b sqrt(d))/C has a^2 + d b^2 = u, 2ab = v and a^2 - d b^2 = +-n with
+    n^2 = u^2 - d v^2, so m = 2a has m^2 = 2(u +- n); for m != 0 the root is
+    (m^2 + 2v sqrt(d))/(2mC).  A root with a = 0 has v = 0 and (db)^2 = ud.
     """
-    d = x.d
-    if x.is_zero():
-        return QuadElem(0, 0, d)
-    u, v = x.a, x.b
-    if v == 0:
-        s = fraction_sqrt(u)
-        if s is not None:
-            return QuadElem(s if s > 0 else -s, 0, d)
-        t = fraction_sqrt(u / d)
-        if t is not None:
-            return QuadElem(0, t if t > 0 else -t, d)
+    (A, B, C), d = x.triple, x.d
+    u, v = A * C, B * C
+    n = _isqrt_exact(u * u - d * v * v)
+    if n is None:
         return None
-    n = u * u - d * v * v
-    s = fraction_sqrt(n)
-    if s is None:
-        return None
-    for sign in (1, -1):
-        asq = (u + sign * s) / 2
-        a = fraction_sqrt(asq)
-        if a is not None and a != 0:
-            b = v / (2 * a)
-            r = QuadElem(a, b, d)
-            if r.a < 0 or (r.a == 0 and r.b < 0):
-                r = -r
-            return r
-    return None
+    for w in (u + n, u - n):
+        m = _isqrt_exact(2 * w)
+        if m:
+            return _quad(_norm(m * m, 2 * v, 2 * m * C), d)
+    t = None if v else _isqrt_exact(u * d)
+    return None if t is None else _quad(_norm(0, t, C * abs(d)), d)
 
 
 # -- text syntax ------------------------------------------------------------
@@ -391,13 +396,13 @@ class _Parser:
             self.expect("(")
             arg = self.nested(self.expr)
             self.expect(")")
-            if not (isinstance(arg, Fraction) or (isinstance(arg, QuadElem) and arg.b == 0)):
+            if isinstance(arg, QuadElem) and not arg.is_rational():
                 raise ValueError("sqrt() argument must be rational")
-            q = arg if isinstance(arg, Fraction) else arg.a
+            q = arg.a if isinstance(arg, QuadElem) else arg
             if q.denominator != 1:
                 raise ValueError("sqrt() argument must be an integer")
             n = q.numerator
-            s = fraction_sqrt(Fraction(n))
+            s = _isqrt_exact(n)
             if s is not None:
                 return Fraction(s)
             if abs(n) > D_LIMIT:
@@ -430,40 +435,31 @@ def parse_elem(text: str, d: int | None = None) -> QuadElem:
         if d is None:
             raise ValueError(f"{text!r} is rational; an ambient d is required")
         return QuadElem(value, 0, d)
-    if d is not None and value.d != squarefree_split(d)[1] and value.b != 0:
+    if d is not None and value.d != squarefree_split(d)[1] and not value.is_rational():
         QuadElem(0, 1, d)  # a square or zero d is refused with QuadElem's message
         raise ValueError(f"element lives in Q(sqrt({value.d})), not Q(sqrt({d}))")
-    if d is not None and value.b == 0:
+    if d is not None and value.is_rational():
         return QuadElem(value.a, 0, d)
     return value
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _ratio(n: int, c: int) -> str:
+    """n/c in lowest terms, c > 0: "n" when it is an integer."""
+    g = gcd(n, c)
+    return str(n // g) if c == g else f"{n // g}/{c // g}"
 
 
 def format_elem(x: QuadElem, style: str = "sqrt") -> str:
     """Canonical text form.  style="w" prints d=-3 elements over w instead."""
-    if style == "w" and x.d == -3:
-        # a + b*sqrt(-3) = (a + b) + 2b*w  since sqrt(-3) = 1 + 2w
-        ra, rb = x.a + x.b, 2 * x.b
-        return _fmt_pair(ra, rb, "w")
-    if x.d == -1:
-        return _fmt_pair(x.a, x.b, "i")
-    return _fmt_pair(x.a, x.b, f"sqrt({x.d})")
-
-
-def _fmt_pair(ra: Fraction, rb: Fraction, symbol: str) -> str:
-    if rb == 0:
-        return _fmt_fraction(ra)
-    if rb == 1:
-        stem = symbol
-    elif rb == -1:
-        stem = f"-{symbol}"
+    (a, b, c), d = x.triple, x.d
+    if style == "w" and d == -3:
+        # (a + b*sqrt(-3))/c = ((a + b) + 2b*w)/c  since sqrt(-3) = 1 + 2w
+        a, b, symbol = a + b, 2 * b, "w"
     else:
-        stem = f"{_fmt_fraction(rb)}*{symbol}"
-    if ra == 0:
-        return stem
-    sign = "-" if stem.startswith("-") else "+"
-    tail = stem[1:] if stem.startswith("-") else stem
-    return f"{_fmt_fraction(ra)} {sign} {tail}"
+        symbol = "i" if d == -1 else f"sqrt({d})"
+    if not b:
+        return _ratio(a, c)
+    stem = symbol if abs(b) == c else f"{_ratio(abs(b), c)}*{symbol}"
+    if not a:
+        return stem if b > 0 else f"-{stem}"
+    return f"{_ratio(a, c)} {'+' if b > 0 else '-'} {stem}"

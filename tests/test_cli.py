@@ -153,6 +153,8 @@ DEEP = "error: bad field-element syntax: nested more than 100 deep\n"
     (("graph", "--d", "9", "--c", "1 + sqrt(2)"),
      "error: d = 9 is a perfect square (or zero); not a quadratic field\n"),
     (("graph", "--d", "2", "--c", "i"), "error: element lives in Q(sqrt(-1)), not Q(sqrt(2))\n"),
+    (("graph", "--d", "-1", "--c", "sqrt(i)"), "error: sqrt() argument must be rational\n"),
+    (("graph", "--d", "-1", "--c", "sqrt(1/2)"), "error: sqrt() argument must be an integer\n"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)

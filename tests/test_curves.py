@@ -273,3 +273,15 @@ def test_elliptic_structures_at_every_good_prime_up_to_50(name):
         assert elliptic_group_structure(curve, p, 2) == over_p2, p
         assert over_p[0] * over_p[1] == elliptic_count(curve, p, 1)
         assert over_p2[0] * over_p2[1] == elliptic_count(curve, p, 2)
+
+
+@pytest.mark.parametrize("p, deg", [(3, 3), (3, 0), (2, 3), (5, -1)])
+def test_count_points_ff_rejects_other_degrees(p, deg):
+    # F_27 would be counted as F_9 if the odd-p path read deg 3 as deg 2
+    with pytest.raises(ValueError, match="deg must be 1 or 2"):
+        count_points_ff(get_curve("X1_4").curve, p, deg)
+
+
+def test_count_points_ff_checks_primality_before_degree():
+    with pytest.raises(ValueError, match="9 is not prime"):
+        count_points_ff(get_curve("X1_4").curve, 9, 3)

@@ -118,3 +118,20 @@ def test_to_dot():
     dot6 = to_dot(g6)
     assert sum("->" in line for line in dot6.splitlines()) == 6
     assert to_dot(g6) == dot6  # deterministic
+
+
+def test_builtin_catalog_parses_no_witness_until_read(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the builtin catalog parsed a witness")
+
+    builtin_catalog.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(graphcat, "parse_elem", refuse)
+            catalog = builtin_catalog()
+            assert [(e.label, e.code) for e in catalog] == [(row[0], row[4]) for row in _TABLE]
+        witnesses = [e.witness for e in catalog]
+        assert witnesses == [(d, parse_elem(c, d)) for _, d, c, _, _ in _TABLE]
+        assert all(e.witness[1] is c for e, (_, c) in zip(catalog, witnesses))  # parsed once
+    finally:
+        builtin_catalog.cache_clear()

@@ -224,3 +224,14 @@ def test_rational_hash_is_the_fraction_hash_on_large_values():
     for _ in range(2000):
         q = F(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
         assert hash(QuadElem(q, 0, -3)) == hash(q), q
+
+
+def test_a_rational_expression_takes_its_field_from_its_parts():
+    # the parser keeps a rational value a Fraction until a field element meets it
+    i_squared = parse_elem("i*i")
+    assert i_squared == -1 and i_squared.d == -1
+    zero = parse_elem("sqrt(5) - sqrt(5)")
+    assert zero.is_zero() and zero.d == 5
+    with pytest.raises(ValueError, match="is rational; an ambient d is required"):
+        parse_elem("2")
+    assert parse_elem("2", 7) == 2 and parse_elem("2", 7).d == 7

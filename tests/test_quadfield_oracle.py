@@ -10,11 +10,13 @@ d are normalized too, and the two large primes at the |d| bound.
 import math
 import operator
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadfield_oracle as oracle
+from quaddyn import quadfield
 from quaddyn.quadfield import QuadElem, format_elem, parse_elem, quad_sqrt
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -102,3 +104,33 @@ def test_field_functions_and_text_agree_with_the_oracle(xy, style):
     assert back == xn and (back.triple, back.d) == (xn.triple, xn.d)
     for zn, zo in ((xn, xo), (xn * xn, xo * xo)):
         assert same(quad_sqrt(zn), oracle.quad_sqrt(zo))
+
+
+NEAR_BOUND = st.builds(Fraction, st.integers(-10**13, 10**13), st.integers(10**12 - 40, 10**12 + 40))
+
+
+@DETERMINISTIC
+@given(DS, st.one_of(PARTS, NEAR_BOUND), st.one_of(PARTS, NEAR_BOUND), st.one_of(PARTS, NEAR_BOUND),
+       st.sampled_from(["sqrt", "w"]))
+def test_text_and_square_roots_agree_with_the_oracle_beyond_squares(d, a, b, r, style):
+    x, xo = QuadElem(a, b, d), oracle.QuadElem(a, b, d)
+    m = x.d  # the squarefree part of d
+    cases = [(-x * x, -xo * xo), (m * x * x, m * xo * xo),  # -x^2 and d x^2
+             (QuadElem(m * r * r, 0, d), oracle.QuadElem(m * r * r, 0, d)),  # r with r/d a square
+             (QuadElem(r, 0, d), oracle.QuadElem(r, 0, d)), (x, xo), (x * x, xo * xo)]
+    for zn, zo in cases:
+        assert format_elem(zn, style) == oracle.format_elem(zo, style)
+        assert same(quad_sqrt(zn), oracle.quad_sqrt(zo)), (zn, style)
+
+
+def test_text_and_square_roots_build_no_fraction():
+    x = parse_elem("-5/12 + 7/10*sqrt(-3)")
+    elems = [x, x * x, -3 * x * x, x.conj(), x * 0, QuadElem(Fraction(-27, 4), 0, -3)]
+    with mock.patch.object(quadfield, "Fraction", side_effect=AssertionError("Fraction built")):
+        texts = [format_elem(y, style) for y in elems for style in ("sqrt", "w")]
+        roots = [quad_sqrt(y) for y in elems]
+    assert texts[:2] == ["-5/12 + 7/10*sqrt(-3)", "17/60 + 7/5*w"]
+    assert texts == [oracle.format_elem(oracle.QuadElem(y.a, y.b, y.d), style)
+                     for y in elems for style in ("sqrt", "w")]
+    assert roots[0] is None and roots[1] == -x and roots[2] * roots[2] == elems[2]
+    assert roots[4].is_zero() and roots[5] == QuadElem(0, Fraction(3, 2), -3)

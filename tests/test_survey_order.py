@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from quaddyn import quadfield
 from quaddyn.cli import _survey_params
 from quaddyn.orbit import build_graph
-from quaddyn.quadfield import QuadElem, format_elem, parse_elem
+from quaddyn.quadfield import QuadElem, format_elem, parse_elem, sorted_elems
 
 # the seven benchmark fields, and two d that are not squarefree
 FIELDS = (-1, -2, -3, -7, -11, 2, 5, -4, 12)
@@ -62,3 +62,30 @@ X = QuadElem(Fraction(1, 10**20 + 39), 0, 5)
 def test_vertex_sort_builds_no_text(c, n_max):
     with mock.patch.object(quadfield, "format_elem", side_effect=AssertionError("text built")):
         assert build_graph(c, None, n_max).size() in (4, 8, 10)
+
+
+ORDER_FIELDS = FIELDS + (-27,)
+MIXED = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=12),
+                  st.builds(Fraction, st.integers(-10**13, 10**13), st.integers(10**12 - 9, 10**12 + 9)))
+
+
+def triples(elems) -> list:
+    return [(e.triple, e.d) for e in elems]
+
+
+@DETERMINISTIC
+@given(st.sampled_from(ORDER_FIELDS), st.lists(st.tuples(MIXED, MIXED), max_size=6), st.booleans(),
+       st.sampled_from([-1, 7]))
+def test_the_int_key_orders_as_sort_key(d, pairs, rational_only, other_d):
+    elems = [QuadElem(a, 0 if rational_only else b, d) for a, b in pairs]
+    elems += [e.conj() for e in elems] + [-e for e in elems]
+    elems += [QuadElem(a, 0, other_d) for a, _ in pairs[:2]]  # rational, carrying another d
+    for given_order in (elems, elems[::-1]):
+        expected = sorted(given_order, key=lambda e: e.sort_key())
+        assert triples(sorted_elems(given_order)) == triples(expected)
+
+
+def test_the_int_key_on_empty_and_one_element_lists():
+    assert sorted_elems([]) == []
+    x = parse_elem("-1/4 + 3/8*i")
+    assert triples(sorted_elems([x])) == triples([x])
