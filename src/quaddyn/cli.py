@@ -26,7 +26,7 @@ from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
 from .graphcat import _classify, builtin_catalog, classify, load_catalog, to_dot
 from .orbit import build_graph
 from .polys import format_poly, poly_to_json
-from .quadfield import D_LIMIT, QuadElem, _norm, _quad, format_elem, parse_elem, sorted_elems
+from .quadfield import D_LIMIT, _norm, _quad, format_elem, parse_elem, sorted_elems, split_field
 
 QI_LABELS = frozenset({
     "0", "3(2)", "4(1,1)", "4(2)", "5(1,1)a", "5(1,1)b", "5(2)a", "6(1,1)",
@@ -84,8 +84,7 @@ def _survey_params(d: int, height: int) -> list:
     The representative with gcd(u, v, w) = 1 lies in the box whenever another
     one does; quadfield.sorted_elems orders them.
     """
-    root = QuadElem(0, 1, d)  # s sqrt(m) with m squarefree; refuses a square d
-    s, m = root.triple[1], root.d
+    s, m = split_field(d)
     return sorted_elems(_quad(_norm(u, s * v, w), m) for w in range(1, height + 1)
                         for u in range(-height, height + 1) for v in range(-height, height + 1)
                         if math.gcd(u, v, w) == 1)
@@ -368,6 +367,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

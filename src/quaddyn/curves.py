@@ -51,7 +51,7 @@ from .finitefield import (
     sqrt_mod_p2,
 )
 from .polys import QQ, QuadField, UniPoly, format_poly
-from .quadfield import QuadElem, quadratic_roots, sorted_elems
+from .quadfield import QuadElem, quadratic_roots, sorted_elems, split_field
 
 Q_LIMIT = 10**6  # a count at q = 997^2 takes about 0.1 s (2-vCPU host, Python 3.11)
 
@@ -586,7 +586,7 @@ def weierstrass_and_2torsion(curve: HypCurve, d: int) -> tuple[list, list]:
     if curve.genus() != 2 or curve.f is None:
         raise ValueError("expects a genus-2 curve in y^2 = f form")
     f = curve.f
-    d = QuadElem(0, 1, d).d
+    d = split_field(d)[1]
     roots: list[QuadElem] = []
     conjugate_pairs: list[tuple] = []
     rest = f

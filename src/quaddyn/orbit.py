@@ -10,11 +10,12 @@ integer whose square the denominator of c divides.  Each such candidate is
 iterated until its orbit repeats (preperiodic) or leaves the candidate set
 (not preperiodic).
 
-portrait decides one orbit by the same box, with no factoring: with w the
+portrait decides one orbit by the same walk, with no factoring: with w the
 denominator of c, v_P(w) >= -v_P(c) at every prime P, so a preperiodic x has
-w x in O_K, and y = 2 w x lies in 2 O_K and in the box at D = 2 w (_escapes).
-Finitely many points pass, so every orbit repeats or leaves the box, which
-proves it is not preperiodic: no step or size cap is needed.
+w x in O_K, and y = 2 w x is a candidate at D = 2 w.  The box's step walks
+y; the candidates are finitely many, so the walk repeats, which proves x
+preperiodic, or leaves them, which proves it is not: no step or size cap is
+needed.
 
 When trial division below TRIAL_BOUND leaves a cofactor of the denominator
 that it does not prove prime (square roots modulo an unfactored number are
@@ -40,7 +41,7 @@ from collections import Counter, namedtuple
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .finitefield import sqrt_mod_p2, trial_factor
-from .quadfield import QuadElem, _norm, _quad, format_elem, quad_sqrt, sorted_elems
+from .quadfield import QuadElem, _norm, _quad, format_elem, quad_sqrt, sorted_elems, to_field
 
 CLOSURE_CAP = 10_000
 
@@ -81,44 +82,20 @@ class PreperGraph(namedtuple("PreperGraph", "vertices succ portraits field param
         }
 
 
-def _escape_limits(c: QuadElem, v: QuadElem) -> tuple:
-    """(d, D, a_range) of the box of _escape_box at D = 2 w, w c's denominator, for _escapes.
-
-    The box is taken in c's field, or in v's when c is rational.
-    """
-    d = (c if c.triple[1] else v).d
-    ca, cb, w = c.triple
-    return d, 2 * w, _escape_box(d, 2 * w, 4 * w * ca, 4 * w * cb)[2]
-
-
-def _escapes(c: QuadElem, v: QuadElem, limits: tuple | None = None) -> bool:
-    """True only when v is provably not preperiodic for f_c.
-
-    A preperiodic v has D v = A + B sqrt(d) in 2 O_K inside the box at
-    D = 2 w (see the module doc).
-    """
-    d, D, a_range = limits or _escape_limits(c, v)
-    a, b, w = v.triple
-    if D % w:  # D v lies in Z[sqrt(d)] exactly when v's denominator w divides D
-        return True
-    A, B = a * (D // w), b * (D // w)
-    lo, hi = a_range(B)  # empty past the box's b_max
-    return not (lo <= A <= hi and _in_2ok(A, B, d))
-
-
 def portrait(c: QuadElem, alpha: QuadElem) -> tuple[int, int]:
-    """Minimal (preperiod, eventual period) of alpha, iterated until it repeats or escapes."""
-    limits = _escape_limits(c, alpha)
-    seen = {}
-    cur, step = alpha, 0
-    while cur not in seen:
-        seen[cur] = step
-        if _escapes(c, cur, limits):
-            raise RuntimeError(f"orbit of {alpha!r} does not repeat: not preperiodic")
-        cur = cur * cur + c
-        step += 1
-    first = seen[cur]
-    return first, step - first
+    """Minimal (preperiod, eventual period) of alpha, walked over the box's candidate set."""
+    d = (c + alpha).d  # c's field, or alpha's when c is rational; mixed fields are refused
+    ca, cb, w = c.triple
+    a, b, z = alpha.triple
+    D = 2 * w
+    step = _escape_box(d, D, 2 * D * ca, 2 * D * cb)[3]
+    y, seen = (None if D % z else (a * D // z, b * D // z)), {}
+    while y is not None and y not in seen:
+        seen[y] = len(seen)
+        y = step(*y)
+    if y is None:
+        raise RuntimeError(f"orbit of {alpha!r} does not repeat: not preperiodic")
+    return seen[y], len(seen) - seen[y]
 
 
 def portraits_of(succ: dict) -> dict:
@@ -146,18 +123,6 @@ def portraits_of(succ: dict) -> dict:
     return out
 
 
-def _coerce_param(c: QuadElem, d: int | None) -> QuadElem:
-    """c as an element of Q(sqrt(d)); rational parameters adapt to any d."""
-    if d is None:
-        return c
-    normalized = QuadElem(0, 1, d).d
-    if c.is_rational():
-        return _quad(c.triple, normalized)
-    if c.d != normalized:
-        raise ValueError(f"c lives in Q(sqrt({c.d})), not Q(sqrt({d}))")
-    return c
-
-
 def periodic_points(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> dict:
     """Map n -> set of K-rational points of exact period n, for n <= n_max.
 
@@ -168,7 +133,7 @@ def periodic_points(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) 
 
     if not 1 <= n_max <= MAX_PERIOD:
         raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
-    c = _coerce_param(c, d)
+    c = to_field(c, d)
     roots = set()
     for n in range(1, n_max + 1):
         roots.update(roots_in_quadfield(specialize(symbolic_dynatomic(n), c)))
@@ -289,11 +254,12 @@ def _square_root_classes(p: int, e: int, d: int, na: int, nb: int) -> list | Non
 
 
 def _escape_box(d: int, D: int, na: int, nb: int):
-    """(b_max, a_max, a_range) for the y = A + B sqrt(d) with |sigma(y)| <= D R_sigma.
+    """(b_max, a_max, a_range, step) for the y = A + B sqrt(d) with |sigma(y)| <= D R_sigma.
 
     Here na + nb sqrt(d) = D^2 c.  Every such y has |B| <= b_max, |A| <= a_max
     and lo <= A <= hi for (lo, hi) = a_range(B); the bounds are exact integer
-    ones, rounded outward only in R_sigma.
+    ones, rounded outward only in R_sigma.  step(A, B) is D f(y/D), or None
+    when it leaves the candidate set: the y of the box in 2 O_K.
     """
     if d < 0:
         Y = _escape_bound(D, _ceil_sqrt(na * na - d * nb * nb))
@@ -303,17 +269,28 @@ def _escape_box(d: int, D: int, na: int, nb: int):
             h = math.isqrt(h) if h >= 0 else -1
             return -h, h
 
-        return math.isqrt(Y * Y // -d), Y, a_range
-    t = _floor_times_sqrt(nb, d)
-    yp = _escape_bound(D, max(abs(na + t), abs(na + t + 1)))
-    ym = _escape_bound(D, max(abs(na - t), abs(na - t - 1)))
+        b_max, a_max = math.isqrt(Y * Y // -d), Y
+    else:
+        t = _floor_times_sqrt(nb, d)
+        yp = _escape_bound(D, max(abs(na + t), abs(na + t + 1)))
+        ym = _escape_bound(D, max(abs(na - t), abs(na - t - 1)))
 
-    def a_range(B):  # |A + B sqrt(d)| <= yp and |A - B sqrt(d)| <= ym
-        fl = _floor_times_sqrt(B, d)
-        ce = fl + (B != 0)
-        return max(-yp - fl, ce - ym), min(yp - ce, ym + fl)
+        def a_range(B):  # |A + B sqrt(d)| <= yp and |A - B sqrt(d)| <= ym
+            fl = _floor_times_sqrt(B, d)
+            ce = fl + (B != 0)
+            return max(-yp - fl, ce - ym), min(yp - ce, ym + fl)
 
-    return math.isqrt((yp + ym) ** 2 // (4 * d)), (yp + ym) // 2 + 1, a_range
+        b_max, a_max = math.isqrt((yp + ym) ** 2 // (4 * d)), (yp + ym) // 2 + 1
+
+    def step(A, B):
+        ra, rb = A * A + d * B * B + na, 2 * A * B + nb
+        if ra % D or rb % D:
+            return None
+        A, B = ra // D, rb // D
+        lo, hi = a_range(B)
+        return (A, B) if lo <= A <= hi and _in_2ok(A, B, d) else None
+
+    return b_max, a_max, a_range, step
 
 
 def _box_points(c: QuadElem) -> set | None:
@@ -341,7 +318,7 @@ def _box_points(c: QuadElem) -> set | None:
     D = math.prod(p**k for p, k in exps.items())
     na, nb = ca * D * D // w, cb * D * D // w
 
-    b_max, a_max, a_range = _escape_box(d, D, na, nb)
+    b_max, a_max, a_range, step = _escape_box(d, D, na, nb)
     per_class = (2 * b_max // D + 1) * (2 * a_max // D + 1)
     classes, mod = [(0, 0)], 1
     for p, k in sorted(exps.items()):
@@ -358,15 +335,6 @@ def _box_points(c: QuadElem) -> set | None:
         classes = [(x + mod * ((a - x) * inv % q), y + mod * ((b - y) * inv % q))
                    for x, y in classes for a, b in local]
         mod *= q
-
-    def step(A, B):
-        """D f(y/D), or None when it leaves the candidate set."""
-        ra, rb = A * A + d * B * B + na, 2 * A * B + nb
-        if ra % D or rb % D:
-            return None
-        A, B = ra // D, rb // D
-        lo, hi = a_range(B)
-        return (A, B) if lo <= A <= hi and _in_2ok(A, B, d) else None
 
     by_b = {}
     for a0, b0 in classes:
@@ -394,7 +362,7 @@ def build_graph(c: QuadElem, d: int | None = None, n_max: int = MAX_PERIOD) -> P
     """G(f_c, K) restricted to the points whose eventual period is <= n_max."""
     if not 1 <= n_max <= MAX_PERIOD:
         raise ValueError(f"n_max must be in 1..{MAX_PERIOD}, got {n_max}")
-    c = _coerce_param(c, d)
+    c = to_field(c, d)
     vertices = _box_points(c)
     if vertices is None:
         per = periodic_points(c, None, n_max)

@@ -11,9 +11,13 @@ never mix in one operation; plain ints and Fractions coerce to the rational
 element of the operand's field.  The two-Fraction class, text form and square
 root this replaced are the oracle in tests/quadfield_oracle.py.
 
-Text syntax: "a+b*sqrt(d)" with rationals "p/q", plus the shorthands
-"i" (d = -1) and "w" (d = -3, w = (-1+sqrt(-3))/2).  parse_elem and
-format_elem round-trip exactly.
+split_field decides what a raw d names, and to_field puts an element into
+Q(sqrt(d)).  Text syntax: "a+b*sqrt(d)" with rationals "p/q", plus the
+shorthands "i" (d = -1) and "w" (d = -3, w = (-1+sqrt(-3))/2).  The parser
+computes on QuadElem alone: a rational met before any field carries d = 0,
+"no field yet", the kernel's convention for Q, and takes the field of the
+first operand it meets that has one.  parse_elem and format_elem round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -41,6 +45,19 @@ def squarefree_split(n: int) -> tuple[int, int]:
     for p, e in factorize(abs(n)).items():
         s *= p ** (e // 2)
         m *= p ** (e % 2)
+    return s, m
+
+
+def split_field(d: int) -> tuple[int, int]:
+    """(s, m) with d = s^2 m and m squarefree, so Q(sqrt(d)) = Q(sqrt(m)).
+
+    A square or zero d names no quadratic field and is refused.
+    """
+    if not isinstance(d, int):
+        raise TypeError("d must be an integer")
+    s, m = squarefree_split(d)
+    if m in (0, 1):
+        raise ValueError(f"d = {d} is a perfect square (or zero); not a quadratic field")
     return s, m
 
 
@@ -123,11 +140,7 @@ class QuadElem:
     __slots__ = ("triple", "d")
 
     def __init__(self, a, b, d: int):
-        if not isinstance(d, int):
-            raise TypeError("d must be an integer")
-        s, m = squarefree_split(d)
-        if m in (0, 1):
-            raise ValueError(f"d = {d} is a perfect square (or zero); not a quadratic field")
+        s, m = split_field(d)
         a, b = Fraction(a), Fraction(b) * s
         (p, q), (r, t) = a.as_integer_ratio(), b.as_integer_ratio()
         object.__setattr__(self, "triple", _norm(p * t, r * q, q * t))
@@ -157,7 +170,7 @@ class QuadElem:
         x, d = self.triple, self.d
         if isinstance(other, QuadElem):
             y = other.triple
-            if other.d != d and y[1]:
+            if other.d != d and (y[1] or not d):  # d = 0 is a rational of no field yet
                 if x[1]:
                     raise ValueError(f"mixed fields: sqrt({d}) vs sqrt({other.d})")
                 d = other.d
@@ -310,8 +323,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(sqrt)|([iw])|([()+\-*/]))")
 class _Parser:
     """Recursive-descent parser for the field-element expression syntax.
 
-    Each "(", "sqrt(" and unary sign is one level of recursion; input nested
-    more than MAX_NESTING levels deep is refused before the stack runs out.
+    Every value is a QuadElem; a rational of no field yet has d = 0, and none
+    leaves parse_elem.  Each "(", "sqrt(" and unary sign is one level of
+    recursion; input nested more than MAX_NESTING levels deep is refused
+    before the stack runs out.
     """
 
     MAX_NESTING = 100
@@ -396,32 +411,49 @@ class _Parser:
             self.expect("(")
             arg = self.nested(self.expr)
             self.expect(")")
-            if isinstance(arg, QuadElem) and not arg.is_rational():
+            n, b, c = arg.triple
+            if b:
                 raise ValueError("sqrt() argument must be rational")
-            q = arg.a if isinstance(arg, QuadElem) else arg
-            if q.denominator != 1:
+            if c != 1:
                 raise ValueError("sqrt() argument must be an integer")
-            n = q.numerator
             s = _isqrt_exact(n)
             if s is not None:
-                return Fraction(s)
+                return _quad((s, 0, 1), 0)
             if abs(n) > D_LIMIT:
                 raise ValueError(f"sqrt() argument must be at most 10^12 in absolute value, got {n}")
-            return QuadElem(0, 1, n)
+            s, m = split_field(n)
+            return _quad((0, s, 1), m)
         if tok == "i":
             self.take()
-            return QuadElem(0, 1, -1)
+            return _quad((0, 1, 1), -1)
         if tok == "w":
             self.take()
-            return QuadElem(Fraction(-1, 2), Fraction(1, 2), -3)
+            return _quad((-1, 1, 2), -3)
         if tok is None or not tok[0].isdigit():
             raise ValueError(f"bad field-element syntax: unexpected {_describe(tok)}")
         self.take()
-        return Fraction(tok)
+        p, _, q = tok.partition("/")
+        p, q = int(p), int(q or 1)
+        if not q:
+            raise ZeroDivisionError  # parse_elem reports it
+        return _quad(_norm(p, 0, q), 0)
 
 
 def _describe(tok) -> str:
     return "end of input" if tok is None else repr(tok)
+
+
+def to_field(x: QuadElem, d: int | None) -> QuadElem:
+    """x as an element of Q(sqrt(d)), or x itself when d is None.
+
+    A rational x adapts to any d; an x of another field is refused.
+    """
+    if d is None:
+        return x
+    m = split_field(d)[1]
+    if x.triple[1] and x.d != m:
+        raise ValueError(f"element lives in Q(sqrt({x.d})), not Q(sqrt({d}))")
+    return x if x.d == m else _quad(x.triple, m)
 
 
 def parse_elem(text: str, d: int | None = None) -> QuadElem:
@@ -431,16 +463,9 @@ def parse_elem(text: str, d: int | None = None) -> QuadElem:
     except ZeroDivisionError:
         # a literal p/0 and a division by zero both land here, with one message
         raise ZeroDivisionError("division by zero") from None
-    if isinstance(value, Fraction):
-        if d is None:
-            raise ValueError(f"{text!r} is rational; an ambient d is required")
-        return QuadElem(value, 0, d)
-    if d is not None and value.d != squarefree_split(d)[1] and not value.is_rational():
-        QuadElem(0, 1, d)  # a square or zero d is refused with QuadElem's message
-        raise ValueError(f"element lives in Q(sqrt({value.d})), not Q(sqrt({d}))")
-    if d is not None and value.is_rational():
-        return QuadElem(value.a, 0, d)
-    return value
+    if value.d == 0 and d is None:
+        raise ValueError(f"{text!r} is rational; an ambient d is required")
+    return to_field(value, d)
 
 
 def _ratio(n: int, c: int) -> str:

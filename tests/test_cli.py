@@ -155,6 +155,11 @@ DEEP = "error: bad field-element syntax: nested more than 100 deep\n"
     (("graph", "--d", "2", "--c", "i"), "error: element lives in Q(sqrt(-1)), not Q(sqrt(2))\n"),
     (("graph", "--d", "-1", "--c", "sqrt(i)"), "error: sqrt() argument must be rational\n"),
     (("graph", "--d", "-1", "--c", "sqrt(1/2)"), "error: sqrt() argument must be an integer\n"),
+    (("graph", "--d", "0", "--c", "2"), "error: d = 0 is a perfect square (or zero); not a quadratic field\n"),
+    (("survey", "--d", "9", "--height", "1"),
+     "error: d = 9 is a perfect square (or zero); not a quadratic field\n"),
+    (("dynatomic", "--n", "2", "--d", "4", "--c", "1"),
+     "error: d = 4 is a perfect square (or zero); not a quadratic field\n"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -426,6 +431,23 @@ def test_module_entry_point_passes_the_exit_code_through(argv, code, err):
     assert proc.returncode == code and proc.stderr == err
     if code == 0:
         assert proc.stdout == f"quaddyn {quaddyn.__version__}\n"
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_a_closed_stdout_ends_without_a_traceback(extra):
+    """The reader takes one line of a 150-500 kB survey and closes the pipe."""
+    src = str(Path(quaddyn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    argv = ("survey", "--d", "-1", "--height", "12", "--n-max", "4", *extra)
+    proc = subprocess.Popen([sys.executable, "-m", "quaddyn", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize("disk", ["P0", "P2", "P4"])

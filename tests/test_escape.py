@@ -1,10 +1,11 @@
-"""portrait decides every orbit by the exact escape test, with no step or size cap.
+"""portrait decides every orbit by walking the box's candidate set, with no step or size cap.
 
-_escapes(c, v) is True only when v is provably not preperiodic.  The box
-engine's _box_points(c), which holds every preperiodic point of every
-period, is the independent oracle: portrait must decide each point in it
-and reject each point outside it.  The box itself is checked against a
-norm inequality proved apart from it.
+The walk of y = 2 w v, w c's denominator, repeats only when v is preperiodic
+and otherwise leaves the candidate set.  The box engine's _box_points(c),
+which holds every preperiodic point of every period, is the independent
+oracle: portrait must decide each point in it and reject each point outside
+it.  The box itself is checked against a norm inequality proved apart from
+it.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from quaddyn import orbit
 from quaddyn.cli import main
-from quaddyn.orbit import _escapes, build_graph, cycle_structure, portrait
+from quaddyn.orbit import build_graph, cycle_structure, portrait
 from quaddyn.quadfield import QuadElem, format_elem
 
 F = Fraction
@@ -61,14 +62,12 @@ def test_portrait_decides_exactly_the_box_points(d, u, w, v, z, s, t, p, q, r, k
     assert box is not None
     graph = build_graph(c, None, 6)
     for vertex in graph.vertices:
-        assert not _escapes(c, vertex)
         assert portrait(c, vertex) == graph.portraits[vertex]
     # one point v with 2 w v in Z[sqrt(d)], which passes the denominator test,
     # where the size test and the orbit decide, and one point anywhere
     scale = 2 * math.lcm(c.a.denominator, c.b.denominator)
     for point in (QuadElem(F(s, scale), F(t, scale), d), QuadElem(F(p, q), F(r, k), d)):
         if point in box:
-            assert not _escapes(c, point)
             portrait(c, point)
         else:
             with pytest.raises(RuntimeError, match="does not repeat: not preperiodic"):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,23 @@ def test_portrait_examples():
 def test_portrait_rejects_wandering_points():
     with pytest.raises(RuntimeError):
         portrait(q(1), q(1))  # orbit of 1 under z^2 + 1 escapes
+
+
+@pytest.mark.parametrize("c, alpha, fields", [
+    (I, q(0, 1, 2), "sqrt(-1) vs sqrt(2)"),
+    (q(0, 1, 2), I, "sqrt(2) vs sqrt(-1)"),
+    (q(F(1, 4), 1, -3), q(0, 1, 5), "sqrt(-3) vs sqrt(5)"),
+])
+def test_portrait_refuses_mixed_fields(c, alpha, fields):
+    with pytest.raises(ValueError, match=rf"^mixed fields: {re.escape(fields)}$"):
+        portrait(c, alpha)
+
+
+def test_an_element_of_another_field_is_refused():
+    message = re.escape("element lives in Q(sqrt(-1)), not Q(sqrt(2))")
+    for call in (build_graph, periodic_points):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(I, 2)
 
 
 def test_build_graph_examples():
