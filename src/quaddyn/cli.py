@@ -25,7 +25,7 @@ from . import __version__
 from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
 from .graphcat import _classify, builtin_catalog, classify, load_catalog, to_dot
 from .orbit import build_graph
-from .polys import format_poly, poly_to_json
+from .polys import format_terms, poly_to_json
 from .quadfield import D_LIMIT, _norm, _quad, format_elem, parse_elem, sorted_elems, split_field
 
 QI_LABELS = frozenset({
@@ -154,9 +154,9 @@ def cmd_survey(args) -> int:
     return 0
 
 
-# the largest output degree d_n 2^(m-1) of dynatomic --m, symbolic and at a given --c; on
-# 2 vCPUs with Python 3.11 the slowest call inside takes about 3 s (n = 6, m = 2) and 4 s
-# (n = 6, m = 4, c of height 10^7), and degree 864 at that c 45 s
+# the largest output degree d_n 2^(m-1) of dynatomic --m, symbolic and at a given --c; on 2
+# vCPUs with Python 3.11 the slowest call inside takes 0.2 s symbolic (n = 6, m = 2; degree
+# 216 0.4 s) and 4 s at a c of height 10^7 (n = 6, m = 4; degree 864 there 45 s)
 M_DEGREE_LIMIT = {"symbolic": 108, "specialized": 432}
 
 
@@ -172,20 +172,23 @@ def cmd_dynatomic(args) -> int:
                          f"for the {form} form")
     c = parse_elem(args.c, args.d) if args.c is not None else "c"
     poly = gen_dynatomic(args.m, args.n, c) if args.m else dynatomic(args.n, c)
+    # symbolic: over Z[c][x], each x-coefficient an int tuple in c
+    coeffs = ([format_terms([str(k) for k in p], "c") for p in poly] if args.c is None
+              else poly_to_json(poly))
     record = {
         "schema": "quaddyn/dynatomic/v1",
         "m": args.m,
         "n": args.n,
         "c": None if args.c is None else format_elem(c),
-        "degree": poly.degree(),
+        "degree": len(coeffs) - 1,
         "d_n": dn_rn(args.n)[0],
         "r_n": dn_rn(args.n)[1],
-        "coefficients": poly_to_json(poly),
+        "coefficients": coeffs,
     }
     if args.json:
         _emit_json(record)
     else:
-        print(format_poly(poly))
+        print(format_terms(coeffs, "x"))
     return 0
 
 

@@ -168,8 +168,8 @@ TRIAL_BOUND = 1 << 16  # the coset cut factors denominators by trial division be
 # 2-vCPU x86-64 host, Python 3.11: the box costs 1-2 us a candidate (15-30 ms
 # at 2^14); the fallback, once Phi_1..Phi_6 are built, 4-7 ms at integral c
 # and 20-50 ms otherwise.  The crossover thus lies between 2^12 and 2^15.
-# A one-command process builds Phi_1..Phi_6 first (0.23-0.33 s), so a cold
-# `graph` call that falls back took 0.58-0.60 s wall against 0.14-0.16 s.
+# A one-command process builds Phi_1..Phi_6 over Z[c] first (0.013 s), so a
+# cold `graph` call that falls back takes 0.07-0.12 s wall, as one on the box.
 BOX_LIMIT = 1 << 14
 
 

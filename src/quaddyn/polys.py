@@ -1,9 +1,10 @@
 """Dense univariate polynomials over pluggable exact coefficient rings.
 
-Supported rings: Q (fractions.Fraction), Q(sqrt(d)) (QuadElem), and Q[c]
-(UniPoly over Q, for symbolic dynatomic work).  A ring handle supplies zero,
-one, of(int) and inv(); the elements themselves carry the arithmetic through
-operator overloading.
+Supported rings: Q (fractions.Fraction) and Q(sqrt(d)) (QuadElem).  A ring
+handle supplies zero, one, of(int) and inv(); the elements themselves carry
+the arithmetic through operator overloading.  The symbolic dynatomic
+polynomials live over Z[c][x] on int lists (quaddyn.dynatomic), and reach
+text through format_terms.
 
 Polynomials are immutable.  The zero polynomial has an empty coefficient
 tuple; trailing zero coefficients are always stripped, so degree == len - 1.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .quadfield import QuadElem
+from .quadfield import QuadElem, format_elem
 
 
 class ExactnessError(ArithmeticError):
@@ -65,37 +66,6 @@ class QuadField:
 
     def __repr__(self):
         return f"Q(sqrt({self.d}))"
-
-
-class PolyRing:
-    """Coefficients that are themselves polynomials (e.g. Q[c])."""
-
-    def __init__(self, base, var: str):
-        self.base = base
-        self.var = var
-        self.zero = UniPoly(base, (), var)
-        self.one = UniPoly(base, (base.one,), var)
-
-    def of(self, n):
-        n = self.base.of(n)
-        return UniPoly(self.base, (n,) if n != self.base.zero else (), self.var)
-
-    def gen(self):
-        return UniPoly(self.base, (self.base.zero, self.base.one), self.var)
-
-    def inv(self, x):
-        if x.degree() != 0:
-            raise ZeroDivisionError("only constants are invertible in a polynomial ring")
-        return UniPoly(self.base, (self.base.inv(x.coeffs[0]),), self.var)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.base == other.base and self.var == other.var
-
-    def __hash__(self):
-        return hash(("PR", self.base, self.var))
-
-    def __repr__(self):
-        return f"{self.base}[{self.var}]"
 
 
 class UniPoly:
@@ -292,42 +262,28 @@ class UniPoly:
 
 def format_poly(p: UniPoly) -> str:
     """Text form "c0 + c1*x + ...", constants through their ring's str form."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if c == p.ring.zero:
-            continue
-        if isinstance(c, QuadElem):
-            from .quadfield import format_elem
+    texts = poly_to_json(p)
+    return format_terms(["0" if c == p.ring.zero else t for c, t in zip(p.coeffs, texts)], p.var)
 
-            cs = format_elem(c)
-        elif isinstance(c, UniPoly):
-            cs = format_poly(c)
-        else:
-            cs = str(c)
+
+def format_terms(texts: list, var: str) -> str:
+    """"c0 + c1*x + ..." from the coefficient texts, constant term first; "0" terms are left out."""
+    parts = []
+    for k, cs in enumerate(texts):
+        if cs == "0":
+            continue
         body = cs[1:] if cs.startswith("-") else cs
         if any(op in body for op in "+- ") and k > 0:
             cs = f"({cs})"
         if k == 0:
             parts.append(cs)
         elif k == 1:
-            parts.append(f"{cs}*{p.var}" if cs != "1" else p.var)
+            parts.append(f"{cs}*{var}" if cs != "1" else var)
         else:
-            parts.append(f"{cs}*{p.var}^{k}" if cs != "1" else f"{p.var}^{k}")
-    return " + ".join(parts).replace("+ -", "- ")
+            parts.append(f"{cs}*{var}^{k}" if cs != "1" else f"{var}^{k}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def poly_to_json(p: UniPoly) -> list:
     """Compact JSON array of coefficients, constant term first."""
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, QuadElem):
-            from .quadfield import format_elem
-
-            out.append(format_elem(c))
-        elif isinstance(c, UniPoly):
-            out.append(format_poly(c))
-        else:
-            out.append(str(c))
-    return out
+    return [format_elem(c) if isinstance(c, QuadElem) else str(c) for c in p.coeffs]

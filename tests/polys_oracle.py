@@ -9,7 +9,8 @@ These are the same algorithms as functions, run over Q or any field ring
 
 from __future__ import annotations
 
-from quaddyn.polys import PolyRing, UniPoly
+from polys_helper import PolyRing
+from quaddyn.polys import UniPoly
 
 
 def _field_only(a: UniPoly, b: UniPoly, what: str) -> None:

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from quaddyn.dynatomic import (
+    _F,
+    _xcompose,
+    _xdiv,
     dn_rn,
     dynatomic,
     gen_dynatomic,
@@ -11,9 +14,12 @@ from quaddyn.dynatomic import (
     mobius,
     specialize,
 )
-from dynatomic_oracle import gen_dynatomic_by_composites, verify_factorizations
+from dynatomic_oracle import (dynatomic_by_moebius, gen_dynatomic_by_composites, to_poly_ring,
+                              verify_factorizations)
+from dynatomic_oracle import iterate_poly as iterate_over_q
+from polys_helper import PolyRing
 from quaddyn.orbit import portrait
-from quaddyn.polys import QQ, PolyRing, UniPoly
+from quaddyn.polys import QQ, ExactnessError, UniPoly
 from quaddyn.quadfield import QuadElem, parse_elem
 
 F = Fraction
@@ -38,17 +44,20 @@ def test_mobius():
 
 
 def test_iterate_identity_and_square():
-    x = iterate_poly("c", 0)
+    x = iterate_over_q("c", 0)
     assert x.degree() == 1 and x.coeffs == (x.ring.zero, x.ring.one)
     ring = PolyRing(QQ, "c")
     c = ring.gen()
-    f2 = iterate_poly("c", 2)
     expected = (
         UniPoly.gen(ring, "x") ** 4
         + sym_const(2 * c) * UniPoly.gen(ring, "x") ** 2
         + sym_const(c * c + c)
     )
-    assert f2 == expected
+    assert iterate_over_q("c", 2) == expected
+    # the kernel's f_c^2 over Z[c][x]: x^4 + 2c x^2 + c^2 + c
+    f2 = _xcompose(_F, _xcompose(_F, [(), (1,)]))
+    assert [tuple(p) for p in f2] == [(0, 1, 1), (), (0, 2), (), (1,)]
+    assert to_poly_ring(f2) == expected
 
 
 def test_iterate_orbit_values():
@@ -63,16 +72,16 @@ def test_small_dynatomic_polynomials():
     ring = PolyRing(QQ, "c")
     x = UniPoly.gen(ring, "x")
     c = sym_const(ring.gen())
-    assert dynatomic(1) == x * x - x + c
-    assert dynatomic(2) == x * x + x + c + sym_const(1)
-    assert gen_dynatomic(1, 1) == x * x + x + c
+    assert to_poly_ring(dynatomic(1)) == x * x - x + c
+    assert to_poly_ring(dynatomic(2)) == x * x + x + c + sym_const(1)
+    assert to_poly_ring(gen_dynatomic(1, 1)) == x * x + x + c
     assert gen_dynatomic(0, 2) == dynatomic(2)
 
 
 def test_degrees():
-    assert dynatomic(6).degree() == 54
-    assert gen_dynatomic(2, 3).degree() == 12
-    assert gen_dynatomic(3, 2).degree() == 2 * 2**2
+    assert len(dynatomic(6)) - 1 == 54
+    assert len(gen_dynatomic(2, 3)) - 1 == 12
+    assert len(gen_dynatomic(3, 2)) - 1 == 2 * 2**2
 
 
 def test_degree_formula_at_random_specializations():
@@ -87,14 +96,14 @@ def test_degree_formula_at_random_specializations():
 
     for n in range(1, 7):
         sym = dynatomic(n)
-        assert sym.degree() == dn_rn(n)[0]
+        assert len(sym) - 1 == dn_rn(n)[0]
         for _ in range(20):
             assert specialize(sym, rand_c()).degree() == dn_rn(n)[0]
     for m in range(1, 4):
         for n in (1, 2, 3):
             sym = gen_dynatomic(m, n)
             expected = dn_rn(n)[0] * 2 ** (m - 1)
-            assert sym.degree() == expected
+            assert len(sym) - 1 == expected
             for _ in range(5):
                 assert specialize(sym, rand_c()).degree() == expected
 
@@ -102,7 +111,7 @@ def test_degree_formula_at_random_specializations():
 def test_specialized_path_matches_symbolic():
     c = QuadElem(F(-5, 12), 0, -3)
     for n in (1, 2, 3):
-        assert dynatomic(n, c) == specialize(dynatomic(n), c)
+        assert dynatomic_by_moebius(n, c) == specialize(dynatomic(n), c)
     for m, n in ((1, 1), (2, 1), (1, 2)):
         assert gen_dynatomic(m, n, c) == specialize(gen_dynatomic(m, n), c)
     # large-height parameters: 6-7 digit numerators and denominators
@@ -114,14 +123,14 @@ def test_specialized_path_matches_symbolic():
     for d in (-1, -2, -3, -7, -11, 2, 5):
         c = QuadElem(F(big(), abs(big())), F(big(), abs(big())), d)
         for n in (1, 2, 3, 4):
-            assert dynatomic(n, c) == specialize(dynatomic(n), c)
+            assert dynatomic_by_moebius(n, c) == specialize(dynatomic(n), c)
         assert gen_dynatomic(2, 1, c) == specialize(gen_dynatomic(2, 1), c)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_generalized_dynatomic_matches_the_composite_quotient(m, n):
-    assert gen_dynatomic(m, n) == gen_dynatomic_by_composites(m, n)
+    assert to_poly_ring(gen_dynatomic(m, n)) == gen_dynatomic_by_composites(m, n)
 
 
 @pytest.mark.parametrize("d, c_text", [(-1, "-21/16"), (-3, "1/3 - 2/5*w"), (5, "7/4"),
@@ -139,8 +148,8 @@ def test_factorization_identities():
 
 def test_expansion_identity_n2():
     # (x^2+c)^2 + c - x = (x^2 - x + c)(x^2 + x + c + 1)
-    lhs = iterate_poly("c", 2) - iterate_poly("c", 0)
-    assert lhs == dynatomic(1) * dynatomic(2)
+    lhs = iterate_over_q("c", 2) - iterate_over_q("c", 0)
+    assert lhs == to_poly_ring(dynatomic(1)) * to_poly_ring(dynatomic(2))
 
 
 def test_formal_vs_exact_period():
@@ -164,3 +173,27 @@ def test_bad_inputs():
             verify_factorizations(n_max)
     with pytest.raises(ValueError, match="m_max must be >= 0, got -1"):
         verify_factorizations(2, -1)
+
+
+def test_kernel_matches_the_oracle_symbolically():
+    # m, n <= 3 is test_generalized_dynatomic_matches_the_composite_quotient
+    for n in range(1, 7):
+        assert to_poly_ring(dynatomic(n)) == dynatomic_by_moebius(n)
+
+
+def test_kernel_matches_the_oracle_at_seeded_parameters():
+    # the seven benchmark fields, at small and at seven-digit heights
+    rng = random.Random(51)
+    for d in (-1, -2, -3, -7, -11, 2, 5):
+        for top in (6, 10**7):
+            c = QuadElem(F(rng.randint(-top, top), rng.randint(1, top)),
+                         F(rng.randint(-top, top), rng.randint(1, top)), d)
+            for n in range(1, 7):
+                assert dynatomic(n, c) == dynatomic_by_moebius(n, c)
+            for m, n in ((1, 1), (2, 1), (1, 2), (1, 3)):
+                assert gen_dynatomic(m, n, c) == gen_dynatomic_by_composites(m, n, c)
+
+
+def test_kernel_refuses_an_inexact_division():
+    with pytest.raises(ExactnessError):
+        _xdiv([(0, 1), (), (1,)], [(1,), (1,)])  # (x^2 + c) / (x + 1) leaves c + 1

@@ -5,9 +5,10 @@ literal, no call of float(), complex() or round(), and no float-valued name
 of math (sqrt, log, exp, floor, ceil, pi, inf, ...) nor any of cmath.  The
 integer functions of math (isqrt, gcd, lcm, comb, ...) stay allowed.
 
-The scan reads syntax, not types: it cannot see a true division a / b of
-two ints, which gives a float at run time.  That is left to the tests that
-pin exact values.
+The scan reads syntax, not types, so it cannot tell a true division a / b
+of two ints, which gives a float at run time, from one of two Fractions.
+So every `/` in src/ is listed in DIVISIONS by module, function and
+expression, with the type it divides, and any other one fails.
 """
 
 import ast
@@ -61,3 +62,69 @@ def test_src_holds_no_floating_point():
              for line, what in float_uses(path.read_text())
              if (path.name, line) not in ALLOWED]
     assert found == []
+
+
+# every true division in src/: (module, function, expression, the type it divides);
+# an order3_certify model lives over Q or over K
+DIVISIONS = sorted([
+    ("curves.py", "RegistryEntry.c_value", "num.eval(x) / den.eval(x)", "QuadElem"),
+    ("curves.py", "_quartic_split", "(c + s * total) / (s - s2)", "QuadElem"),
+    ("factor.py", "_from_int_poly", "1 / lead", "Fraction"),
+    ("jacobian.py", "order3_certify", "(-b_ + sign * root) / (2 * a_)", "Fraction or QuadElem"),
+    ("jacobian.py", "order3_certify", "(r1 - W * t) / (2 * v1)", "Fraction or QuadElem"),
+    ("jacobian.py", "order3_certify", "t / 2", "Fraction or QuadElem"),
+    ("polys.py", "QuadField.inv", "self.one / x", "QuadElem"),
+    ("polys.py", "RationalField.inv", "1 / Fraction(x)", "Fraction"),
+    ("quadfield.py", "QuadElem.__pow__", "1 / self ** (-k)", "QuadElem"),
+    ("quadfield.py", "_Parser.term", "value / rhs", "QuadElem"),
+    ("quadfield.py", "quadratic_roots", "(t * t - 4 * n) / d", "Fraction"),
+    ("quadfield.py", "quadratic_roots", "-s / 2", "Fraction"),
+    ("quadfield.py", "quadratic_roots", "s / 2", "Fraction"),
+    ("quadfield.py", "quadratic_roots", "t / 2", "Fraction"),
+    ("quadfield.py", "quadratic_roots", "t / 2", "Fraction"),
+])
+
+
+def divisions(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, expression) of every a / b and a /= b in source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Div):
+                found.append((scope or "<module>", ast.unparse(child)))
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def unlisted_divisions(sources: dict) -> list[str]:
+    """Each division in {module: source} beyond DIVISIONS, and each listed one not found."""
+    found = sorted((name, *site) for name, source in sources.items()
+                   for site in divisions(source))
+    listed = [row[:3] for row in DIVISIONS]
+    extra = [site for site in found if found.count(site) > listed.count(site)]
+    gone = [site for site in listed if listed.count(site) > found.count(site)]
+    return [f"unlisted {site}" for site in dict.fromkeys(extra)] + [
+        f"listed but gone {site}" for site in dict.fromkeys(gone)]
+
+
+def test_the_scan_finds_a_planted_int_division():
+    planted = "def half(n: int):\n    k = n // 2\n    k /= 3\n    return len(range(n)) / 2\n"
+    assert divisions(planted) == [("half", "k /= 3"), ("half", "len(range(n)) / 2")]
+    sources = {path.name: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    sources["orbit.py"] += planted
+    assert unlisted_divisions(sources) == ["unlisted ('orbit.py', 'half', 'k /= 3')",
+                                           "unlisted ('orbit.py', 'half', 'len(range(n)) / 2')"]
+    sources["quadfield.py"] = sources["quadfield.py"].replace("value / rhs", "value * rhs")
+    assert unlisted_divisions(sources)[-1] == (
+        "listed but gone ('quadfield.py', '_Parser.term', 'value / rhs')")
+
+
+def test_every_true_division_in_src_is_listed():
+    sources = {path.name: path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    assert unlisted_divisions(sources) == []

@@ -103,6 +103,7 @@ def test_only_quadfield_takes_a_and_b_apart(path):
 # each oracle in tests/ and the fast-path names it must not import or read:
 # an oracle built on the code it checks would agree with it by construction
 ORACLE_FORBIDDEN = {
+    "dynatomic_oracle": {"dynatomic", "_xmul", "_xdiv", "_xcompose"},
     "chabauty_oracle": {"DiskMap", "disk_series", "_disk_maps", "_lambda_coefficients",
                         "disk_differentials", "_branch_series", "eval_lambda", "_residue"},
     "ff_oracle": {"_good_reduction", "_norm_form", "_bad_reduction_integer", "_integral_square"},

@@ -14,7 +14,8 @@ from quaddyn.orbit import (
     periodic_points,
     portrait,
 )
-from quaddyn.polys import QQ, PolyRing, QuadField, UniPoly
+from polys_helper import PolyRing
+from quaddyn.polys import QQ, QuadField, UniPoly
 from quaddyn.quadfield import QuadElem, parse_elem
 
 F = Fraction

@@ -7,13 +7,12 @@ from quaddyn.curves import get_curve
 from quaddyn.polys import (
     QQ,
     ExactnessError,
-    PolyRing,
     QuadField,
     UniPoly,
     format_poly,
     poly_to_json,
 )
-from polys_helper import from_ints, poly_from_json
+from polys_helper import PolyRing, from_ints, poly_from_json
 from polys_oracle import derivative, gcd, resultant, squarefree_part
 from ff_oracle import FFRing, FiniteField
 from quaddyn.quadfield import QuadElem

@@ -1,0 +1,72 @@
+"""Golden digests: the bytes of fixed CLI calls, kept as sha256 and length.
+
+    python3 tools/golden.py
+
+Runs from a source checkout and rewrites tests/golden.json.  Each row is one
+argv, run in process through quaddyn.cli.main with stdout and stderr
+captured.  Its digest is the sha256 and byte length of the UTF-8 JSON text of
+[exit code, stdout, stderr].  tests/test_golden.py runs the same rows in
+tier-1, so an output that changes on purpose means rewriting the file in the
+same change, and naming every row whose digest moved.
+
+The rows: dynatomic for n = 1..6 at every --m the CLI admits, symbolic and at
+two small parameters, in text and --json; dynatomic at a height-10^7
+parameter for m <= 2; and graphs that take the dynatomic fallback (no height
+box), in text, --json and --dot.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden.json"
+
+# the largest --m the CLI admits for each n: d_n 2^(m-1) <= 108 symbolic, <= 432 at a c
+SYMBOLIC_M = {1: 6, 2: 6, 3: 5, 4: 4, 5: 2, 6: 2}
+SPECIALIZED_M = {1: 8, 2: 8, 3: 7, 4: 6, 5: 4, 6: 4}
+SMALL_C = (("-1", "-21/16"), ("-3", "1/3 - 2/5*w"))
+TALL_C = ("-1", "1234567/7654321+7654321/1234567*i")
+FALLBACK_GRAPHS = (("-1", "4000"), ("-3", "-4000"), ("-1", "1000000000000"))
+
+
+def rows() -> list[list[str]]:
+    out = []
+    for n in range(1, 7):
+        calls = [["--n", str(n), "--m", str(m)] for m in range(SYMBOLIC_M[n] + 1)]
+        calls += [["--n", str(n), "--m", str(m), "--d", d, "--c", c]
+                  for d, c in SMALL_C for m in range(SPECIALIZED_M[n] + 1)]
+        calls += [["--n", str(n), "--m", str(m), "--d", TALL_C[0], "--c", TALL_C[1]]
+                  for m in range(3)]
+        out += [["dynatomic", *call, *form] for call in calls for form in ([], ["--json"])]
+    out += [["graph", "--d", d, "--c", c, *form]
+            for d, c in FALLBACK_GRAPHS for form in ([], ["--json"], ["--dot"])]
+    return out
+
+
+def digest(argv: list[str]) -> dict:
+    """sha256 and byte length of [exit code, stdout, stderr] of one in-process CLI call."""
+    from quaddyn.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    data = json.dumps([code, out.getvalue(), err.getvalue()]).encode()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "length": len(data)}
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    found = [{"argv": argv, **digest(argv)} for argv in rows()]
+    GOLDEN.write_text(json.dumps(found, indent=1) + "\n")
+    print(f"wrote {len(found)} rows to {GOLDEN.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
