@@ -14,12 +14,13 @@ a fixed invocation.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import __version__
 from .dynatomic import MAX_PERIOD, dn_rn, dynatomic, gen_dynatomic
@@ -291,57 +292,111 @@ def cmd_chabauty(args) -> int:
     return 0 if ok else 2
 
 
+# each subcommand's handler, help and arguments, an argument as add_argument's name and
+# keywords in help order: build_parser hands them to argparse, _fast_args reads them directly
+FLAG = {"action": "store_true", "default": False}
+COMMANDS = {
+    "graph": (cmd_graph, "build and classify a preperiodic graph", {
+        "--d": {"type": int, "required": True, "help": "field discriminant parameter"},
+        "--c": {"required": True, "help": 'parameter, e.g. "-1/4 + 3/8*i"'},
+        "--n-max": {"type": int, "default": MAX_PERIOD},
+        "--json": FLAG, "--dot": FLAG,
+        "--catalog": {"help": "override catalog (JSON witness list)"},
+        "--include-infinity": {**FLAG, "help": "note the omitted fixed point at infinity in "
+                                                "the record"},
+    }),
+    "survey": (cmd_survey, "sweep parameters of bounded height", {
+        "--d": {"type": int, "required": True}, "--height": {"type": int, "required": True},
+        "--n-max": {"type": int, "default": 4},
+        "--jobs": {"type": int, "default": 1, "help": "parallel workers over c values"},
+        "--catalog": {"help": "override catalog (JSON witness list)"},
+        "--json": FLAG,
+    }),
+    "dynatomic": (cmd_dynatomic, "print a dynatomic polynomial", {
+        "--n": {"type": int, "required": True}, "--m": {"type": int, "default": 0},
+        "--c": {"help": "specialize at this parameter (else symbolic)"},
+        "--d": {"type": int, "default": -1},
+        "--json": FLAG,
+    }),
+    "curve": (cmd_curve, "finite-field data for a registry curve", {
+        "name": {}, "action": {"choices": list(CURVE_OPTIONS)},
+        "--p": {"type": int, "help": _curve_help("p", "prime")},
+        "--deg": {"type": int, "choices": [1, 2], "help": _curve_help("deg", "field degree")},
+        "--primes": {"help": _curve_help("primes", "comma-separated primes")},
+        "--json": FLAG,
+    }),
+    "chabauty": (cmd_chabauty, "run the X0(5)/Q(i) certification", {
+        "--prec": {"type": int, "default": 6, "help": "2-adic working precision (bits)"},
+        "--disk": {"choices": ["P0", "P2", "P4"]},
+        "--json": FLAG,
+        "--out": {"help": "also write the JSON report here"},
+    }),
+}
+
+
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(prog="quaddyn", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"quaddyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("graph", help="build and classify a preperiodic graph")
-    p.add_argument("--d", type=int, required=True, help="field discriminant parameter")
-    p.add_argument("--c", required=True, help='parameter, e.g. "-1/4 + 3/8*i"')
-    p.add_argument("--n-max", type=int, default=MAX_PERIOD, dest="n_max")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--catalog", default=None, help="override catalog (JSON witness list)")
-    p.add_argument("--include-infinity", action="store_true",
-                   help="note the omitted fixed point at infinity in the record")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("survey", help="sweep parameters of bounded height")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over c values")
-    p.add_argument("--catalog", default=None, help="override catalog (JSON witness list)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_survey)
-
-    p = sub.add_parser("dynatomic", help="print a dynatomic polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--c", default=None, help="specialize at this parameter (else symbolic)")
-    p.add_argument("--d", type=int, default=-1)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dynatomic)
-
-    p = sub.add_parser("curve", help="finite-field data for a registry curve")
-    p.add_argument("name")
-    p.add_argument("action", choices=list(CURVE_OPTIONS))
-    p.add_argument("--p", type=int, help=_curve_help("p", "prime"))
-    p.add_argument("--deg", type=int, choices=[1, 2], help=_curve_help("deg", "field degree"))
-    p.add_argument("--primes", help=_curve_help("primes", "comma-separated primes"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("chabauty", help="run the X0(5)/Q(i) certification")
-    p.add_argument("--prec", type=int, default=6, help="2-adic working precision (bits)")
-    p.add_argument("--disk", choices=["P0", "P2", "P4"], default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None, help="also write the JSON report here")
-    p.set_defaults(func=cmd_chabauty)
+    for name, (func, text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for key, keywords in arguments.items():
+            p.add_argument(key, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+# argparse reads a token that starts with "-" as a value only when it matches this
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _fast_args(argv):
+    """parse_args's namespace for a well-formed argv, else None: argparse then parses it.
+
+    Well formed: a subcommand, its positionals and its exact long options in
+    any order, each option once, every value of its type and among its choices.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    pending = [key for key in arguments if key[0] != "-"]  # the positionals still to come
+    found, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if not pending:
+                return None
+            key, value = pending.pop(0), token
+        else:
+            key, eq, value = token.partition("=")
+            if key not in arguments or key in found or eq and arguments[key].get("action"):
+                return None
+            if arguments[key].get("action"):
+                value = True
+            elif not eq:
+                value = next(tokens, None)
+                # _glue_values hands argparse the token after --c as its value, whatever it is
+                if value is None or (value[:1] == "-" and key != "--c"
+                                     and not _NEGATIVE_NUMBER.match(value)):
+                    return None
+        keywords = arguments[key]
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        found[key] = value
+    args = {"command": argv[0], "func": func}
+    for key, keywords in arguments.items():
+        if key not in found and (key[0] != "-" or keywords.get("required")):
+            return None
+        args[key.lstrip("-").replace("-", "_")] = found.get(key, keywords.get("default"))
+    return SimpleNamespace(**args)
 
 
 def _glue_values(argv: list) -> list:
@@ -359,13 +414,14 @@ def _glue_values(argv: list) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = parser.parse_args(_glue_values(list(argv)))
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(_glue_values(list(argv)))
+        except SystemExit as exc:
+            return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError) as err:

@@ -160,6 +160,12 @@ DEEP = "error: bad field-element syntax: nested more than 100 deep\n"
      "error: d = 9 is a perfect square (or zero); not a quadratic field\n"),
     (("dynatomic", "--n", "2", "--d", "4", "--c", "1"),
      "error: d = 4 is a perfect square (or zero); not a quadratic field\n"),
+    (("curve", "X0_5", "torsion-bound", "--primes", "-3,5"), "expected one argument"),
+    (("graph", "--d", "1.5", "--c", "1"), "invalid int value: '1.5'"),
+    (("curve", "X0_5", "count", "--deg", "3"), "invalid choice: 3"),
+    (("graph", "--d", "-1"), "the following arguments are required: --c"),
+    (("graph", "--d", "-1", "--c", "0", "--json=1"), "ignored explicit argument '1'"),
+    (("chabauty", "--disk", "P9"), "invalid choice: 'P9'"),
 ])
 def test_out_of_domain_input_exits_1(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -1,8 +1,9 @@
 """The CLI's bytes on a fixed corpus, against the digests in tests/golden.json.
 
 tools/golden.py holds the rows and writes the file: dynatomic for n = 1..6 at
-every --m the CLI admits, symbolic and at parameters in Q(i) and Q(w), and
-the graphs that take the dynatomic fallback.  A changed digest means the
+every --m the CLI admits, symbolic and at parameters in Q(i) and Q(w), the
+graphs that take the dynatomic fallback, and the shell: reordered and "="
+options, help and version text.  A changed digest means the
 output changed; an output changed on purpose is committed with the file
 rewritten, and the rows whose digests moved are named with the reason.
 """

@@ -40,9 +40,10 @@ def test_chabauty_runs_without_the_jacobian():
 
 
 # dataclasses brings inspect, ast, dis and tokenize; importlib.resources brings
-# pathlib, tempfile and urllib; a graph command needs none of them, nor the curves,
-# nor quaddyn.factor and random, which only the dynatomic fallback uses
-START_UP_FREE = ("dataclasses", "inspect", "typing", "importlib.resources")
+# pathlib, tempfile and urllib; argparse parses only help and malformed argv; a graph
+# command needs none of them, nor the curves, nor quaddyn.factor and random, which
+# only the dynatomic fallback uses
+START_UP_FREE = ("dataclasses", "inspect", "typing", "importlib.resources", "argparse")
 
 
 @pytest.mark.parametrize("setup, free", [

@@ -11,8 +11,12 @@ same change, and naming every row whose digest moved.
 
 The rows: dynatomic for n = 1..6 at every --m the CLI admits, symbolic and at
 two small parameters, in text and --json; dynatomic at a height-10^7
-parameter for m <= 2; and graphs that take the dynatomic fallback (no height
-box), in text, --json and --dot.
+parameter for m <= 2; graphs that take the dynatomic fallback (no height
+box), in text, --json and --dot; and the shell: each subcommand with its
+options reordered, in "--opt=value" form and with curve's positionals between
+options, an abbreviation argparse completes, and the help and version texts.
+COLUMNS is pinned to 80 while a row runs, so argparse wraps its usage and help
+text the same way in every terminal.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +38,32 @@ SPECIALIZED_M = {1: 8, 2: 8, 3: 7, 4: 6, 5: 4, 6: 4}
 SMALL_C = (("-1", "-21/16"), ("-3", "1/3 - 2/5*w"))
 TALL_C = ("-1", "1234567/7654321+7654321/1234567*i")
 FALLBACK_GRAPHS = (("-1", "4000"), ("-3", "-4000"), ("-1", "1000000000000"))
+SUBCOMMANDS = ("graph", "survey", "dynatomic", "curve", "chabauty")
+SHELL = [
+    ["graph", "--d", "-1", "--c", "-1"],
+    ["graph", "--c", "-1", "--d", "-1", "--n-max", "6", "--json"],
+    ["graph", "--d=-3", "--c=-5/12", "--n-max=4"],
+    ["graph", "--json", "--c", "i", "--include-infinity", "--d", "-1"],
+    ["graph", "--n-max", "3", "--d", "-1", "--c", "-1/4 + 3/8*i", "--dot"],
+    ["graph", "--d", "-1", "--c", "-1", "--include-infinity", "--dot", "--json"],
+    ["survey", "--height", "1", "--d", "-1"],
+    ["survey", "--json", "--n-max=3", "--d=-3", "--jobs", "1", "--height=1"],
+    ["dynatomic", "--m", "1", "--n", "2"],
+    ["dynatomic", "--c=-5/12", "--d=-3", "--n=3", "--json"],
+    ["dynatomic", "--json", "--c", "-1", "--m=1", "--n", "1"],
+    ["curve", "--p", "5", "X0_5", "count"],
+    ["curve", "X0_5", "--json", "jacobian", "--p", "11"],
+    ["curve", "--deg=2", "E17", "--p=7", "structure"],
+    ["curve", "X0_5", "torsion-bound", "--primes=3,5", "--deg", "2", "--json"],
+    ["curve", "--json", "X1_4", "genus"],
+    ["chabauty", "--disk", "P0", "--json"],
+    ["chabauty", "--json", "--prec=7", "--disk=P4"],
+    ["chabauty", "--pre", "7", "--json"],
+    ["--help"],
+    ["-h"],
+    ["--version"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+]
 
 
 def rows() -> list[list[str]]:
@@ -46,7 +77,7 @@ def rows() -> list[list[str]]:
         out += [["dynatomic", *call, *form] for call in calls for form in ([], ["--json"])]
     out += [["graph", "--d", d, "--c", c, *form]
             for d, c in FALLBACK_GRAPHS for form in ([], ["--json"], ["--dot"])]
-    return out
+    return out + SHELL
 
 
 def digest(argv: list[str]) -> dict:
@@ -54,8 +85,16 @@ def digest(argv: list[str]) -> dict:
     from quaddyn.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     data = json.dumps([code, out.getvalue(), err.getvalue()]).encode()
     return {"sha256": hashlib.sha256(data).hexdigest(), "length": len(data)}
 
