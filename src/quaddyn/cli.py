@@ -20,6 +20,7 @@ import os
 import re
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
@@ -44,8 +45,32 @@ def _check_d(d: int) -> None:
         raise ValueError(f"|d| must be at most 10^12, got {d}")
 
 
+_WORDS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) on dicts with str keys, lists, str, int,
+    bool and None; any other type, or a key that is not a str, raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _WORDS[value]
+    inner = indent + "  "
+    if kind is list:
+        items, ends = [_json_text(v, inner) for v in value], "[]"
+    elif kind is dict:  # encode_basestring_ascii refuses a key that is not a str
+        items, ends = [f"{encode_basestring_ascii(k)}: {_json_text(value[k], inner)}"
+                       for k in sorted(value)], "{}"
+    else:
+        raise TypeError(f"no JSON text for {kind.__name__}")
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{indent}{ends[1]}" if items else ends
+
+
 def _emit_json(record: dict) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True)
+    text = _json_text(record)
     assert json.loads(text) == record, "JSON record does not round-trip"
     print(text)
 
@@ -101,7 +126,7 @@ def _survey_one(task: tuple) -> str:
 
 
 # about (2H+1)^2 H parameters at height H; --d -1, 2 vCPUs, Python 3.11: height 60 took 40 s
-# at 367 MB peak RSS (883 MB with --json), height 80 97 s at 839 MB (about 2 GB with --json)
+# at 373 MB peak RSS (618 MB with --json), height 30 at 60 MB (104 MB), height 80 97 s at 839 MB
 HEIGHT_LIMIT = 60
 
 
@@ -277,14 +302,14 @@ def cmd_chabauty(args) -> int:
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                json.dump(record, fh, indent=2, sort_keys=True)
+                fh.write(_json_text(record))
         except OSError as err:
             raise ValueError(f"cannot write {args.out}: {err.strerror}") from None
     if args.json:
         _emit_json(record)
     else:
         if "single_disk" in record:
-            print(json.dumps(record["single_disk"], indent=2, sort_keys=True))
+            print(_json_text(record["single_disk"]))
         else:
             print(transcript(report))
             print()

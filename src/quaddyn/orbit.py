@@ -37,7 +37,7 @@ one more than any cycle length that occurs over the fields of interest.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 
 from .dynatomic import MAX_PERIOD, dn_rn, specialize, symbolic_dynatomic
 from .finitefield import sqrt_mod_p2, trial_factor
@@ -78,7 +78,7 @@ class PreperGraph(namedtuple("PreperGraph", "vertices succ portraits field param
             "edges": [[text[v], text[self.succ[v]]] for v in self.vertices],
             "portraits": {text[v]: list(self.portraits[v]) for v in self.vertices},
             "cycle_structure": list(cycles),
-            "flags": flags._asdict(),
+            "flags": dict(zip(flags._fields, flags)),
         }
 
 
@@ -384,7 +384,10 @@ def cycle_structure(graph: PreperGraph) -> tuple[int, ...]:
 
     A cycle of length n is n vertices of portrait (0, n).
     """
-    on_cycles = Counter(n for m, n in graph.portraits.values() if m == 0)
+    on_cycles: dict = {}
+    for m, n in graph.portraits.values():
+        if m == 0:
+            on_cycles[n] = on_cycles.get(n, 0) + 1
     return tuple(n for n in sorted(on_cycles) for _ in range(on_cycles[n] // n))
 
 
@@ -401,12 +404,13 @@ def _admissible_flags(graph: PreperGraph, c: QuadElem, cycles: tuple) -> Admissi
     vertex_admissible = not zero_in
     vertex_strong = vertex_admissible and not quarter
 
-    in_deg = Counter(graph.succ.values())
-    degrees_ok = all(in_deg[v] in (0, 2) for v in graph.vertices)
-    counts = Counter(cycles)
-    cycles_ok = all(length == 1 or mult <= dn_rn(length)[1] for length, mult in counts.items())
+    in_deg: dict = {}
+    for w in graph.succ.values():
+        in_deg[w] = in_deg.get(w, 0) + 1
+    degrees_ok = all(in_deg.get(v, 0) in (0, 2) for v in graph.vertices)
+    cycles_ok = all(n == 1 or cycles.count(n) <= dn_rn(n)[1] for n in set(cycles))
     structural_admissible = degrees_ok and cycles_ok
-    fixed = counts.get(1, 0)
+    fixed = cycles.count(1)
     structural_strong = structural_admissible and fixed in (0, 2)
 
     if structural_admissible != vertex_admissible or structural_strong != vertex_strong:

@@ -134,10 +134,11 @@ def _quad(t: tuple, d: int) -> "QuadElem":
 class QuadElem:
     """Element (A + B*sqrt(d))/C of Q(sqrt(d)), d squarefree, d != 0, 1.
 
-    triple = (A, B, C) is normalized: C > 0 and gcd(A, B, C) = 1.
+    triple = (A, B, C) is normalized: C > 0 and gcd(A, B, C) = 1.  The _hash slot
+    is filled by the first __hash__ call.
     """
 
-    __slots__ = ("triple", "d")
+    __slots__ = ("triple", "d", "_hash")
 
     def __init__(self, a, b, d: int):
         s, m = split_field(d)
@@ -233,14 +234,21 @@ class QuadElem:
         return NotImplemented
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         a, b, c = self.triple
         if b:
-            return hash((a, b, c, self.d))
-        if c == 1:
-            return hash(a)
-        # hash(Fraction(a, c)), which __eq__ makes equal, from the ints: h >= 0, and -1 reads -2
-        h = hash(hash(abs(a)) * pow(c, -1, _MODULUS)) if c % _MODULUS else _INF
-        return h if a >= 0 else -2 if h == 1 else -h
+            h = hash((a, b, c, self.d))
+        elif c == 1:
+            h = hash(a)
+        else:
+            # hash(Fraction(a, c)), which __eq__ makes equal, from the ints: h >= 0, -1 reads -2
+            h = hash(hash(abs(a)) * pow(c, -1, _MODULUS)) if c % _MODULUS else _INF
+            h = h if a >= 0 else -2 if h == 1 else -h
+        object.__setattr__(self, "_hash", h)
+        return h
 
     # -- field theory ------------------------------------------------------
 

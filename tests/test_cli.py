@@ -418,6 +418,15 @@ def test_chabauty_full_run_and_report(tmp_path, capsys):
     assert json.loads(target.read_text()) == record
 
 
+def test_chabauty_out_file_is_the_json_stdout_without_its_newline(tmp_path, capsys):
+    target = tmp_path / "disk.json"
+    argv = ("chabauty", "--disk", "P2", "--prec", "8")
+    code, out, _ = run(capsys, *argv, "--json", "--out", str(target))
+    assert code == 0 and out.endswith("}\n")
+    assert target.read_bytes() == out[:-1].encode()
+    assert run(capsys, *argv, "--json") == (0, out, "")
+
+
 def test_version_and_usage(capsys):
     assert main(["--version"]) == 0
     capsys.readouterr()

@@ -2,8 +2,10 @@
 
 tools/golden.py holds the rows and writes the file: dynatomic for n = 1..6 at
 every --m the CLI admits, symbolic and at parameters in Q(i) and Q(w), the
-graphs that take the dynatomic fallback, and the shell: reordered and "="
-options, help and version text.  A changed digest means the
+graphs that take the dynatomic fallback, the shell (reordered and "="
+options, help and version text) and the --json records: the catalog
+witnesses' graphs, height-3 surveys, every curve action and the chabauty
+reports, with the --disk text forms.  A changed digest means the
 output changed; an output changed on purpose is committed with the file
 rewritten, and the rows whose digests moved are named with the reason.
 """

@@ -1,6 +1,8 @@
 import copy
 import pickle
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,15 +10,18 @@ import pytest
 from quaddyn import dynatomic, graphcat, orbit
 from quaddyn.dynatomic import gen_dynatomic, specialize
 from quaddyn.orbit import (
+    PreperGraph,
+    _admissible_flags,
     admissible_flags,
     build_graph,
     cycle_structure,
     periodic_points,
     portrait,
+    portraits_of,
 )
 from polys_helper import PolyRing
 from quaddyn.polys import QQ, QuadField, UniPoly
-from quaddyn.quadfield import QuadElem, parse_elem
+from quaddyn.quadfield import QuadElem, _norm, _quad, parse_elem, sorted_elems
 
 F = Fraction
 I = QuadElem(0, 1, -1)
@@ -170,6 +175,69 @@ def test_cycle_structure_examples():
     assert cycle_structure(build_graph(q(F(-13, 9)), n_max=3)) == (2,)
     assert cycle_structure(build_graph(q(F(-21, 16)), n_max=3)) == (1, 1, 2)
     assert cycle_structure(build_graph(q(2), n_max=3)) == ()
+
+
+def counter_cycle_structure(graph):
+    """cycle_structure as it was counted with Counter, the oracle of the dict count."""
+    on_cycles = Counter(n for m, n in graph.portraits.values() if m == 0)
+    return tuple(n for n in sorted(on_cycles) for _ in range(on_cycles[n] // n))
+
+
+def counter_structural_flags(graph, cycles):
+    """(admissible, strongly admissible) by in-degrees and cycle counts, counted with Counter."""
+    in_deg = Counter(graph.succ.values())
+    degrees_ok = all(in_deg[v] in (0, 2) for v in graph.vertices)
+    counts = Counter(cycles)
+    cycles_ok = all(length == 1 or mult <= dynatomic.dn_rn(length)[1]
+                    for length, mult in counts.items())
+    admissible = degrees_ok and cycles_ok
+    return admissible, admissible and counts.get(1, 0) in (0, 2)
+
+
+def random_functional_graph(rng, d):
+    """A map on 1-12 elements of Q(sqrt(d)): arbitrary, or every image hit by exactly two."""
+    points = {_quad(_norm(rng.randint(-4, 4), rng.randint(-2, 2), rng.randint(1, 3)), d)
+              for _ in range(rng.randint(1, 12))}
+    vertices = sorted_elems(points)
+    if len(vertices) < 2 or rng.random() < 0.5:
+        succ = {v: rng.choice(vertices) for v in vertices}
+    else:  # pairs onto distinct targets: in-degrees 0 and 2 only
+        vertices = vertices[:len(vertices) - len(vertices) % 2]
+        targets = rng.sample(vertices, len(vertices) // 2)
+        succ = {v: targets[k // 2] for k, v in enumerate(rng.sample(vertices, len(vertices)))}
+    parameter = rng.choice([q(F(1, 4), 0, d), q(-1, 0, d), q(F(1, 3), 1, d)])
+    return PreperGraph(tuple(vertices), succ, portraits_of(succ), d, parameter, 6)
+
+
+def test_dict_counts_match_the_counter_counts_on_random_functional_graphs():
+    rng = random.Random(2026)
+    outcomes = Counter()
+    for _ in range(400):
+        graph = random_functional_graph(rng, rng.choice([-1, -2, -3, -7, -11, 2, 5]))
+        cycles = cycle_structure(graph)
+        assert cycles == counter_cycle_structure(graph)
+        zero_in, quarter = 0 in graph.succ, graph.parameter.triple == (1, 0, 4)
+        structural = counter_structural_flags(graph, cycles)
+        if structural == (not zero_in, not zero_in and not quarter):
+            flags = _admissible_flags(graph, graph.parameter, cycles)
+            assert (flags.admissible, flags.strongly_admissible) == structural
+            outcomes[structural] += 1
+        else:
+            with pytest.raises(RuntimeError, match="admissibility criteria disagree"):
+                _admissible_flags(graph, graph.parameter, cycles)
+            outcomes["disagree"] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 10, outcomes
+
+
+def test_dict_counts_match_the_counter_counts_on_the_witnesses():
+    for label, d, c_text, size, _code in graphcat._TABLE:
+        graph = build_graph(parse_elem(c_text, d), d)
+        assert graph.size() == size, label
+        cycles = cycle_structure(graph)
+        assert cycles == counter_cycle_structure(graph), label
+        flags = admissible_flags(graph, graph.parameter)
+        assert (flags.admissible, flags.strongly_admissible) == \
+            counter_structural_flags(graph, cycles), label
 
 
 def test_graph_record_round_trip():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -10,6 +11,8 @@ from ff_oracle import FiniteField, reduce_quad
 from quaddyn.quadfield import (
     QuadElem,
     _Parser,
+    _norm,
+    _quad,
     format_elem,
     fraction_sqrt,
     parse_elem,
@@ -224,6 +227,50 @@ def test_rational_hash_is_the_fraction_hash_on_large_values():
     for _ in range(2000):
         q = F(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
         assert hash(QuadElem(q, 0, -3)) == hash(q), q
+
+
+BENCHMARK_FIELDS = (-1, -2, -3, -7, -11, 2, 5)
+
+
+def seeded_triples(rng, count=3000):
+    """Normalized (A, B, C) with d: small, large, integral and rational values."""
+    for k in range(count):
+        size = 10**rng.choice([1, 3, 30])
+        a, c = rng.randint(-size, size), rng.choice([1, rng.randint(1, size)])
+        yield _norm(a, 0 if k % 3 else rng.randint(-size, size), c), rng.choice(BENCHMARK_FIELDS)
+
+
+def test_the_hash_is_kept_and_is_the_hash_of_every_build_of_the_value():
+    rng = random.Random(2026)
+    for (a, b, c), d in seeded_triples(rng):
+        x = _quad((a, b, c), d)
+        first = hash(x)
+        assert hash(x) == first
+        if not b:
+            assert first == hash(F(a, c))
+            if c == 1:
+                assert first == hash(a)
+        unpickled = pickle.loads(pickle.dumps(x))
+        assert unpickled.triple == x.triple and not hasattr(unpickled, "_hash")
+        assert x.__reduce__()[1] == ((a, b, c), d)
+        y = _quad((rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 9)), d)
+        for built in (QuadElem(F(a, c), F(b, c), d), _quad((a, b, c), d), unpickled,
+                      (x + y) - y, (x * 3) / 3, -(-x)):
+            assert built == x and hash(built) == first
+
+
+def test_a_vertex_keyed_dict_finds_an_equal_int_or_fraction():
+    from quaddyn.orbit import build_graph
+
+    succ = build_graph(parse_elem("-1", -1), -1).succ  # the 2-cycle 0 <-> -1
+    assert 0 in succ and succ[0] == -1 and -1 in succ
+    succ = build_graph(parse_elem("-21/16", -1), -1).succ
+    rationals = [v for v in succ if not v.triple[1] and v.triple[2] > 1]
+    assert rationals
+    for v in rationals:
+        a, _, c = v.triple
+        assert F(a, c) in succ and succ[F(a, c)] == succ[v]
+        assert hash(F(a, c)) == hash(v)
 
 
 def test_a_rational_expression_takes_its_field_from_its_parts():

@@ -14,7 +14,11 @@ two small parameters, in text and --json; dynatomic at a height-10^7
 parameter for m <= 2; graphs that take the dynatomic fallback (no height
 box), in text, --json and --dot; and the shell: each subcommand with its
 options reordered, in "--opt=value" form and with curve's positionals between
-options, an abbreviation argparse completes, and the help and version texts.
+options, an abbreviation argparse completes, and the help and version texts;
+then the records: graph --json at each builtin catalog witness, survey at
+height 3 --json over the seven benchmark fields, every registry curve with
+every action at its defaults --json, chabauty --json at --prec 6 and 8, and
+each --disk at --prec 8 in text and --json.
 COLUMNS is pinned to 80 while a row runs, so argparse wraps its usage and help
 text the same way in every terminal.
 """
@@ -64,6 +68,23 @@ SHELL = [
     ["--version"],
     *([name, "-h"] for name in SUBCOMMANDS),
 ]
+# the benchmark's seven fields, copied so the rows stay put if the benchmark changes
+SURVEY_FIELDS = (-1, -2, -3, -7, -11, 2, 5)
+CURVE_ACTIONS = ("count", "jacobian", "torsion-bound", "genus", "structure")
+
+
+def record_rows() -> list[list[str]]:
+    from quaddyn.curves import load_registry
+    from quaddyn.graphcat import _TABLE
+
+    out = [["graph", "--d", str(d), "--c", c, "--json"] for _label, d, c, _n, _code in _TABLE]
+    out += [["survey", "--d", str(d), "--height", "3", "--json"] for d in SURVEY_FIELDS]
+    names = sorted({entry.name for entry in load_registry().values()})
+    out += [["curve", name, action, "--json"] for name in names for action in CURVE_ACTIONS]
+    out += [["chabauty", "--json", "--prec", prec] for prec in ("6", "8")]
+    out += [["chabauty", "--disk", disk, "--prec", "8", *form]
+            for disk in ("P0", "P2", "P4") for form in ([], ["--json"])]
+    return out
 
 
 def rows() -> list[list[str]]:
@@ -77,7 +98,7 @@ def rows() -> list[list[str]]:
         out += [["dynatomic", *call, *form] for call in calls for form in ([], ["--json"])]
     out += [["graph", "--d", d, "--c", c, *form]
             for d, c in FALLBACK_GRAPHS for form in ([], ["--json"], ["--dot"])]
-    return out + SHELL
+    return out + SHELL + record_rows()
 
 
 def digest(argv: list[str]) -> dict:
